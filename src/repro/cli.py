@@ -290,6 +290,19 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_pipeline_args(
+    parser: argparse.ArgumentParser, argv: List[str]
+) -> argparse.Namespace:
+    """Parse ``argv``, rejecting an empty cycle window as a usage error."""
+    args = parser.parse_args(argv)
+    if not 1 <= args.min_cycles <= args.max_cycles:
+        parser.error(
+            "need 1 <= --min-cycles <= --max-cycles (got %d and %d)"
+            % (args.min_cycles, args.max_cycles)
+        )
+    return args
+
+
 def build_batch_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro batch",
@@ -374,7 +387,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated oracle subset (default: all): "
         "asm-vs-eval,solver-paths,extraction,strategies,matching,"
-        "bruteforce,stochastic,cross-target",
+        "bruteforce,stochastic,floor,cross-target",
     )
     parser.add_argument(
         "--target",
@@ -502,7 +515,7 @@ def _targets_main(argv: List[str]) -> int:
 
 
 def _compile_main(argv: List[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_pipeline_args(build_parser(), argv)
 
     if args.list_axioms:
         from repro.terms.ops import default_registry
@@ -803,7 +816,7 @@ def _print_batch_result(name: str, payload: Optional[dict], quiet: bool) -> int:
 
 
 def _batch_main(argv: List[str]) -> int:
-    args = build_batch_parser().parse_args(argv)
+    args = _parse_pipeline_args(build_batch_parser(), argv)
     try:
         specs = _batch_specs(args)
     except OSError as exc:
@@ -971,6 +984,9 @@ def _fuzz_main(argv: List[str]) -> int:
     if args.iterations <= 0:
         print("error: --iterations must be positive", file=sys.stderr)
         return EXIT_USAGE
+    if args.max_cycles < 1:
+        print("error: --max-cycles must be positive", file=sys.stderr)
+        return EXIT_USAGE
 
     from repro.fuzz import GeneratorConfig
 
@@ -1086,6 +1102,8 @@ def _write_profile_json(args, collected) -> None:
     """
     import json
 
+    from repro.core.session import aggregate_stats
+
     gmas = []
     totals = {"propagations": 0, "conflicts": 0, "learned": 0,
               "learned_reused": 0}
@@ -1170,6 +1188,8 @@ def _write_profile_json(args, collected) -> None:
                 "label": stats.label,
                 "backend": stats.backend,
                 "winner": stats.winner,
+                "cycle_floor": stats.cycle_floor,
+                "optimal_by": stats.optimal_by,
                 "stage_seconds": {
                     k: round(v, 6) for k, v in stats.timings.items()
                 },
@@ -1180,6 +1200,7 @@ def _write_profile_json(args, collected) -> None:
                 "probes": probes,
             }
         )
+    ladder = aggregate_stats(collected)
     report = {
         "source": args.source,
         "strategy": args.strategy,
@@ -1191,6 +1212,8 @@ def _write_profile_json(args, collected) -> None:
         "totals": totals,
         "saturation_totals": sat_totals,
         "flat_core_totals": flat_totals,
+        "cycle_floor": ladder["cycle_floor"],
+        "optimal_by": ladder["optimal_by"],
     }
     with open(args.profile_json, "w") as handle:
         json.dump(report, handle, indent=2)

@@ -594,6 +594,7 @@ class Denali:
         stats.winner = result.winner
         stats.best_cycles = result.cycles
         stats.optimal = result.optimal
+        stats.optimal_by = result.search.optimal_by if result.optimal else None
         result.elapsed_seconds = time.perf_counter() - start
         session.finish(result.elapsed_seconds)
         return result

@@ -19,6 +19,13 @@ cycle to the budget never makes a feasible goal infeasible.  Probes that
 return ``None`` (solver budget exhausted) are treated conservatively: the
 budget is neither raised as a floor nor accepted, so ``optimal`` is never
 claimed across an unknown gap.
+
+Every scheduler also takes an optional proved ``floor`` (the encoder's
+critical-path bound, :func:`repro.encode.constraints.cycle_floor`): no
+budget below it can be SAT, so the ladder starts at ``max(lo, floor)``
+and the floor — never the caller's unproved ``lo`` — seeds
+``proved_floor``.  A floor above ``hi`` answers "no schedule" without a
+single probe.
 """
 
 from __future__ import annotations
@@ -84,14 +91,16 @@ class SearchOutcome:
     """Result of the budget search.
 
     ``best_cycles`` is the least K whose probe was SAT; ``proved_floor``
-    is the largest K proved UNSAT (so ``best_cycles == proved_floor + 1``
-    certifies optimality relative to the E-graph).
+    is the largest K proved UNSAT, by a probe or by the cycle floor (so
+    ``best_cycles == proved_floor + 1`` certifies optimality relative to
+    the E-graph).  ``cycle_floor`` is the floor the ladder started from.
     """
 
     best_cycles: Optional[int]
     best_payload: object = None
     proved_floor: int = 0
     probes: List[Probe] = field(default_factory=list)
+    cycle_floor: Optional[int] = None
 
     @property
     def optimal(self) -> bool:
@@ -99,6 +108,15 @@ class SearchOutcome:
             self.best_cycles is not None
             and self.proved_floor == self.best_cycles - 1
         )
+
+    @property
+    def optimal_by(self) -> Optional[str]:
+        """What proves optimality: ``"floor"`` when the best budget *is*
+        the cycle floor (no UNSAT probe was needed), ``"unsat"`` when a
+        probe refuted the budget below it, None when nothing does."""
+        if not self.optimal:
+            return None
+        return "floor" if self.best_cycles == self.cycle_floor else "unsat"
 
 
 class CancelToken:
@@ -134,13 +152,28 @@ class ProbeScheduler:
 
     name = "abstract"
 
-    def search(self, probe: ProbeFn, lo: int, hi: int) -> SearchOutcome:
+    def search(
+        self, probe: ProbeFn, lo: int, hi: int, floor: Optional[int] = None
+    ) -> SearchOutcome:
         raise NotImplementedError
 
     @staticmethod
-    def _validate(lo: int, hi: int) -> None:
+    def _begin(
+        lo: int, hi: int, floor: Optional[int]
+    ) -> Tuple[SearchOutcome, int]:
+        """Validate the window; return the seeded outcome and first budget.
+
+        Without a ``floor`` the caller's ``lo`` is trusted as one (every
+        K < lo infeasible), the historical contract of this API.
+        """
         if lo < 1 or hi < lo:
             raise ValueError("need 1 <= lo <= hi")
+        if floor is None:
+            floor = lo
+        outcome = SearchOutcome(
+            best_cycles=None, proved_floor=floor - 1, cycle_floor=floor
+        )
+        return outcome, max(lo, floor)
 
 
 class _SequentialScheduler(ProbeScheduler):
@@ -161,31 +194,62 @@ class _SequentialScheduler(ProbeScheduler):
 class LinearScheduler(_SequentialScheduler):
     name = "linear"
 
-    def search(self, probe: ProbeFn, lo: int, hi: int) -> SearchOutcome:
-        self._validate(lo, hi)
-        outcome = SearchOutcome(best_cycles=None, proved_floor=lo - 1)
-        for k in range(lo, hi + 1):
+    def search(
+        self, probe: ProbeFn, lo: int, hi: int, floor: Optional[int] = None
+    ) -> SearchOutcome:
+        outcome, start = self._begin(lo, hi, floor)
+        for k in range(start, hi + 1):
             if self._run(outcome, probe, k):
                 break
         return outcome
 
 
 class BinaryScheduler(_SequentialScheduler):
+    """Gallop up from the floor, then bisect the last gap.
+
+    Probes ``start, start+1, start+2, start+4, ...`` (capped at ``hi``)
+    until one is SAT, then bisects between the highest refuted budget
+    and that SAT budget.  Small budgets are the cheap probes — fewer
+    cycle blocks to encode, and a tight canonical decode — so the ladder
+    never encodes far past the optimum, and the probe count stays
+    logarithmic in the optimum's distance from the floor.  A budget is
+    never probed twice; an unknown answer is neither a floor nor a SAT.
+    """
+
     name = "binary"
 
-    def search(self, probe: ProbeFn, lo: int, hi: int) -> SearchOutcome:
-        self._validate(lo, hi)
-        outcome = SearchOutcome(best_cycles=None, proved_floor=lo - 1)
-        # Invariant: all K <= proved_floor are UNSAT, best is SAT.
-        low, high = lo, hi
+    def search(
+        self, probe: ProbeFn, lo: int, hi: int, floor: Optional[int] = None
+    ) -> SearchOutcome:
+        outcome, start = self._begin(lo, hi, floor)
+        answers: Dict[int, Optional[bool]] = {}
+
+        def ask(k: int) -> Optional[bool]:
+            if k not in answers:
+                answers[k] = self._run(outcome, probe, k)
+            return answers[k]
+
+        # The least budget still worth probing lies in [low, high]: every
+        # budget above high is SAT, none below low is left to try.
+        low, high = start, hi
+        k, step = start, 0
+        while k <= hi:
+            sat = ask(k)
+            if sat:
+                high = k - 1
+                break
+            if sat is False:
+                low = k + 1
+            if k == hi:
+                break
+            step = 2 * step if step else 1
+            k = min(start + step, hi)
         while low <= high:
             mid = (low + high) // 2
-            sat = self._run(outcome, probe, mid)
+            sat = ask(mid)
             if sat:
                 high = mid - 1
-            elif sat is False:
-                low = mid + 1
-            else:  # unknown: cannot trust mid as floor; shrink from above
+            else:  # UNSAT, or unknown (searched past, never a floor)
                 low = mid + 1
         return outcome
 
@@ -210,19 +274,20 @@ class PortfolioScheduler(ProbeScheduler):
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
 
-    def search(self, probe: ProbeFn, lo: int, hi: int) -> SearchOutcome:
+    def search(
+        self, probe: ProbeFn, lo: int, hi: int, floor: Optional[int] = None
+    ) -> SearchOutcome:
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
-        self._validate(lo, hi)
-        outcome = SearchOutcome(best_cycles=None, proved_floor=lo - 1)
-        budgets = list(range(lo, hi + 1))
-        if len(budgets) == 1:
-            return LinearScheduler().search(probe, lo, hi)
+        outcome, start = self._begin(lo, hi, floor)
+        budgets = list(range(start, hi + 1))
+        if len(budgets) <= 1:
+            return LinearScheduler().search(probe, lo, hi, floor)
 
         tokens = {k: CancelToken() for k in budgets}
         lock = threading.Lock()
         # Guarded by ``lock``: the best SAT budget seen and the proved floor.
-        state = {"best": None, "floor": lo - 1}
+        state = {"best": None, "floor": outcome.proved_floor}
 
         def on_answer(k: int, sat: Optional[bool]) -> None:
             with lock:
@@ -359,13 +424,14 @@ def search_min_cycles(
     lo: int,
     hi: int,
     strategy: SearchStrategy = SearchStrategy.BINARY,
+    floor: Optional[int] = None,
 ) -> SearchOutcome:
     """Find the least K in [lo, hi] for which ``probe(K)`` is satisfiable.
 
     ``probe`` returns ``(satisfiable, payload, stats)``; payload of the best
     SAT probe (e.g. the decoded model) is kept.  Probes returning ``None``
     (solver budget exhausted) are treated conservatively: the budget is
-    neither raised as a floor nor accepted, and the search narrows from
-    above only.
+    neither raised as a floor nor accepted.  ``floor``, when given, is a
+    proved lower bound on the answer (see the module docstring).
     """
-    return get_scheduler(strategy).search(probe, lo, hi)
+    return get_scheduler(strategy).search(probe, lo, hi, floor)

@@ -25,7 +25,11 @@ from typing import Callable, Dict, List, Optional
 from repro.core import cache as _cache
 from repro.core.probes import Probe, SearchOutcome, get_scheduler
 from repro.egraph.egraph import EGraph, EGraphSnapshot, ENode
-from repro.encode.constraints import IncrementalEncoder, encode_schedule
+from repro.encode.constraints import (
+    IncrementalEncoder,
+    cycle_floor,
+    encode_schedule,
+)
 from repro.lang.gma import GMA
 from repro.matching.saturation import SaturationStats, saturate
 from repro.sat.incremental import IncrementalSolver
@@ -77,6 +81,11 @@ class StageStats:
     )
     best_cycles: Optional[int] = None
     optimal: bool = False
+    # The encoder's proved cycle floor (the probe ladder's first budget)
+    # and what proves the optimum: "floor" (the best budget is the floor
+    # itself), "unsat" (a probe refuted the budget below) or None.
+    cycle_floor: Optional[int] = None
+    optimal_by: Optional[str] = None
     verified: Optional[bool] = None
 
     def add_time(self, stage: str, seconds: float) -> None:
@@ -129,6 +138,8 @@ class StageStats:
             "cache": dict(self.cache),
             "best_cycles": self.best_cycles,
             "optimal": self.optimal,
+            "cycle_floor": self.cycle_floor,
+            "optimal_by": self.optimal_by,
             "verified": self.verified,
             "cnf": {
                 "max_vars": max((p.vars for p in self.probes), default=0),
@@ -181,7 +192,17 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
         "restarts": 0,
         "unsupported": 0,
     }
+    # The probe ladder's proved floors and what backed each optimum.
+    floors: Dict[str, int] = {"sessions": 0, "sum": 0, "at_optimum": 0}
+    optimal_by: Dict[str, int] = {"floor": 0, "unsat": 0}
     for stats in collected:
+        if stats.cycle_floor is not None:
+            floors["sessions"] += 1
+            floors["sum"] += stats.cycle_floor
+            if stats.best_cycles == stats.cycle_floor:
+                floors["at_optimum"] += 1
+        if stats.optimal_by is not None:
+            optimal_by[stats.optimal_by] += 1
         for stage, seconds in stats.timings.items():
             timings[stage] = timings.get(stage, 0.0) + seconds
         for key, value in stats.cache.items():
@@ -250,6 +271,8 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
         "extraction": extraction,
         "backend_wins": wins,
         "stochastic": stochastic,
+        "cycle_floor": floors,
+        "optimal_by": optimal_by,
     }
 
 
@@ -445,6 +468,11 @@ class CompilationSession:
                     self._solver = IncrementalSolver()
                     self._fed_clauses = 0
                     self._fed_budgets = set()
+                self.stats.cycle_floor = self._encoder.cycle_floor
+        else:
+            self.stats.cycle_floor = cycle_floor(
+                eg, self.spec, goal_ids, cfg.encoding, unsafe, overrides
+            )
 
         def probe_incremental(k: int, cancel=None):
             p = Probe(cycles=k, satisfiable=None, solver="incremental")
@@ -589,13 +617,18 @@ class CompilationSession:
                 cache[key] = fc[name]
 
     def search(self, probe, lo: int, hi: int) -> SearchOutcome:
-        """Run the configured probe scheduler over ``[lo, hi]``."""
+        """Run the configured probe scheduler over ``[lo, hi]``.
+
+        The ladder starts at the encoder's proved cycle floor (computed
+        by :meth:`make_probe`), which also seeds the proved floor.
+        """
         cfg = self.config
         scheduler = get_scheduler(cfg.strategy, cfg.portfolio_workers)
-        outcome = scheduler.search(probe, lo, hi)
+        outcome = scheduler.search(probe, lo, hi, floor=self.stats.cycle_floor)
         self.stats.probes = outcome.probes
         self.stats.best_cycles = outcome.best_cycles
         self.stats.optimal = outcome.optimal
+        self.stats.optimal_by = outcome.optimal_by
         return outcome
 
     # -- stage 4b: extraction refinement ---------------------------------------

@@ -11,6 +11,7 @@ from repro.encode.constraints import (
     Encoding,
     EncodingOptions,
     IncrementalEncoder,
+    cycle_floor,
     encode_schedule,
     sanitize_clauses,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "Encoding",
     "EncodingOptions",
     "IncrementalEncoder",
+    "cycle_floor",
     "encode_schedule",
     "sanitize_clauses",
 ]

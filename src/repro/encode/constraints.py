@@ -34,6 +34,7 @@ cost thereby participates in the optimisation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -176,33 +177,189 @@ def _inject_ldiq(eg: EGraph, support: Iterable[int], spec: ArchSpec) -> None:
             eg.merge(node, cid)
 
 
-def _computable_classes(
+@dataclass
+class _TermRow:
+    """One candidate machine term with its operand dependencies resolved.
+
+    ``deps`` are the non-free classes a launch must wait for: the
+    argument classes (none for ldiq) plus, for a guard-unsafe term, the
+    guard class — exactly the classes family 2 gates the launch on.
+    """
+
+    node: ENode
+    cid: int
+    units: Tuple[str, ...]
+    lat: int
+    deps: List[int]
+
+
+def _term_rows(
     eg: EGraph,
     support: Sequence[int],
     free: Set[int],
     spec: ArchSpec,
-) -> Set[int]:
-    """Fixpoint: a class is computable if free or some machine enode of it
-    has all-computable arguments (ldiq needs none)."""
-    computable = set(free)
-    changed = True
-    while changed:
-        changed = False
-        for cid in support:
-            if cid in computable:
+    unsafe_terms: Dict[ENode, int],
+    lat_of,
+) -> List[_TermRow]:
+    """Every machine-op enode of the support, in support/enode order."""
+    rows: List[_TermRow] = []
+    for cid in support:
+        for node in eg.enodes(cid):
+            if node.op in ("const", "input") or not spec.is_machine_op(node.op):
                 continue
-            for node in eg.enodes(cid):
-                if not spec.is_machine_op(node.op):
-                    continue
-                if node.op == "ldiq":
-                    computable.add(cid)
-                    changed = True
-                    break
-                if all(eg.find(a) in computable for a in node.args):
-                    computable.add(cid)
-                    changed = True
-                    break
-    return computable
+            if node.op == "ldiq":
+                arg_classes: List[int] = []
+            else:
+                arg_classes = [eg.find(a) for a in node.args]
+            deps = [a for a in arg_classes if a not in free]
+            if node in unsafe_terms:
+                guard = eg.find(unsafe_terms[node])
+                if guard not in free and guard not in deps:
+                    deps.append(guard)
+            rows.append(
+                _TermRow(node, cid, spec.info(node.op).units, lat_of(node), deps)
+            )
+    return rows
+
+
+def _earliest_availability(
+    rows: Sequence[_TermRow], spec: ArchSpec
+) -> Dict[Tuple[int, int], int]:
+    """The earliest cycle ``B(i, Q, c)`` can hold, per (class, cluster).
+
+    ``E(Q,c)`` is the least, over producers ``(T,u)`` of ``Q``, of
+    ``launch + lat(T) - 1 + result_delay(u,c)``, where ``launch`` is 0
+    for a term with no dependencies and otherwise ``1 + max E(d,
+    cluster(u))`` over its dependencies ``d``.  Those are exactly the
+    bounds families 1-3 impose on any model; dropping the issue slots
+    (family 4), the memory anti-dependences (family 6) and
+    launch-at-most-once only removes constraints, so no model can make
+    ``B(i,Q,c)`` true for ``i < E(Q,c)``.  Classes absent from the map
+    can never be made available.
+
+    One worklist pass (Knuth's generalisation of Dijkstra): a launch
+    lands strictly after every dependency, so a class's value is final
+    when it is popped.
+    """
+    clusters = spec.cluster_ids()
+    best: Dict[Tuple[int, int], int] = {}
+    final: Dict[Tuple[int, int], int] = {}
+    heap: List[Tuple[int, int, int]] = []
+    # Per (class, cluster): the (row index, unit) launches waiting on it,
+    # and per launch how many of its distinct dependencies are unresolved.
+    waiters: Dict[Tuple[int, int], List[Tuple[int, str]]] = {}
+    pending: Dict[Tuple[int, str], int] = {}
+
+    def launch(row: _TermRow, unit: str, start: int) -> None:
+        for c in clusters:
+            t = start + row.lat - 1 + spec.result_delay(unit, c)
+            key = (row.cid, c)
+            if t < best.get(key, t + 1):
+                best[key] = t
+                heapq.heappush(heap, (t, row.cid, c))
+
+    for index, row in enumerate(rows):
+        for unit in row.units:
+            keys = {(d, spec.clusters[unit]) for d in row.deps}
+            if not keys:
+                launch(row, unit, 0)
+                continue
+            pending[(index, unit)] = len(keys)
+            for key in keys:
+                waiters.setdefault(key, []).append((index, unit))
+    while heap:
+        t, q, c = heapq.heappop(heap)
+        if (q, c) in final:
+            continue
+        final[(q, c)] = t
+        for index, unit in waiters.get((q, c), ()):
+            pending[(index, unit)] -= 1
+            if pending[(index, unit)] == 0:
+                row, cluster = rows[index], spec.clusters[unit]
+                launch(
+                    row,
+                    unit,
+                    1 + max(final[(d, cluster)] for d in row.deps),
+                )
+    return final
+
+
+def _latency_of(spec: ArchSpec, overrides: Dict[ENode, int]):
+    """A node's latency: its override if it has one, else the table's."""
+
+    def lat_of(node: ENode) -> int:
+        override = overrides.get(node)
+        return override if override is not None else spec.latency(node.op)
+
+    return lat_of
+
+
+def _analyse(
+    eg: EGraph,
+    spec: ArchSpec,
+    goals: Sequence[int],
+    options: EncodingOptions,
+    unsafe_terms: Dict[ENode, int],
+    lat_of,
+):
+    """The budget-independent analysis both encoders start from.
+
+    Returns ``(goal_roots, support, free, rows, computable, floor)``:
+    ``rows`` keeps only the machine terms whose every dependency can be
+    computed (a class is computable exactly when it is free or has a
+    finite earliest availability).  Raises :class:`EncodeError` if a goal
+    can never be computed.
+    """
+    goal_roots = [eg.find(g) for g in goals]
+    support = _support(eg, goal_roots)
+    if options.materialize_constants:
+        _inject_ldiq(eg, support, spec)
+        # Injection merges fresh ldiq nodes into constant classes, which
+        # may elect a new class representative: re-find the roots, or a
+        # bare-constant goal is misjudged uncomputable under its stale id.
+        goal_roots = [eg.find(g) for g in goal_roots]
+        support = _support(eg, goal_roots)
+    free = _free_classes(eg, support, spec)
+    rows = _term_rows(eg, support, free, spec, unsafe_terms, lat_of)
+    soonest: Dict[int, int] = {}  # per class, min over clusters of E
+    for (q, _c), t in _earliest_availability(rows, spec).items():
+        soonest[q] = min(t, soonest.get(q, t))
+    computable = free | set(soonest)
+    for g in goal_roots:
+        if g not in computable:
+            raise EncodeError(
+                "goal class c%d cannot be computed by %s with the available "
+                "axioms" % (g, spec.name)
+            )
+    # Family 5 needs each non-free goal available on some cluster by
+    # cycle K - 1, so no budget below min_c E(g,c) + 1 is satisfiable.
+    floor = max([1] + [soonest[g] + 1 for g in goal_roots if g not in free])
+    rows = [
+        row
+        for row in rows
+        if row.cid in computable and all(d in computable for d in row.deps)
+    ]
+    return goal_roots, support, free, rows, computable, floor
+
+
+def cycle_floor(
+    eg: EGraph,
+    spec: ArchSpec,
+    goals: Sequence[int],
+    options: Optional[EncodingOptions] = None,
+    unsafe_terms: Optional[Dict[ENode, int]] = None,
+    latency_overrides: Optional[Dict[ENode, int]] = None,
+) -> int:
+    """The least budget the encoding could possibly satisfy.
+
+    Every budget below the returned value is UNSAT (see
+    :func:`_earliest_availability` for why the bound is sound).  Raises
+    :class:`EncodeError` when some goal cannot be computed at all.
+    """
+    return _analyse(
+        eg, spec, goals, options or EncodingOptions(), unsafe_terms or {},
+        _latency_of(spec, latency_overrides or {}),
+    )[5]
 
 
 def encode_schedule(
@@ -229,48 +386,20 @@ def encode_schedule(
     """
     options = options or EncodingOptions()
     overrides = latency_overrides or {}
-
-    def lat_of(node: ENode) -> int:
-        override = overrides.get(node)
-        return override if override is not None else spec.latency(node.op)
+    lat_of = _latency_of(spec, overrides)
 
     if cycles < 1:
         raise EncodeError("cycle budget must be at least 1")
 
-    goal_roots = [eg.find(g) for g in goals]
-    support = _support(eg, goal_roots)
-    if options.materialize_constants:
-        _inject_ldiq(eg, support, spec)
-        # Injection merges fresh ldiq nodes into constant classes, which
-        # may elect a new class representative: re-find the roots, or a
-        # bare-constant goal is misjudged uncomputable under its stale id.
-        goal_roots = [eg.find(g) for g in goal_roots]
-        support = _support(eg, goal_roots)
-    free = _free_classes(eg, support, spec)
-    computable = _computable_classes(eg, support, free, spec)
+    goal_roots, support, free, rows, computable, _floor = _analyse(
+        eg, spec, goals, options, unsafe_terms or {}, lat_of
+    )
 
-    for g in goal_roots:
-        if g not in computable:
-            raise EncodeError(
-                "goal class c%d cannot be computed by %s with the available "
-                "axioms" % (g, spec.name)
-            )
-
-    # Machine terms: computable-argument machine-op enodes in the support.
-    machine_terms: List[Tuple[ENode, int]] = []
-    for cid in support:
-        if cid not in computable:
-            continue
-        for node in eg.enodes(cid):
-            if node.op in ("const", "input") or not spec.is_machine_op(node.op):
-                continue
-            if node.op != "ldiq" and not all(
-                eg.find(a) in computable for a in node.args
-            ):
-                continue
-            if lat_of(node) > cycles:
-                continue  # cannot complete within any schedule this short
-            machine_terms.append((node, cid))
+    # Machine terms: computable-argument machine-op enodes in the support,
+    # minus those that cannot complete within any schedule this short.
+    machine_terms: List[Tuple[ENode, int]] = [
+        (row.node, row.cid) for row in rows if row.lat <= cycles
+    ]
 
     clusters = spec.cluster_ids()
     cnf = CNF()
@@ -456,38 +585,23 @@ class IncrementalEncoder:
         self.unsafe_terms = unsafe_terms or {}
         self.latency_overrides = latency_overrides or {}
 
-        self.goal_roots = [eg.find(g) for g in goals]
-        support = _support(eg, self.goal_roots)
-        if self.options.materialize_constants:
-            _inject_ldiq(eg, support, spec)
-            # Injection can re-elect the merged class's representative:
-            # re-find the roots (see encode_schedule).
-            self.goal_roots = [eg.find(g) for g in self.goal_roots]
-            support = _support(eg, self.goal_roots)
+        (
+            self.goal_roots,
+            support,
+            self.free,
+            rows,
+            self.computable,
+            floor,
+        ) = _analyse(
+            eg, spec, goals, self.options, self.unsafe_terms, self.latency
+        )
         self.support = support
-        self.free = _free_classes(eg, support, spec)
-        self.computable = _computable_classes(eg, support, self.free, spec)
-        for g in self.goal_roots:
-            if g not in self.computable:
-                raise EncodeError(
-                    "goal class c%d cannot be computed by %s with the "
-                    "available axioms" % (g, spec.name)
-                )
-
-        self.machine_terms: List[Tuple[ENode, int]] = []
-        for cid in support:
-            if cid not in self.computable:
-                continue
-            for node in eg.enodes(cid):
-                if node.op in ("const", "input") or not spec.is_machine_op(
-                    node.op
-                ):
-                    continue
-                if node.op != "ldiq" and not all(
-                    eg.find(a) in self.computable for a in node.args
-                ):
-                    continue
-                self.machine_terms.append((node, cid))
+        # The proved cycle floor (see cycle_floor): every budget below it
+        # is UNSAT, so probe schedulers may start their ladder there.
+        self.cycle_floor: int = floor
+        self.machine_terms: List[Tuple[ENode, int]] = [
+            (row.node, row.cid) for row in rows
+        ]
         self.needs_avail = [
             cid
             for cid in support
@@ -517,10 +631,10 @@ class IncrementalEncoder:
         f_off: Dict[Tuple[ENode, str], int] = {}
         l_off_by_node: Dict[ENode, int] = {}
         self._term_rows: List[tuple] = []
-        for node, cid in self.machine_terms:
-            units = spec.info(node.op).units
+        for row in rows:
+            node = row.node
             f_offs = []
-            for u in units:
+            for u in row.units:
                 off += 1
                 f_offs.append(off)
                 f_off[(node, u)] = off
@@ -528,17 +642,8 @@ class IncrementalEncoder:
             a_off = off + 2
             off += 2
             l_off_by_node[node] = l_off
-            if node.op == "ldiq":
-                arg_classes: List[int] = []
-            else:
-                arg_classes = [eg.find(a) for a in node.args]
-            deps = [a for a in arg_classes if a not in self.free]
-            if node in self.unsafe_terms:
-                guard = eg.find(self.unsafe_terms[node])
-                if guard not in self.free and guard not in deps:
-                    deps.append(guard)
             self._term_rows.append(
-                (node, units, self.latency(node), f_offs, l_off, a_off, deps)
+                (node, row.units, row.lat, f_offs, l_off, a_off, row.deps)
             )
         self._b_off: Dict[Tuple[int, str], int] = {}
         for q in self.needs_avail:

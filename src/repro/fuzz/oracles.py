@@ -29,6 +29,11 @@ the system, and every pair must agree:
   Denali's optimality is relative to the E-graph's axiom corpus, while
   the sampler composes raw machine ops — so only a false "better"
   (one that fails re-verification) is a divergence;
+* **floor** — the encoder's proved cycle floor must never exceed the
+  optimum the ladder found, the ladder must never probe below it, and
+  when optimality rests on the floor alone (the best budget *is* the
+  floor, so no UNSAT probe backs the claim) an independent from-scratch
+  encode-and-solve at ``floor - 1`` must come back UNSAT;
 * **cross-target** — the same GMA compiled for every other registered
   target in ``cross_targets`` must agree with the shared reference
   evaluator (asm-vs-eval per target, which transitively makes the
@@ -77,6 +82,7 @@ ORACLE_STRATEGY = "strategies"
 ORACLE_MATCHING = "matching"
 ORACLE_BRUTE = "bruteforce"
 ORACLE_STOCHASTIC = "stochastic"
+ORACLE_FLOOR = "floor"
 ORACLE_CROSS = "cross-target"
 ORACLE_CRASH = "crash"
 
@@ -88,6 +94,7 @@ ALL_ORACLES = (
     ORACLE_MATCHING,
     ORACLE_BRUTE,
     ORACLE_STOCHASTIC,
+    ORACLE_FLOOR,
     ORACLE_CROSS,
 )
 
@@ -490,6 +497,66 @@ def _check_stochastic(
             ))
 
 
+# -- the floor oracle ----------------------------------------------------------
+
+
+def _check_floor(
+    report: CaseReport,
+    gma: GMA,
+    base: CompilationResult,
+    registry: OperatorRegistry,
+    axioms,
+    spec: ArchSpec,
+    label: str,
+    seed: Optional[int],
+    source: str,
+) -> None:
+    """The cycle floor must be a proof, not a guess.
+
+    A floor above the found optimum, or a probe below the floor, is a
+    divergence.  When the optimum equals the floor no UNSAT probe backs
+    the optimality claim, so it is re-proved here with the reference
+    path: a one-shot :func:`encode_schedule` at ``floor - 1`` solved by a
+    fresh :class:`CdclSolver` must be UNSAT (an exhausted conflict
+    budget is inconclusive).
+    """
+    from repro.encode.constraints import encode_schedule
+    from repro.sat.solver import CdclSolver
+
+    floor = base.stats.cycle_floor if base.stats else None
+    if base.schedule is None or floor is None:
+        return
+    report.count(ORACLE_FLOOR)
+
+    def diverge(detail: str) -> None:
+        report.divergences.append(Divergence(
+            oracle=ORACLE_FLOOR, label=label, seed=seed, source=source,
+            detail=detail,
+        ))
+
+    if floor > base.cycles:
+        diverge("cycle floor %d exceeds the schedule's %d cycles\n%s"
+                % (floor, base.cycles, base.schedule.render()))
+        return
+    below = [p.cycles for p in base.search.probes if p.cycles < floor]
+    if below:
+        diverge("ladder probed %s below the cycle floor %d" % (below, floor))
+        return
+    if base.stats.optimal_by != "floor" or floor == 1:
+        return  # an UNSAT probe backs the claim, or K=0 is vacuous
+    den = Denali(spec, axioms=axioms, registry=registry)
+    eg = base.egraph
+    encoding = encode_schedule(
+        eg, spec, base.goal_classes, floor - 1,
+        unsafe_terms=den._unsafe_terms(eg, gma, base.goal_classes),
+        latency_overrides=den._latency_overrides(eg, gma),
+    )
+    result = CdclSolver(conflict_budget=200_000).solve(encoding.cnf)
+    if result.satisfiable:
+        diverge("optimality claimed by the cycle floor %d, but a scratch "
+                "solve at %d cycles is SAT" % (floor, floor - 1))
+
+
 # -- the cross-target oracle ---------------------------------------------------
 
 
@@ -858,6 +925,20 @@ def _check_case_inner(
                     oracle=ORACLE_STOCHASTIC, label=label, seed=seed,
                     source=source,
                     detail="stochastic oracle crashed: %s: %s"
+                           % (type(exc).__name__, exc),
+                ))
+
+        if options.wants(ORACLE_FLOOR):
+            try:
+                _check_floor(
+                    report, gma, base, registry, axioms, spec, label, seed,
+                    source,
+                )
+            except Exception as exc:
+                report.divergences.append(Divergence(
+                    oracle=ORACLE_FLOOR, label=label, seed=seed,
+                    source=source,
+                    detail="floor oracle crashed: %s: %s"
                            % (type(exc).__name__, exc),
                 ))
 

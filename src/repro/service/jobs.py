@@ -88,7 +88,15 @@ class JobSpec:
         unknown = set(data) - known
         if unknown:
             raise JobError("unknown job spec fields: %s" % sorted(unknown))
-        return cls(**data)
+        spec = cls(**data)
+        lo, hi = spec.min_cycles, spec.max_cycles
+        # Reject an empty cycle window here, so the service answers 400
+        # instead of failing the job inside a worker.
+        if not (type(lo) is int and type(hi) is int and 1 <= lo <= hi):
+            raise JobError(
+                "need 1 <= min_cycles <= max_cycles, got %r and %r" % (lo, hi)
+            )
+        return spec
 
 
 # Fields that change what a compilation produces.  ``name`` (display
@@ -425,6 +433,14 @@ class CompilationEngine:
             "solver_arena_compactions": 0,
             "snapshot_copy_bytes": 0,
         }
+        # Probe-ladder floors and optimality proofs over completed compile
+        # jobs (aggregate_stats' "cycle_floor" and "optimal_by" blocks).
+        self._cycle_floor_totals: Dict[str, int] = {
+            "sessions": 0,
+            "sum": 0,
+            "at_optimum": 0,
+        }
+        self._optimal_by_totals: Dict[str, int] = {"floor": 0, "unsat": 0}
         self._timers: List[threading.Timer] = []
         self._started_monotonic = time.monotonic()
         self._shutdown = False
@@ -624,6 +640,13 @@ class CompilationEngine:
                 self._stochastic_totals[key] += int(
                     stats["stochastic"].get(key, 0) or 0
                 )
+        for key, totals in (
+            ("cycle_floor", self._cycle_floor_totals),
+            ("optimal_by", self._optimal_by_totals),
+        ):
+            if stats and isinstance(stats.get(key), dict):
+                for name in totals:
+                    totals[name] += int(stats[key].get(name, 0) or 0)
         if stats and isinstance(stats.get("cache"), dict):
             cache = stats["cache"]
             flat = self._flat_core_totals
@@ -791,6 +814,8 @@ class CompilationEngine:
                 },
                 "backends": dict(self._backend_wins),
                 "stochastic": dict(self._stochastic_totals),
+                "cycle_floor": dict(self._cycle_floor_totals),
+                "optimal_by": dict(self._optimal_by_totals),
             }
 
     # -- lifecycle ---------------------------------------------------------

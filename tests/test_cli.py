@@ -99,6 +99,19 @@ class TestCli:
         # but whatever happens the driver must not crash.
         assert status in (0, 1)
 
+    def test_unproved_min_cycles_is_not_optimal(self, capsys):
+        # fig2's optimum is 1 cycle; a window starting at 3 finds a
+        # 3-cycle schedule but proves nothing about 2 cycles.
+        fig2 = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks", "workloads", "fig2.dn",
+        )
+        status = main([fig2, "--min-cycles", "3"])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert "1 instructions in 3 cycles" in out
+        assert "(optimal)" not in out
+
     def test_miss_annotation_respected(self, source_file, capsys):
         status = main(
             [source_file(MISS), "--miss-latency", "9", "--max-cycles", "12"]
@@ -184,6 +197,20 @@ class TestExitCodes:
         status = main(["--no-such-flag"])
         assert status == 2
 
+    @pytest.mark.parametrize(
+        "window",
+        [["--min-cycles", "5", "--max-cycles", "3"], ["--min-cycles", "0"]],
+    )
+    @pytest.mark.parametrize("verb", [[], ["batch"]])
+    def test_empty_cycle_window_is_usage_error(
+        self, source_file, capsys, verb, window
+    ):
+        status = main(verb + [source_file(SIMPLE)] + window)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "--min-cycles" in err
+        assert "Traceback" not in err
+
     def test_keyboard_interrupt_exits_130(self, source_file, capsys,
                                           monkeypatch):
         import repro.cli as cli
@@ -246,6 +273,30 @@ class TestStatsJson:
         assert "s4addq" in out  # the naive path emits the same optimum
         report = json.load(open(path))
         assert report["gmas"][0]["saturation"]["incremental"] is False
+
+    def test_cycle_floor_schema(self, source_file, tmp_path, capsys):
+        """Both reports carry the ladder's floor and optimality proof."""
+        import json
+
+        stats_path = str(tmp_path / "stats.json")
+        profile_path = str(tmp_path / "profile.json")
+        status = main([source_file(SIMPLE), "--quiet", "--stats-json",
+                       stats_path, "--profile-json", profile_path])
+        assert status == 0
+        floor_totals = {"sessions": 1, "sum": 1, "at_optimum": 1}
+        optimal_by = {"floor": 1, "unsat": 0}
+        stats = json.load(open(stats_path))
+        gma = stats["gmas"][0]
+        assert gma["cycle_floor"] == 1
+        assert gma["optimal_by"] == "floor"
+        assert [p["cycles"] for p in gma["probes"]] == [1]
+        assert stats["totals"]["cycle_floor"] == floor_totals
+        assert stats["totals"]["optimal_by"] == optimal_by
+        profile = json.load(open(profile_path))
+        assert profile["gmas"][0]["cycle_floor"] == 1
+        assert profile["gmas"][0]["optimal_by"] == "floor"
+        assert profile["cycle_floor"] == floor_totals
+        assert profile["optimal_by"] == optimal_by
 
     def test_unwritable_path_fails(self, source_file, capsys):
         status = main([source_file(SIMPLE), "--quiet",

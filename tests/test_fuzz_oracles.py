@@ -56,7 +56,7 @@ class TestCheckCase:
     def test_all_oracles_constant(self):
         assert set(ALL_ORACLES) == {
             "asm-vs-eval", "solver-paths", "extraction", "strategies",
-            "matching", "bruteforce", "stochastic", "cross-target",
+            "matching", "bruteforce", "stochastic", "floor", "cross-target",
         }
 
 

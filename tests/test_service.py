@@ -75,6 +75,16 @@ class TestJobSpec:
         with pytest.raises(JobError):
             JobSpec.from_dict(["not", "a", "dict"])
 
+    @pytest.mark.parametrize(
+        "window", [(5, 3), (0, 4), (-1, 2), ("1", 4), (1, 2.5)]
+    )
+    def test_empty_cycle_window_rejected(self, window):
+        lo, hi = window
+        with pytest.raises(JobError, match="min_cycles"):
+            JobSpec.from_dict(
+                {"kind": "compile", "min_cycles": lo, "max_cycles": hi}
+            )
+
 
 class TestFingerprint:
     def test_stable_across_calls(self):
@@ -244,6 +254,15 @@ class TestEngine:
         assert sat["matches_attempted"] > 0
         assert isinstance(sat["budget_hits"], dict)
 
+    def test_metrics_report_cycle_floor(self, engine):
+        engine.result(engine.submit(compile_spec()), timeout=60)
+        metrics = engine.metrics()
+        # s4addq: one cycle, and the floor proves it without an UNSAT probe.
+        assert metrics["cycle_floor"] == {
+            "sessions": 1, "sum": 1, "at_optimum": 1,
+        }
+        assert metrics["optimal_by"] == {"floor": 1, "unsat": 0}
+
     def test_naive_matching_spec_changes_fingerprint_and_runs(self, engine):
         naive = compile_spec(incremental_match=False)
         assert job_fingerprint(naive) != job_fingerprint(compile_spec())
@@ -307,6 +326,17 @@ class TestHttpService:
 
         with pytest.raises(ServiceError):
             service._request("/v1/submit", {"jobs": "nope"})
+
+    def test_empty_cycle_window_submit_400(self, service):
+        from repro.service import ServiceError
+
+        with pytest.raises(ServiceError, match="400"):
+            service._request(
+                "/v1/submit",
+                {"jobs": [compile_spec(min_cycles=5, max_cycles=3).to_dict()]},
+            )
+        # Rejected at admission: no job was created, none failed.
+        assert service.metrics()["jobs"]["submitted"] == 0
 
     def test_failed_job_result_is_error(self, service):
         from repro.service import ServiceError
