@@ -1214,6 +1214,7 @@ def _write_profile_json(args, collected) -> None:
         "flat_core_totals": flat_totals,
         "cycle_floor": ladder["cycle_floor"],
         "optimal_by": ladder["optimal_by"],
+        "extraction_totals": ladder["extraction"],
     }
     with open(args.profile_json, "w") as handle:
         json.dump(report, handle, indent=2)

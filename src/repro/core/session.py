@@ -168,7 +168,7 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
         "matches_pruned": 0,
     }
     budget_hits: Dict[str, int] = {}
-    extraction: Dict[str, int] = {
+    extraction: dict = {
         "sessions": 0,
         "exact_sessions": 0,
         "improved": 0,
@@ -179,6 +179,9 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
         "pruned": 0,
         "fallbacks": 0,
     }
+    # The exact refinement's floors and what backed each proved optimum.
+    floor_by: Dict[str, int] = {"dag": 0, "selection": 0}
+    ext_optimal_by: Dict[str, int] = {"floor": 0, "unsat": 0}
     # Per-backend win counts: which engine produced the kept schedule.
     wins: Dict[str, int] = {"sat": 0, "stochastic": 0}
     stochastic: Dict[str, int] = {
@@ -241,6 +244,10 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
                 extraction["pruned"] += ext.get("pruned", 0)
                 if ext.get("fallback"):
                     extraction["fallbacks"] += 1
+                if ext.get("floor_by") is not None:
+                    floor_by[ext["floor_by"]] += 1
+                if ext.get("optimal_by") is not None:
+                    ext_optimal_by[ext["optimal_by"]] += 1
         sat = stats.saturation
         if sat is not None:
             saturation["sessions"] += 1
@@ -262,6 +269,8 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
             if "max_rounds" in hits:
                 budget_hits["max_rounds"] = budget_hits.get("max_rounds", 0) + 1
     saturation["budget_hits"] = budget_hits
+    extraction["floor_by"] = floor_by
+    extraction["optimal_by"] = ext_optimal_by
     return {
         "sessions": len(collected),
         "probes": sum(len(s.probes) for s in collected),

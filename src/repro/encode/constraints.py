@@ -224,8 +224,9 @@ def _term_rows(
 
 def _earliest_availability(
     rows: Sequence[_TermRow], spec: ArchSpec
-) -> Dict[Tuple[int, int], int]:
-    """The earliest cycle ``B(i, Q, c)`` can hold, per (class, cluster).
+) -> Tuple[Dict[Tuple[int, int], int], Dict[ENode, int]]:
+    """The earliest cycle ``B(i, Q, c)`` can hold, per (class, cluster),
+    and per term the earliest cycle its result can be complete.
 
     ``E(Q,c)`` is the least, over producers ``(T,u)`` of ``Q``, of
     ``launch + lat(T) - 1 + result_delay(u,c)``, where ``launch`` is 0
@@ -235,7 +236,9 @@ def _earliest_availability(
     (family 4), the memory anti-dependences (family 6) and
     launch-at-most-once only removes constraints, so no model can make
     ``B(i,Q,c)`` true for ``i < E(Q,c)``.  Classes absent from the map
-    can never be made available.
+    can never be made available.  A term's earliest completion is the
+    least, over its units, of ``launch + lat(T) - 1``; terms absent from
+    that map can never launch.
 
     One worklist pass (Knuth's generalisation of Dijkstra): a launch
     lands strictly after every dependency, so a class's value is final
@@ -249,8 +252,12 @@ def _earliest_availability(
     # and per launch how many of its distinct dependencies are unresolved.
     waiters: Dict[Tuple[int, int], List[Tuple[int, str]]] = {}
     pending: Dict[Tuple[int, str], int] = {}
+    finish: Dict[ENode, int] = {}
 
     def launch(row: _TermRow, unit: str, start: int) -> None:
+        done = start + row.lat - 1
+        if done < finish.get(row.node, done + 1):
+            finish[row.node] = done
         for c in clusters:
             t = start + row.lat - 1 + spec.result_delay(unit, c)
             key = (row.cid, c)
@@ -281,7 +288,7 @@ def _earliest_availability(
                     unit,
                     1 + max(final[(d, cluster)] for d in row.deps),
                 )
-    return final
+    return final, finish
 
 
 def _latency_of(spec: ArchSpec, overrides: Dict[ENode, int]):
@@ -304,11 +311,12 @@ def _analyse(
 ):
     """The budget-independent analysis both encoders start from.
 
-    Returns ``(goal_roots, support, free, rows, computable, floor)``:
-    ``rows`` keeps only the machine terms whose every dependency can be
-    computed (a class is computable exactly when it is free or has a
-    finite earliest availability).  Raises :class:`EncodeError` if a goal
-    can never be computed.
+    Returns ``(goal_roots, support, free, rows, computable, floor,
+    finish)``: ``rows`` keeps only the machine terms whose every
+    dependency can be computed (a class is computable exactly when it is
+    free or has a finite earliest availability), and ``finish`` maps each
+    launchable term to its earliest completion.  Raises
+    :class:`EncodeError` if a goal can never be computed.
     """
     goal_roots = [eg.find(g) for g in goals]
     support = _support(eg, goal_roots)
@@ -322,7 +330,8 @@ def _analyse(
     free = _free_classes(eg, support, spec)
     rows = _term_rows(eg, support, free, spec, unsafe_terms, lat_of)
     soonest: Dict[int, int] = {}  # per class, min over clusters of E
-    for (q, _c), t in _earliest_availability(rows, spec).items():
+    available, finish = _earliest_availability(rows, spec)
+    for (q, _c), t in available.items():
         soonest[q] = min(t, soonest.get(q, t))
     computable = free | set(soonest)
     for g in goal_roots:
@@ -339,7 +348,7 @@ def _analyse(
         for row in rows
         if row.cid in computable and all(d in computable for d in row.deps)
     ]
-    return goal_roots, support, free, rows, computable, floor
+    return goal_roots, support, free, rows, computable, floor, finish
 
 
 def cycle_floor(
@@ -391,7 +400,7 @@ def encode_schedule(
     if cycles < 1:
         raise EncodeError("cycle budget must be at least 1")
 
-    goal_roots, support, free, rows, computable, _floor = _analyse(
+    goal_roots, support, free, rows, computable, _floor, _finish = _analyse(
         eg, spec, goals, options, unsafe_terms or {}, lat_of
     )
 
@@ -592,6 +601,7 @@ class IncrementalEncoder:
             rows,
             self.computable,
             floor,
+            finish,
         ) = _analyse(
             eg, spec, goals, self.options, self.unsafe_terms, self.latency
         )
@@ -602,6 +612,12 @@ class IncrementalEncoder:
         self.machine_terms: List[Tuple[ENode, int]] = [
             (row.node, row.cid) for row in rows
         ]
+        # Per machine term, the earliest cycle its result can be
+        # complete: a term finishing after K - 1 is in no K-cycle
+        # schedule (the exact refinement's relaxation drops it).
+        self.earliest_finish: Dict[ENode, int] = {
+            row.node: finish[row.node] for row in rows if row.node in finish
+        }
         self.needs_avail = [
             cid
             for cid in support

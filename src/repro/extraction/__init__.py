@@ -3,14 +3,16 @@
 The SAT ladder optimises cycles; this package optimises *which terms*
 get computed once the cycle count is settled.  ``costs`` holds the
 bottom-up class lower bounds over the flat columns, ``pruner`` the
-adaptive dominance pruning, ``select`` the standalone greedy/exact DAG
-selectors, and ``refine`` the session-integrated refinement that re-uses
-the incremental scheduling solver.
+adaptive dominance pruning, ``select`` the greedy/exact DAG selectors
+(which also solve the refinement's cycle-free floor), and ``refine`` the
+session-integrated refinement that re-uses the incremental scheduling
+solver.
 """
 
 from repro.extraction.costs import (
     LEAF_OPS,
     CostFn,
+    OperandsFn,
     class_lower_bounds,
     enode_tree_bound,
     latency_cost,
@@ -25,6 +27,7 @@ from repro.extraction.select import Selection, exact_select, greedy_select
 __all__ = [
     "LEAF_OPS",
     "CostFn",
+    "OperandsFn",
     "class_lower_bounds",
     "enode_tree_bound",
     "latency_cost",

@@ -1,12 +1,12 @@
-"""Bottom-up cost analysis over the flat E-graph columns.
+"""Bottom-up cost analysis over the E-graph's alive e-nodes.
 
 Extraction quality is judged by *selected-term cost*: the sum, over the
 distinct terms a selection realizes, of each term's cost (for machine
 terms, the active target's cycle-model latency — ``spec.latency``, so
 an rv64 extraction weighs rv64 latencies automatically).  This module
-computes per-class **lower bounds** on that cost directly over the flat
-struct-of-arrays columns (:meth:`repro.egraph.egraph.EGraph.flat_view`),
-with two admissible flavours:
+computes per-class **lower bounds** on that cost over the graph's
+alive e-nodes (:meth:`repro.egraph.egraph.EGraph.all_nodes`), with two
+admissible flavours:
 
 * ``tree`` — ``cost(N) + sum(bound(arg) for arg in N.args)``, minimised
   over the class's e-nodes.  This bounds the cost of any *tree*
@@ -21,11 +21,17 @@ with two admissible flavours:
 
 Classes with no finite realization (nothing viable bottoms out in
 leaves) get no entry — they cannot be selected at all.
+
+Every analysis takes an optional ``operands`` function: the classes a
+node needs realized before it.  It defaults to the node's arguments; the
+refinement drops ldiq's, as the schedule decoder does (ldiq sits in its
+own constant's class, and the constant is an instruction immediate, so
+its argument is a self-loop, not an operand).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.egraph.egraph import EGraph, ENode
 
@@ -33,6 +39,7 @@ from repro.egraph.egraph import EGraph, ENode
 LEAF_OPS = ("const", "input")
 
 CostFn = Callable[[ENode], int]
+OperandsFn = Callable[[ENode], Sequence[int]]
 
 
 def unit_cost(node: ENode) -> int:
@@ -70,32 +77,32 @@ def class_lower_bounds(
     mode: str = "tree",
     leaf_classes: Optional[Set[int]] = None,
     viable: Optional[Callable[[ENode], bool]] = None,
+    operands: Optional[OperandsFn] = None,
 ) -> Dict[int, int]:
     """Per-class admissible lower bound on realizing the class.
 
-    Runs a chaotic fixpoint straight over the flat columns: one pass
-    relaxes every e-node against the current bounds of its argument
-    classes, repeated until nothing improves (at most #classes rounds —
-    each round finalises at least the next Bellman-Ford frontier).
+    Runs a chaotic fixpoint over the alive e-nodes: one pass relaxes
+    every e-node against the current bounds of its argument classes,
+    repeated until nothing improves (at most #classes rounds — each
+    round finalises at least the next Bellman-Ford frontier).  Nodes a
+    rebuild killed as congruent twins are skipped: their keys are stale,
+    so a ``viable`` filter over canonical nodes would misjudge them.
 
     ``leaf_classes`` are treated as cost 0 regardless of their nodes
     (the encoder's *free* classes: constants and register inputs).
     ``viable`` filters which e-nodes may realize a class (e.g. machine
-    terms only); non-viable nodes contribute no bound.
+    terms only); non-viable nodes contribute no bound.  ``operands``
+    (called on viable nodes only) replaces a node's argument classes.
     """
     if mode not in ("tree", "dag"):
         raise ValueError("mode must be 'tree' or 'dag' (got %r)" % mode)
-    flat = eg.flat_view()
-    node_key, node_class = flat.node_key, flat.node_class
     find = eg.find
     leaves = leaf_classes if leaf_classes is not None else set()
 
     bounds: Dict[int, int] = {find(c): 0 for c in leaves}
     # (root, cost, arg roots) rows for every relaxable node, resolved once.
     rows: List[tuple] = []
-    for nid in range(len(node_key)):
-        node = node_key[nid]
-        root = find(node_class[nid])
+    for node, root in eg.all_nodes():
         if root in bounds:
             continue
         if viable is not None and not viable(node):
@@ -103,7 +110,8 @@ def class_lower_bounds(
         if node.op in LEAF_OPS:
             bounds[root] = 0
             continue
-        rows.append((root, cost(node), tuple(find(a) for a in node.args)))
+        args = node.args if operands is None else operands(node)
+        rows.append((root, cost(node), tuple(find(a) for a in args)))
 
     use_sum = mode == "tree"
     changed = True
@@ -128,13 +136,17 @@ def class_lower_bounds(
 
 
 def enode_tree_bound(
-    eg: EGraph, node: ENode, cost: CostFn, bounds: Dict[int, int]
+    eg: EGraph,
+    node: ENode,
+    cost: CostFn,
+    bounds: Dict[int, int],
+    operands: Optional[OperandsFn] = None,
 ) -> Optional[int]:
     """Tree-cost lower bound of realizing the class *through this node*."""
     total = cost(node)
     if node.op in LEAF_OPS:
         return total
-    for a in node.args:
+    for a in node.args if operands is None else operands(node):
         b = bounds.get(eg.find(a))
         if b is None:
             return None

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.egraph.egraph import EGraph, ENode
-from repro.extraction.costs import CostFn, enode_tree_bound
+from repro.extraction.costs import CostFn, OperandsFn, enode_tree_bound
 
 
 @dataclass
@@ -87,13 +87,15 @@ def prune_dominated(
     bounds: Dict[int, int],
     candidates: Dict[int, List[ENode]],
     slack: int = 1,
+    operands: Optional[OperandsFn] = None,
 ) -> PruneReport:
     """Drop dominated candidates; always keep each class's cheapest.
 
     ``bounds`` are the ``tree``-mode class lower bounds; ``candidates``
     maps class roots to their viable e-nodes.  Nodes whose through-node
     bound is infinite (an argument class is unrealizable) are pruned
-    unconditionally — no selection can ever use them.
+    unconditionally — no selection can ever use them.  ``operands`` is
+    the bounds' operand function (see :func:`class_lower_bounds`).
     """
     report = PruneReport(slack=slack)
     report.classes = len(candidates)
@@ -108,7 +110,7 @@ def prune_dominated(
             continue
         kept: List[ENode] = []
         for node in nodes:
-            through = enode_tree_bound(eg, node, cost, bounds)
+            through = enode_tree_bound(eg, node, cost, bounds, operands)
             if through is not None and through <= class_bound + slack:
                 kept.append(node)
         if not kept:
@@ -118,7 +120,8 @@ def prune_dominated(
             kept = [
                 node
                 for node in nodes
-                if enode_tree_bound(eg, node, cost, bounds) is not None
+                if enode_tree_bound(eg, node, cost, bounds, operands)
+                is not None
             ]
         report.kept += len(kept)
         report.pruned += len(nodes) - len(kept)

@@ -23,6 +23,19 @@ It runs on the session's own :class:`~repro.sat.incremental
    the refined schedule is deterministic; an UNSAT answer under pruning
    is retried without it before the optimum is claimed.
 
+The ladder stops at a **floor**, an admissible lower bound on every
+K-cycle schedule's cost.  The ``dag`` class bound is cheap but weak;
+the stronger one is the optimum of the same selection with the cycle
+budget dropped (:func:`~repro.extraction.select.exact_select`): only
+the terms whose earliest completion (the encoder's availability
+analysis) is at most cycle K - 1, free classes as cost-0 leaves, each
+term's operands as the decoder obtains them.  A decoded K-cycle
+schedule computes only such terms, each after its operands; keeping
+each class's earliest launch gives a well-founded selection that
+realizes the goals, so that optimum is at most the schedule's cost.
+When the floor is tight, the ladder ends at its first SAT answer, with
+no UNSAT solve on the scheduling formula.
+
 The greedy schedule is itself a feasible point of this formula, so the
 refined answer is never worse; every decoded model is a genuine
 K-cycle schedule, so cycle-optimality and verification are untouched.
@@ -44,6 +57,7 @@ from repro.extraction.costs import (
 )
 from repro.extraction.pb import WeightedCounter
 from repro.extraction.pruner import adaptive_slack, prune_dominated
+from repro.extraction.select import exact_select
 
 
 def greedy_stats(schedule: Optional[Schedule], cost) -> dict:
@@ -94,10 +108,17 @@ def refine_exact(
         "solves": 0,
         "relaxations": 0,
         "floor": 0,
+        # Which bound set the floor ("dag" or "selection"), and what
+        # proves the optimum: "floor" (the cost reached it), "unsat" (a
+        # solve refuted the next bound down) or None (not proved).
+        "floor_by": "dag",
+        "optimal_by": None,
         "seconds": 0.0,
     }
 
-    def seal() -> "tuple[Schedule, dict]":
+    def seal(by: Optional[str]) -> "tuple[Schedule, dict]":
+        stats["proved"] = by is not None
+        stats["optimal_by"] = by
         stats["seconds"] = round(time.perf_counter() - start, 6)
         return best, stats
 
@@ -113,20 +134,24 @@ def refine_exact(
     ]
     stats["candidates"] = len(terms)
     if not terms:
-        stats["proved"] = True
-        return seal()
+        return seal("floor")
 
-    # Admissible floor on any K-cycle schedule's cost: realizing the
-    # goal classes from machine terms alone, leaves free.
+    # Admissible floors on any K-cycle schedule's cost: realizing the
+    # goal classes from the terms that can complete by cycle K - 1, free
+    # classes as leaves, each term's operands as the decoder obtains
+    # them (ldiq's constant is an immediate, not an operand).
     free = set(encoder.free)
     machine_nodes = {node for node, _cid in encoder.machine_terms}
-    dag_bounds = class_lower_bounds(
-        eg,
-        cost,
-        "dag",
+    finish = encoder.earliest_finish
+    timely = {
+        node for node, _cid in terms if finish.get(node, cycles) < cycles
+    }
+    restriction = dict(
         leaf_classes=free,
-        viable=lambda n: n in machine_nodes,
+        viable=lambda n: n in timely,
+        operands=lambda n: () if n.op == "ldiq" else n.args,
     )
+    dag_bounds = class_lower_bounds(eg, cost, "dag", **restriction)
     floor = max(
         (
             dag_bounds.get(eg.find(g), 0)
@@ -135,10 +160,22 @@ def refine_exact(
         ),
         default=0,
     )
+    if greedy_cost > floor:
+        relaxed = exact_select(
+            eg,
+            encoder.goal_roots,
+            cost,
+            conflict_budget=conflict_budget,
+            prune=False,
+            upper=greedy_cost,
+            **restriction,
+        )
+        if relaxed.optimal and relaxed.cost is not None:
+            floor = max(floor, relaxed.cost)
+            stats["floor_by"] = "selection"
     stats["floor"] = floor
     if greedy_cost <= floor:
-        stats["proved"] = True
-        return seal()
+        return seal("floor")
 
     master = encoder.master
 
@@ -209,6 +246,7 @@ def refine_exact(
     best_cost = greedy_cost
     bound = greedy_cost - 1
     prune_on = pruned > 0
+    proved_by: Optional[str] = None
     while bound >= floor and stats["solves"] < max_solves:
         if stop_check is not None and stop_check():
             break
@@ -232,7 +270,7 @@ def refine_exact(
                 prune_on = False
                 stats["relaxations"] += 1
                 continue
-            stats["proved"] = True
+            proved_by = "unsat"
             break
         decoded = extract_schedule(
             eg, encoder.decode_view(cycles), res.model, input_registers
@@ -249,5 +287,5 @@ def refine_exact(
     stats["cost"] = best_cost
     stats["improved"] = best_cost < greedy_cost
     if best_cost == floor:
-        stats["proved"] = True
-    return seal()
+        proved_by = "floor"
+    return seal(proved_by)

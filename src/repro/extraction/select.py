@@ -1,16 +1,18 @@
-"""Standalone greedy and exact selection over an E-graph.
+"""Greedy and exact DAG selection over an E-graph.
 
 These selectors answer the classic extraction question — pick one
 e-node per needed class so the roots are realized at minimum
-selected-term (DAG) cost — for an *arbitrary* E-graph, independent of
-the scheduling encoding.  The pipeline's own exact stage
-(:mod:`repro.extraction.refine`) re-uses the session's scheduling CNF
-instead (it must preserve cycle feasibility); this module is the
-reference semantics the tests, properties and fuzz oracle compare
-against, and the home of the SAT formulation:
+selected-term (DAG) cost — for an arbitrary E-graph, with no cycle
+budget.  They serve two callers: the tests and properties, on plain
+graphs, and the exact refinement (:mod:`repro.extraction.refine`), which
+solves the cycle-free relaxation of its scheduling problem here for a
+cost floor — the scheduling encoder's free classes as cost-0 leaves,
+only the machine terms that can complete within the cycle budget
+viable, ldiq's immediate dropped from the operands.  The SAT
+formulation:
 
 * one selection variable per candidate e-node, **at-most-one** per
-  class, class-selected variables tying arguments to selections;
+  class, class-selected variables tying operands to selections;
 * well-foundedness through cyclic classes by a **depth ladder** local
   to each strongly-connected component of the class graph (a selected
   node must be supported at a strictly smaller in-component depth, so a
@@ -19,7 +21,8 @@ against, and the home of the SAT formulation:
   (UNSAT under pruning retries without it before anything is
   concluded);
 * cost bounded by the :class:`~repro.extraction.pb.WeightedCounter`,
-  budget-laddered downward from the greedy cost via assumptions on one
+  budget-laddered downward from the greedy cost (or a caller's cheaper
+  ``upper``) via assumptions on one
   :class:`~repro.sat.incremental.IncrementalSolver`;
 * **canonical lex-least decode**: selection variables are allocated in
   a structural order (insertion-order independent), so the chosen model
@@ -29,13 +32,15 @@ against, and the home of the SAT formulation:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.costs import (
     CostFn,
     LEAF_OPS,
+    OperandsFn,
     class_lower_bounds,
     enode_tree_bound,
     unit_cost,
@@ -77,26 +82,58 @@ def _render(node: ENode, arg_strs: Sequence[str]) -> str:
     return "%s(%s)" % (node.op, ",".join(arg_strs))
 
 
-def _support_classes(eg: EGraph, roots: Sequence[int]) -> List[int]:
-    """Every class reachable from the roots through any e-node, in BFS
-    order from the roots (deterministic given the root order)."""
+def _operands_of(operands: Optional[OperandsFn]) -> OperandsFn:
+    return (lambda node: node.args) if operands is None else operands
+
+
+def _support_classes(
+    eg: EGraph,
+    roots: Sequence[int],
+    leaves: Set[int],
+    viable: Optional[Callable[[ENode], bool]],
+    operands: OperandsFn,
+) -> List[int]:
+    """Every class reachable from the roots through viable e-nodes'
+    operands (leaves are not entered), in BFS order from the roots
+    (deterministic given the root order)."""
     seen: List[int] = []
     seen_set: Set[int] = set()
-    queue = [eg.find(r) for r in roots]
+    queue = deque(eg.find(r) for r in roots)
     while queue:
-        cid = queue.pop(0)
+        cid = queue.popleft()
         if cid in seen_set:
             continue
         seen_set.add(cid)
         seen.append(cid)
+        if cid in leaves:
+            continue
         for node in eg.enodes(cid):
-            for a in node.args:
+            if viable is not None and not viable(node):
+                continue
+            for a in operands(node):
                 queue.append(eg.find(a))
     return seen
 
 
+def _leaf_witnesses(
+    eg: EGraph, leaves: Iterable[int]
+) -> Dict[int, Tuple[int, str]]:
+    """Per leaf class, its least rendered graph leaf (a constant or an
+    input) as a size-0 witness."""
+    wit: Dict[int, Tuple[int, str]] = {}
+    for cid in leaves:
+        texts = [
+            _render(node, ()) for node in eg.enodes(cid) if node.op in LEAF_OPS
+        ]
+        wit[cid] = (0, min(texts) if texts else "c%d" % cid)
+    return wit
+
+
 def _witnesses(
-    eg: EGraph, candidates: Dict[int, List[ENode]]
+    eg: EGraph,
+    candidates: Dict[int, List[ENode]],
+    operands: OperandsFn,
+    seed: Dict[int, Tuple[int, str]],
 ) -> Dict[int, Tuple[int, str]]:
     """Per class, the (size, string)-least tree term realizing it.
 
@@ -105,9 +142,9 @@ def _witnesses(
     classes and break ties deterministically across insertion orders.
     The chaotic fixpoint terminates: minimal sizes stabilise within
     #classes rounds, and only finitely many trees share the minimal
-    size.
+    size.  ``seed`` holds the leaf classes' fixed witnesses.
     """
-    wit: Dict[int, Tuple[int, str]] = {}
+    wit: Dict[int, Tuple[int, str]] = dict(seed)
     changed = True
     while changed:
         changed = False
@@ -117,7 +154,7 @@ def _witnesses(
                     entry: Optional[Tuple[int, str]] = (0, _render(node, ()))
                 else:
                     size, strs, ok = 1, [], True
-                    for a in node.args:
+                    for a in operands(node):
                         sub = wit.get(eg.find(a))
                         if sub is None:
                             ok = False
@@ -149,8 +186,13 @@ def _realized(
     roots: Sequence[int],
     choice: Dict[int, ENode],
     cost: CostFn,
+    operands: OperandsFn,
+    leaf_text: Dict[int, Tuple[int, str]],
 ) -> Tuple[int, Dict[int, str]]:
-    """Walk the chosen DAG from the roots: its cost and rendered terms."""
+    """Walk the chosen DAG from the roots: its cost and rendered terms.
+
+    Leaf classes cost nothing and render as their ``leaf_text`` witness.
+    """
     total = 0
     rendered: Dict[int, str] = {}
 
@@ -158,9 +200,12 @@ def _realized(
         cid = eg.find(cid)
         if cid in rendered:
             return rendered[cid]
+        if cid in leaf_text:
+            rendered[cid] = leaf_text[cid][1]
+            return rendered[cid]
         node = choice[cid]
         rendered[cid] = ""  # cycle guard; selections are well-founded
-        text = _render(node, [walk(a) for a in node.args])
+        text = _render(node, [walk(a) for a in operands(node)])
         rendered[cid] = text
         return text
 
@@ -170,17 +215,22 @@ def _realized(
     stack = [eg.find(r) for r in roots]
     while stack:
         cid = stack.pop()
-        if cid in seen:
+        if cid in seen or cid in leaf_text:
             continue
         seen.add(cid)
         node = choice[cid]
         total += cost(node) if node.op not in LEAF_OPS else 0
-        stack.extend(eg.find(a) for a in node.args)
+        stack.extend(eg.find(a) for a in operands(node))
     return total, {eg.find(r): rendered[eg.find(r)] for r in roots}
 
 
 def greedy_select(
-    eg: EGraph, roots: Sequence[int], cost: CostFn = unit_cost
+    eg: EGraph,
+    roots: Sequence[int],
+    cost: CostFn = unit_cost,
+    leaf_classes: Optional[Set[int]] = None,
+    viable: Optional[Callable[[ENode], bool]] = None,
+    operands: Optional[OperandsFn] = None,
 ) -> Selection:
     """Bottom-up per-class cheapest-tree choice (the heuristic baseline).
 
@@ -189,17 +239,29 @@ def greedy_select(
     ignores sharing: on a diamond where two expensive implementations
     share a subterm the greedy answer can be strictly worse than the
     exact one.  Deterministic and insertion-order independent.
+
+    ``leaf_classes``, ``viable`` and ``operands`` restrict the problem
+    as in :func:`~repro.extraction.costs.class_lower_bounds`: leaf
+    classes cost 0 and are never chosen into, only viable e-nodes are
+    candidates, and ``operands`` names what each one needs realized.
     """
     roots = [eg.find(r) for r in roots]
-    support = _support_classes(eg, roots)
-    candidates = {cid: list(eg.enodes(cid)) for cid in support}
-    bounds = class_lower_bounds(eg, cost, "tree")
-    wit = _witnesses(eg, candidates)
+    leaves = {eg.find(c) for c in leaf_classes or ()}
+    args_of = _operands_of(operands)
+    support = _support_classes(eg, roots, leaves, viable, args_of)
+    candidates = {
+        cid: [n for n in eg.enodes(cid) if viable is None or viable(n)]
+        for cid in support
+        if cid not in leaves
+    }
+    bounds = class_lower_bounds(eg, cost, "tree", leaves, viable, operands)
+    leaf_text = _leaf_witnesses(eg, (c for c in support if c in leaves))
+    wit = _witnesses(eg, candidates, args_of, leaf_text)
     choice: Dict[int, ENode] = {}
-    for cid in support:
+    for cid in candidates:
         best = None
         for node in candidates[cid]:
-            through = enode_tree_bound(eg, node, cost, bounds)
+            through = enode_tree_bound(eg, node, cost, bounds, operands)
             if through is None:
                 continue
             key = (through, _node_key(eg, node, wit))
@@ -207,17 +269,17 @@ def greedy_select(
                 best = (key, node)
         if best is not None:
             choice[cid] = best[1]
-    if any(r not in choice for r in roots):
+    if any(r not in choice and r not in leaves for r in roots):
         return Selection(cost=None, optimal=True, mode="greedy")
-    total, rendered = _realized(eg, roots, choice, cost)
+    total, rendered = _realized(eg, roots, choice, cost, args_of, leaf_text)
     stack = list(roots)
     reachable: Set[int] = set()
     while stack:
         cid = stack.pop()
-        if cid in reachable:
+        if cid in reachable or cid in leaves:
             continue
         reachable.add(cid)
-        stack.extend(eg.find(a) for a in choice[cid].args)
+        stack.extend(eg.find(a) for a in args_of(choice[cid]))
     return Selection(
         cost=total,
         choice={c: choice[c] for c in reachable},
@@ -287,6 +349,10 @@ def exact_select(
     max_solves: int = 32,
     prune: bool = True,
     saturation=None,
+    leaf_classes: Optional[Set[int]] = None,
+    viable: Optional[Callable[[ENode], bool]] = None,
+    operands: Optional[OperandsFn] = None,
+    upper: Optional[int] = None,
 ) -> Selection:
     """Minimum selected-term-cost extraction, SAT-exact over survivors.
 
@@ -295,11 +361,20 @@ def exact_select(
     incremental solver until the optimum is proved or the conflict
     budget gives out.  The answer is never worse than greedy, and
     ``optimal=True`` certifies no cheaper selection exists.
+
+    ``leaf_classes``, ``viable`` and ``operands`` restrict the problem
+    as in :func:`greedy_select`.  ``upper`` is a cost the caller knows
+    some selection achieves (a schedule it already holds): the ladder
+    starts below it when it beats greedy.  If no cheaper selection
+    exists, the result reports ``cost=upper`` with an empty ``choice``
+    — the witness is the caller's.
     """
     from repro.sat.incremental import IncrementalSolver
 
-    greedy = greedy_select(eg, roots, cost)
+    greedy = greedy_select(eg, roots, cost, leaf_classes, viable, operands)
     roots = [eg.find(r) for r in roots]
+    leaves = {eg.find(c) for c in leaf_classes or ()}
+    args_of = _operands_of(operands)
     best = Selection(
         cost=greedy.cost,
         choice=dict(greedy.choice),
@@ -307,28 +382,32 @@ def exact_select(
         optimal=greedy.cost is None,
         mode="exact",
     )
-    if greedy.cost is None or greedy.cost == 0:
+    if upper is not None and greedy.cost is not None and upper < greedy.cost:
+        best = Selection(cost=upper, mode="exact")
+    if best.cost is None or best.cost == 0:
         return best
 
-    support = _support_classes(eg, roots)
-    bounds = class_lower_bounds(eg, cost, "tree")
-    dag_bounds = class_lower_bounds(eg, cost, "dag")
+    support = _support_classes(eg, roots, leaves, viable, args_of)
+    bounds = class_lower_bounds(eg, cost, "tree", leaves, viable, operands)
+    dag_bounds = class_lower_bounds(eg, cost, "dag", leaves, viable, operands)
     floor = max(dag_bounds.get(r, 0) for r in roots)
-    if greedy.cost <= floor:
+    if best.cost <= floor:
         best.optimal = True
         return best
 
-    # Candidate universe: realizable classes; per class, the e-nodes
-    # whose arguments are all realizable.
-    selectable = [cid for cid in support if cid in bounds]
+    # Candidate universe: realizable non-leaf classes; per class, the
+    # viable e-nodes whose operands are all realizable.
+    selectable = [cid for cid in support if cid in bounds and cid not in leaves]
     candidates: Dict[int, List[ENode]] = {}
     for cid in selectable:
         candidates[cid] = [
             node
             for node in eg.enodes(cid)
-            if all(eg.find(a) in bounds for a in node.args)
+            if (viable is None or viable(node))
+            and all(eg.find(a) in bounds for a in args_of(node))
         ]
-    wit = _witnesses(eg, candidates)
+    leaf_text = _leaf_witnesses(eg, (c for c in support if c in leaves))
+    wit = _witnesses(eg, candidates, args_of, leaf_text)
     order = sorted(selectable, key=lambda c: (wit[c], c))
 
     num_vars = [0]
@@ -381,10 +460,12 @@ def exact_select(
             amo(xs)
         for idx, node in enumerate(nodes_of[cid]):
             x = x_of[(cid, idx)]
-            for a in sorted({eg.find(a) for a in node.args}):
-                emit([-x, y_of[a]])
+            for a in sorted({eg.find(a) for a in args_of(node)}):
+                if a not in leaves:
+                    emit([-x, y_of[a]])
     for r in roots:
-        emit([y_of[r]])
+        if r not in leaves:
+            emit([y_of[r]])
 
     # Well-foundedness: a depth ladder per non-trivial SCC of the class
     # graph.  A selected node's in-component arguments must be supported
@@ -393,8 +474,8 @@ def exact_select(
         cid: {
             eg.find(a)
             for node in nodes_of[cid]
-            for a in node.args
-            if eg.find(a) in bounds
+            for a in args_of(node)
+            if eg.find(a) in y_of
         }
         for cid in order
     }
@@ -420,7 +501,7 @@ def exact_select(
                     in_comp = sorted(
                         {
                             eg.find(a)
-                            for a in node.args
+                            for a in args_of(node)
                             if eg.find(a) in members
                         }
                     )
@@ -439,7 +520,7 @@ def exact_select(
     if prune:
         the_slack = adaptive_slack(eg, saturation, base=slack)
         prune_report = prune_dominated(
-            eg, cost, bounds, candidates, slack=the_slack
+            eg, cost, bounds, candidates, slack=the_slack, operands=operands
         )
         for cid in order:
             survivors = set(prune_report.survivors.get(cid, ()))
@@ -454,7 +535,7 @@ def exact_select(
     # The cost counter, over every candidate's weight.
     from repro.extraction.pb import WeightedCounter
 
-    counter = WeightedCounter(new_var, emit, greedy.cost - 1)
+    counter = WeightedCounter(new_var, emit, best.cost - 1)
     for cid in order:
         for idx, node in enumerate(nodes_of[cid]):
             w = 0 if node.op in LEAF_OPS else cost(node)
@@ -464,7 +545,7 @@ def exact_select(
     solver.ensure_vars(num_vars[0])
     solver.add_clauses(clauses)
 
-    bound = greedy.cost - 1
+    bound = best.cost - 1
     prune_on = bool(pruned_lits)
     proved = False
     while bound >= floor and best.solves < max_solves:
@@ -494,7 +575,9 @@ def exact_select(
                 if res.model.get(x_of[(cid, idx)], False):
                     choice[cid] = node
                     break
-        realized, rendered = _realized(eg, roots, choice, cost)
+        realized, rendered = _realized(
+            eg, roots, choice, cost, args_of, leaf_text
+        )
         if realized >= (best.cost or 0) and best.cost is not None:
             # Defensive: the counter guarantees realized <= bound.
             break

@@ -654,8 +654,8 @@ def _check_extraction(
     ``extraction="exact"`` compiles (fresh :class:`Denali` instances, so
     no memo can mask non-determinism) are the other.  Checks: the exact
     schedule verifies against the reference evaluator, keeps the proved
-    cycle count, its selected-term cost is <= greedy's, and the two
-    exact runs are byte-identical.
+    cycle count, its selected-term cost is <= greedy's and >= the floor
+    the refinement claims, and the two exact runs are byte-identical.
     """
     exact = _compile_path(
         gma, registry, axioms, options, extraction="exact", label=label
@@ -706,6 +706,15 @@ def _check_extraction(
             detail="exact extraction is worse than greedy: cost %d vs %d\n"
                    "--- greedy\n%s\n--- exact\n%s"
                    % (x_cost, g_cost, base.schedule.render(),
+                      exact.schedule.render()),
+        ))
+        return
+    if x_rec.get("floor", 0) > x_cost:
+        report.divergences.append(Divergence(
+            oracle=ORACLE_EXTRACTION, label=label, seed=seed, source=source,
+            detail="exact extraction's %s floor %d exceeds a cost it "
+                   "reached, %d\n%s"
+                   % (x_rec.get("floor_by"), x_rec["floor"], x_cost,
                       exact.schedule.render()),
         ))
         return

@@ -441,6 +441,20 @@ class CompilationEngine:
             "at_optimum": 0,
         }
         self._optimal_by_totals: Dict[str, int] = {"floor": 0, "unsat": 0}
+        # Exact-extraction counters (aggregate_stats' "extraction" block).
+        self._extraction_totals: Dict[str, int] = {
+            "sessions": 0,
+            "exact_sessions": 0,
+            "improved": 0,
+            "proved": 0,
+            "greedy_cost": 0,
+            "exact_cost": 0,
+            "solves": 0,
+            "pruned": 0,
+            "fallbacks": 0,
+        }
+        self._extraction_floor_by: Dict[str, int] = {"dag": 0, "selection": 0}
+        self._extraction_optimal_by: Dict[str, int] = {"floor": 0, "unsat": 0}
         self._timers: List[threading.Timer] = []
         self._started_monotonic = time.monotonic()
         self._shutdown = False
@@ -640,13 +654,17 @@ class CompilationEngine:
                 self._stochastic_totals[key] += int(
                     stats["stochastic"].get(key, 0) or 0
                 )
-        for key, totals in (
-            ("cycle_floor", self._cycle_floor_totals),
-            ("optimal_by", self._optimal_by_totals),
+        ext = stats.get("extraction") if stats else None
+        for source, key, totals in (
+            (stats, "cycle_floor", self._cycle_floor_totals),
+            (stats, "optimal_by", self._optimal_by_totals),
+            (stats, "extraction", self._extraction_totals),
+            (ext, "floor_by", self._extraction_floor_by),
+            (ext, "optimal_by", self._extraction_optimal_by),
         ):
-            if stats and isinstance(stats.get(key), dict):
+            if isinstance(source, dict) and isinstance(source.get(key), dict):
                 for name in totals:
-                    totals[name] += int(stats[key].get(name, 0) or 0)
+                    totals[name] += int(source[key].get(name, 0) or 0)
         if stats and isinstance(stats.get("cache"), dict):
             cache = stats["cache"]
             flat = self._flat_core_totals
@@ -816,6 +834,11 @@ class CompilationEngine:
                 "stochastic": dict(self._stochastic_totals),
                 "cycle_floor": dict(self._cycle_floor_totals),
                 "optimal_by": dict(self._optimal_by_totals),
+                "extraction": dict(
+                    self._extraction_totals,
+                    floor_by=dict(self._extraction_floor_by),
+                    optimal_by=dict(self._extraction_optimal_by),
+                ),
             }
 
     # -- lifecycle ---------------------------------------------------------

@@ -298,6 +298,26 @@ class TestStatsJson:
         assert profile["cycle_floor"] == floor_totals
         assert profile["optimal_by"] == optimal_by
 
+    def test_extraction_floor_schema(self, source_file, tmp_path, capsys):
+        """Both reports count the exact refinement's floors and proofs."""
+        import json
+
+        stats_path = str(tmp_path / "stats.json")
+        profile_path = str(tmp_path / "profile.json")
+        status = main([source_file(SIMPLE), "--quiet", "--extraction",
+                       "exact", "--stats-json", stats_path,
+                       "--profile-json", profile_path])
+        assert status == 0
+        stats = json.load(open(stats_path))
+        record = stats["gmas"][0]["extraction"]
+        assert record["floor_by"] == "dag"
+        assert record["optimal_by"] == "floor"
+        totals = stats["totals"]["extraction"]
+        assert totals["floor_by"] == {"dag": 1, "selection": 0}
+        assert totals["optimal_by"] == {"floor": 1, "unsat": 0}
+        profile = json.load(open(profile_path))
+        assert profile["extraction_totals"] == totals
+
     def test_unwritable_path_fails(self, source_file, capsys):
         status = main([source_file(SIMPLE), "--quiet",
                        "--stats-json", "/nonexistent/dir/stats.json"])

@@ -131,6 +131,40 @@ class TestSelectors:
             picks.append((g.rendered[root], x.rendered[root]))
         assert picks[0] == picks[1]
 
+    def test_operands_hook_turns_a_self_loop_into_an_immediate(self):
+        """ldiq sits in its own constant's class: read as an argument the
+        constant is a self-loop no selection can close; read as an
+        immediate (the scheduling encoder's view) it is no dependency."""
+        eg = EGraph()
+        a = eg.add_enode("input", (), name="a")
+        k = eg.add_enode("const", (), value=1000)
+        eg.merge(eg.add_enode("ldiq", (k,)), k)
+        root = eg.add_enode("add64", (a, k))
+        eg.rebuild()
+        leaves = {eg.find(a)}
+        machine = lambda n: n.op not in ("input", "const")  # noqa: E731
+        immediate = lambda n: () if n.op == "ldiq" else n.args  # noqa: E731
+        assert exact_select(
+            eg, [root], leaf_classes=leaves, viable=machine
+        ).cost is None
+        for sel in (
+            greedy_select(eg, [root], unit_cost, leaves, machine, immediate),
+            exact_select(
+                eg, [root], leaf_classes=leaves, viable=machine,
+                operands=immediate,
+            ),
+        ):
+            assert sel.cost == 2
+            assert sel.rendered[eg.find(root)] == "add64($a,ldiq())"
+
+    def test_upper_below_greedy_starts_the_ladder_there(self):
+        eg, root = _diamond_vs_chain()
+        x = exact_select(eg, [root], upper=5)
+        assert x.cost == 5 and x.optimal
+        # No selection beats the caller's bound: its witness is the
+        # caller's, so the Selection carries none.
+        assert x.choice == {} and x.rendered == {}
+
     def test_leaf_root_costs_zero(self):
         eg = EGraph()
         a = eg.add_enode("input", (), name="a")
@@ -164,6 +198,25 @@ class TestBounds:
             eg, unit_cost, "tree", viable=lambda n: n.op == "input"
         )
         assert root not in bounds
+
+    def test_killed_congruent_twins_do_not_count(self):
+        """A rebuild kills one of two congruent nodes but leaves its
+        stale key in the flat columns; a viability filter over the
+        canonical nodes must not be fooled by it."""
+        eg = EGraph()
+        a = eg.add_enode("input", (), name="a")
+        b = eg.add_enode("input", (), name="b")
+        x = eg.add_enode("sextb", (a,))
+        eg.add_enode("sextb", (b,))
+        eg.merge(a, b)
+        eg.rebuild()
+        (live,) = [n for n in eg.enodes(eg.find(x)) if n.op == "sextb"]
+        bounds = class_lower_bounds(
+            eg, unit_cost, "tree", viable=lambda n: n != live
+        )
+        assert eg.find(x) not in bounds
+        sel = greedy_select(eg, [x], unit_cost, viable=lambda n: n != live)
+        assert sel.cost is None
 
     def test_schedule_cost_counts_distinct_terms_once(self):
         Instr = namedtuple("Instr", "node")
@@ -346,12 +399,19 @@ class TestStatsSurface:
         rec = report["gmas"][0]["extraction"]
         assert rec["mode"] == "exact"
         assert {"cost", "greedy_cost", "exact_cost", "improved", "proved",
-                "candidates", "pruned", "slack", "solves", "floor",
-                "seconds"} <= set(rec)
+                "candidates", "pruned", "slack", "solves", "relaxations",
+                "floor", "floor_by", "optimal_by", "seconds"} <= set(rec)
         assert rec["exact_cost"] <= rec["greedy_cost"]
+        assert rec["floor"] <= rec["exact_cost"]
+        assert rec["floor_by"] in ("dag", "selection")
+        assert rec["optimal_by"] in ("floor", "unsat", None)
+        assert rec["proved"] == (rec["optimal_by"] is not None)
         totals = report["totals"]["extraction"]
         assert totals["exact_sessions"] == len(report["gmas"])
         assert totals["exact_cost"] <= totals["greedy_cost"]
+        assert sum(totals["floor_by"].values()) == totals["exact_sessions"]
+        assert set(totals["optimal_by"]) == {"floor", "unsat"}
+        assert sum(totals["optimal_by"].values()) == totals["proved"]
 
     def test_unknown_extraction_mode_is_rejected(self):
         from repro.core.pipeline import Denali, DenaliConfig

@@ -13,7 +13,10 @@ classes appear routinely) drive three invariants:
 * exact selection is a pure function of the graph's *shape*: inserting
   the same e-nodes in a different order (and unioning the same classes
   in a different order) yields byte-identical rendered terms and equal
-  cost.
+  cost;
+* the restricted problem the exact refinement solves for its floor (a
+  leaf set, a viability filter, a caller's upper bound) keeps the same
+  sandwich, and neutral restrictions change nothing.
 """
 
 from hypothesis import given, settings
@@ -203,3 +206,86 @@ def test_exact_selection_ignores_insertion_order(graph, rng):
     assert ga.rendered.get(eg_a.find(root_a)) == gb.rendered.get(
         eg_b.find(root_b)
     )
+
+
+def _same_selection(a, b):
+    return (
+        a.cost, a.choice, a.rendered, a.optimal, a.mode,
+        a.solves, a.relaxations, a.pruned, a.conflicts,
+    ) == (
+        b.cost, b.choice, b.rendered, b.optimal, b.mode,
+        b.solves, b.relaxations, b.pruned, b.conflicts,
+    )
+
+
+RESTRICTIONS = st.tuples(
+    st.sets(st.integers(0, 23), max_size=4),  # leaf class indices
+    st.integers(0, 2**16 - 1),  # viability bits, one per e-node
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRAPHS, RESTRICTIONS)
+def test_restricted_selection_is_sandwiched(graph, restriction):
+    specs, merges = graph
+    eg, classes = _grow(specs, merges)
+    root = classes[-1]
+    leaf_idx, bits = restriction
+    leaves = {classes[i % len(classes)] for i in leaf_idx}
+    nodes = sorted(
+        {n for c in set(classes) for n in eg.enodes(c)}, key=repr
+    )
+    dead = {n for i, n in enumerate(nodes) if bits >> (i % 16) & 1}
+    # Graph leaves stay viable, so most draws keep the root realizable.
+    viable = lambda n: n.op in ("input", "const") or n not in dead  # noqa
+
+    dag = class_lower_bounds(eg, unit_cost, "dag", leaves, viable)
+    tree = class_lower_bounds(eg, unit_cost, "tree", leaves, viable)
+    greedy = greedy_select(eg, [root], unit_cost, leaves, viable)
+    exact = exact_select(
+        eg, [root], leaf_classes=leaves, viable=viable
+    )
+    if root not in tree:
+        assert greedy.cost is None and exact.cost is None
+        return
+    assert greedy.cost is not None and exact.cost is not None
+    assert dag[root] <= exact.cost <= greedy.cost
+    # Every chosen node is viable, and no leaf class is chosen into.
+    for sel in (greedy, exact):
+        assert all(viable(n) for n in sel.choice.values())
+        assert not set(sel.choice) & leaves
+    # The greedy cost as a caller-held upper bound changes no optimum.
+    upper = exact_select(
+        eg, [root], leaf_classes=leaves, viable=viable, upper=greedy.cost
+    )
+    if exact.optimal and upper.optimal:
+        assert upper.cost == exact.cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(GRAPHS)
+def test_neutral_restrictions_change_nothing(graph):
+    """Default arguments give the same Selection as before the leaf,
+    viability, operand and upper-bound restrictions existed: passing
+    their neutral values reproduces the default answer exactly."""
+    specs, merges = graph
+    eg, classes = _grow(specs, merges)
+    roots = [classes[-1]]
+    default = exact_select(eg, roots)
+    neutral = exact_select(
+        eg,
+        roots,
+        leaf_classes=set(),
+        viable=lambda n: True,
+        operands=lambda n: n.args,
+        upper=None,
+    )
+    assert _same_selection(default, neutral)
+    assert _same_selection(
+        greedy_select(eg, roots),
+        greedy_select(eg, roots, unit_cost, set(), lambda n: True),
+    )
+    if default.cost is not None:
+        capped = exact_select(eg, roots, upper=default.cost + 1)
+        assert capped.cost == default.cost
+        assert capped.rendered == default.rendered

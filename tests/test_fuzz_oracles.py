@@ -12,6 +12,7 @@ from repro.fuzz.oracles import (
     ALL_ORACLES,
     ORACLE_ASM,
     ORACLE_CRASH,
+    ORACLE_EXTRACTION,
     ORACLE_SOLVER,
     ORACLE_STRATEGY,
 )
@@ -52,6 +53,21 @@ class TestCheckCase:
         report = check_case(generate_case(11), options)
         assert report.passed
         assert set(report.checks) <= {ORACLE_ASM}
+
+    def test_inflated_extraction_floor_is_caught(self, monkeypatch):
+        import repro.extraction.refine as refine
+
+        real = refine.refine_exact
+
+        def inflated(*args, **kwargs):
+            best, record = real(*args, **kwargs)
+            return best, dict(record, floor=record["cost"] + 1)
+
+        monkeypatch.setattr(refine, "refine_exact", inflated)
+        options = OracleOptions().narrowed_to(ORACLE_EXTRACTION)
+        report = check_case(generate_case(11), options)
+        assert report.failing_oracles() == (ORACLE_EXTRACTION,)
+        assert "floor" in report.divergences[0].detail
 
     def test_all_oracles_constant(self):
         assert set(ALL_ORACLES) == {

@@ -263,6 +263,18 @@ class TestEngine:
         }
         assert metrics["optimal_by"] == {"floor": 1, "unsat": 0}
 
+    def test_metrics_report_extraction_floors(self, engine):
+        engine.result(engine.submit(compile_spec()), timeout=60)
+        engine.result(
+            engine.submit(compile_spec(extraction="exact")), timeout=60
+        )
+        ext = engine.metrics()["extraction"]
+        assert ext["sessions"] == 2 and ext["exact_sessions"] == 1
+        assert ext["proved"] == 1
+        # s4addq: the dag bound alone meets the greedy cost.
+        assert ext["floor_by"] == {"dag": 1, "selection": 0}
+        assert ext["optimal_by"] == {"floor": 1, "unsat": 0}
+
     def test_naive_matching_spec_changes_fingerprint_and_runs(self, engine):
         naive = compile_spec(incremental_match=False)
         assert job_fingerprint(naive) != job_fingerprint(compile_spec())
