@@ -14,14 +14,14 @@ vary widely with K — measured per budget on pinned one-budget windows,
 since a floor-anchored ladder may need only one or two probes.
 """
 
-from repro import Denali, SearchStrategy, ev6, global_saturation_cache
+from repro import Denali, SearchStrategy, ev6
 from repro.util import format_table
 
 from benchmarks.conftest import byteswap_goal, default_config
 
 
-def _run(strategy, lo=2, hi=9, **kwargs):
-    cfg = default_config(min_cycles=lo, max_cycles=hi, strategy=strategy, **kwargs)
+def _run(strategy, lo=2, hi=9):
+    cfg = default_config(min_cycles=lo, max_cycles=hi, strategy=strategy)
     den = Denali(ev6(), config=cfg)
     return den.compile_term(byteswap_goal(4))
 
@@ -74,75 +74,3 @@ def test_search_strategies(report, benchmark):
         format_table(["strategy", "probes", "total SAT time", "probe detail"], rows),
     )
 
-
-def test_portfolio_and_caches(report):
-    """E9b — the staged-session machinery vs the paper's plain binary search.
-
-    Compares sequential binary search with every cache disabled (the
-    pre-session behaviour) against binary/portfolio with the CNF-prefix
-    and saturation caches on.  All configurations must agree on the
-    optimum and its proof; the caches and the portfolio's loser
-    cancellation only change where the time goes.
-    """
-    global_saturation_cache().clear()
-
-    baseline = _run(
-        SearchStrategy.BINARY,
-        enable_saturation_cache=False,
-        enable_cnf_prefix_cache=False,
-    )
-    cached_binary = _run(SearchStrategy.BINARY)
-    portfolio = _run(SearchStrategy.PORTFOLIO)
-    portfolio_warm = _run(SearchStrategy.PORTFOLIO)
-
-    runs = [
-        ("binary, caches off (baseline)", baseline),
-        ("binary, caches on", cached_binary),
-        ("portfolio, caches on", portfolio),
-        ("portfolio, warm saturation cache", portfolio_warm),
-    ]
-    for _name, result in runs:
-        assert result.cycles == baseline.cycles
-        assert result.optimal
-        assert result.verified
-    # The cache-enabled runs share one deterministic encoding, so they
-    # agree to the byte.  (The baseline's plain encoder numbers variables
-    # differently and may extract a different equally-optimal model.)
-    assert portfolio.assembly == cached_binary.assembly
-    assert portfolio_warm.assembly == portfolio.assembly
-
-    # The warm run served saturation from the cross-compilation cache.
-    assert portfolio_warm.stats.cache["saturation_hits"] == 1
-    # The cached binary search rebuilt strictly fewer CNF cycle blocks
-    # than it encoded (the shared prefix was reused between probes).
-    assert cached_binary.stats.cache["cnf_prefix_cycles_reused"] > 0
-
-    rows = [
-        [
-            name,
-            "%.2f s" % r.elapsed_seconds,
-            "%.2f s" % r.stats.timings.get("saturation", 0.0),
-            "%.2f s" % r.stats.timings.get("encode", 0.0),
-            "%.2f s" % r.stats.timings.get("sat", 0.0),
-            "%d/%d" % (
-                r.stats.cache["cnf_prefix_cycles_reused"],
-                r.stats.cache["cnf_prefix_cycles_built"],
-            ),
-        ]
-        for name, r in runs
-    ]
-    report(
-        "E9b staged sessions on byteswap4 (identical code, %d cycles, proved)"
-        % baseline.cycles,
-        format_table(
-            [
-                "configuration",
-                "wall clock",
-                "saturation",
-                "encode",
-                "sat",
-                "prefix reused/built",
-            ],
-            rows,
-        ),
-    )

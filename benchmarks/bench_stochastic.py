@@ -15,9 +15,8 @@ Measured here:
   winner when its schedule verified).  Acceptance: the suite-level
   ratio ``sat / race`` is >= 0.95, i.e. racing costs at most ~5%.
   fig2's per-workload ratio is dominated by a fixed ~1 ms
-  thread-spawn cost on a ~2 ms compile, so — as with
-  ``bench_incremental`` — the gate is the suite total, with all
-  per-workload medians reported.
+  thread-spawn cost on a ~2 ms compile, so the gate is the suite
+  total, with all per-workload medians reported.
 * **beyond-ceiling win** — ``mulchain`` (two dependent ``mulq``) under
   a 6-cycle budget ceiling: every SAT probe is UNSAT, and the race is
   won by a *verified* stochastic schedule whose cycle count the exact

@@ -78,10 +78,10 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--strategy",
-        choices=["binary", "linear", "portfolio"],
+        choices=[s.value for s in SearchStrategy],
         default="binary",
-        help="cycle-budget search strategy (portfolio probes budgets "
-        "concurrently and cancels losers)",
+        help="cycle-budget search strategy: gallop up from the proved "
+        "floor and bisect, or step up one budget at a time",
     )
     parser.add_argument(
         "--backend",
@@ -147,19 +147,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-verify",
         action="store_true",
         help="skip the differential correctness check",
-    )
-    parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="rebuild the SAT solver from scratch for every probe instead "
-        "of reusing one incremental solver per session",
-    )
-    parser.add_argument(
-        "--no-incremental-match",
-        action="store_true",
-        help="re-scan the whole E-graph for every saturation round instead "
-        "of matching only against the dirty cone (the naive differential-"
-        "oracle path)",
     )
     parser.add_argument(
         "--axiom-tiers",
@@ -572,7 +559,6 @@ def _compile_main(argv: List[str]) -> int:
         strategy=SearchStrategy(args.strategy),
         verify=not args.no_verify,
         miss_latency=args.miss_latency,
-        enable_incremental_solver=not args.no_incremental,
         backend=args.backend,
         extraction=args.extraction,
         seed=args.seed,
@@ -584,7 +570,6 @@ def _compile_main(argv: List[str]) -> int:
         saturation=SaturationConfig(
             max_rounds=args.max_rounds,
             max_enodes=args.max_enodes,
-            incremental_match=not args.no_incremental_match,
             axiom_tiers=args.axiom_tiers,
         ),
     )
@@ -641,7 +626,7 @@ def _compile_main(argv: List[str]) -> int:
                 status = EXIT_FAILURE
                 continue
             if args.dimacs:
-                _dump_dimacs(args.dimacs, label, den, gma, result)
+                _dump_dimacs(args.dimacs, label, den, result)
             print(result.schedule.render(label=label.replace(".", "_")))
             if not args.quiet:
                 print(
@@ -779,8 +764,6 @@ def _batch_specs(args) -> List:
                 verify=not args.no_verify,
                 load_latency=args.load_latency,
                 miss_latency=args.miss_latency,
-                incremental=not args.no_incremental,
-                incremental_match=not args.no_incremental_match,
                 backend=args.backend,
                 extraction=args.extraction,
                 seed=args.seed,
@@ -1097,8 +1080,8 @@ def _write_profile_json(args, collected) -> None:
     Narrower than ``--stats-json``: per probe it keeps only the solver's
     hot-path counters (propagations, conflicts, learned clauses and how
     many carried over from earlier probes) plus the encode/solve/extract
-    wall-time split, and per GMA the stage totals — the numbers
-    ``benchmarks/bench_incremental.py`` tracks across PRs.
+    wall-time split, and per GMA the stage totals.  ``perfsuite/``
+    measures the same layers cold, across changes.
     """
     import json
 
@@ -1140,7 +1123,6 @@ def _write_profile_json(args, collected) -> None:
         if stats.saturation is not None:
             s = stats.saturation
             saturation = {
-                "incremental": s.incremental,
                 "rounds": s.rounds,
                 "matches_attempted": s.matches_attempted,
                 "matches_found": s.matches_found,
@@ -1206,8 +1188,6 @@ def _write_profile_json(args, collected) -> None:
         "strategy": args.strategy,
         "backend": getattr(args, "backend", "sat"),
         "extraction": getattr(args, "extraction", "greedy"),
-        "incremental": not args.no_incremental,
-        "incremental_match": not args.no_incremental_match,
         "gmas": gmas,
         "totals": totals,
         "saturation_totals": sat_totals,
@@ -1221,24 +1201,22 @@ def _write_profile_json(args, collected) -> None:
         handle.write("\n")
 
 
-def _dump_dimacs(directory: str, label: str, den, gma, result) -> None:
-    """Re-encode each probed budget and write DIMACS files."""
+def _dump_dimacs(directory: str, label: str, den, result) -> None:
+    """Write each probed budget's formula, as the ladder solved it, to DIMACS.
+
+    The formulas are rebuilt on the result's own E-graph by
+    :meth:`Denali.reference_encoding`, so latency overrides, guard
+    safety and the encoding options are the ones the probes used.
+    """
     import os
 
-    from repro.egraph import EGraph
-    from repro.encode import encode_schedule
-    from repro.matching import saturate
     from repro.sat import to_dimacs
 
     os.makedirs(directory, exist_ok=True)
-    eg = EGraph()
-    goal_ids = [eg.add_term(t) for t in gma.goal_terms()]
-    saturate(eg, den.axioms, den.registry, den.config.saturation)
-    goal_ids = [eg.find(g) for g in goal_ids]
     for probe in result.search.probes:
         if probe.solver == "stochastic":  # no CNF behind a sampler probe
             continue
-        enc = encode_schedule(eg, den.spec, goal_ids, probe.cycles)
+        enc = den.reference_encoding(result, probe.cycles)
         path = os.path.join(
             directory, "%s.K%d.cnf" % (label.replace("/", "_"), probe.cycles)
         )

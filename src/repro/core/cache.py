@@ -93,7 +93,6 @@ def saturation_key(
             config.synthesize_byte_masks,
             config.synthesize_mask_alternatives,
             config.max_pow2_exponent,
-            config.incremental_match,
             config.axiom_tiers,
             config.tier_cheap_rounds,
         ),

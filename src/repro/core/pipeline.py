@@ -18,7 +18,11 @@ from repro.core.emit import Schedule
 from repro.core.probes import SearchOutcome, SearchStrategy
 from repro.core.session import CompilationSession, StageStats
 from repro.egraph.egraph import EGraph, ENode
-from repro.encode.constraints import EncodingOptions
+from repro.encode.constraints import (
+    Encoding,
+    EncodingOptions,
+    IncrementalEncoder,
+)
 from repro.isa.spec import ArchSpec
 from repro.lang.gma import GMA
 from repro.matching.saturation import SaturationConfig, SaturationStats
@@ -61,18 +65,9 @@ class DenaliConfig:
     bind_outputs: bool = False
     # Abandon a probe (satisfiable=None) after this much wall-clock.
     solver_deadline_seconds: Optional[float] = None
-    # Worker threads for the PORTFOLIO strategy (None = min(4, budgets)).
-    portfolio_workers: Optional[int] = None
     # Serve saturated E-graphs from the process-wide cache when the same
     # goals/axioms/config were saturated before.
     enable_saturation_cache: bool = True
-    # Share the budget-independent CNF prefix across a compilation's probes.
-    enable_cnf_prefix_cache: bool = True
-    # Drive every probe of a session through one persistent incremental
-    # solver (assumption-gated budgets, learned-clause reuse).  Requires
-    # the CNF prefix cache; turning either off restores the PR 1
-    # from-scratch solver per probe.
-    enable_incremental_solver: bool = True
     # Which engine answers the GMA: "sat" (the exact ladder), "stochastic"
     # (the MCMC sampler alone), or "race" (both, first verified wins).
     backend: str = "sat"
@@ -370,6 +365,39 @@ class Denali:
 
         result.elapsed_seconds = time.perf_counter() - start
         return result, session
+
+    def reference_encoding(
+        self, result: CompilationResult, cycles: int
+    ) -> Encoding:
+        """Rebuild, standalone, the formula a probe of ``result`` solved.
+
+        A fresh encoder on the result's saturated E-graph and goal
+        classes, with this compiler's encoding options, guard-safety
+        terms and latency overrides, builds the cycle blocks of budget
+        ``cycles`` and its gated goal suffix; the budget's selector is
+        asserted as a unit clause where the ladder assumed it.  The
+        variable order is the ladder's, so a fresh solver's canonical
+        model decodes to the same bytes.  Only ``--dimacs`` and the
+        differential oracles call this; compilation never does.
+        """
+        eg, goals = result.egraph, result.goal_classes
+        encoder = IncrementalEncoder(
+            eg,
+            self.spec,
+            goals,
+            self.config.encoding,
+            self._unsafe_terms(eg, result.gma, goals),
+            self._latency_overrides(eg, result.gma),
+        )
+        encoder.ensure_budget(cycles)
+        encoding = encoder.decode_view(cycles)
+        encoding.cnf.num_vars = encoder.master.num_vars
+        encoding.cnf.clauses = (
+            encoder.master.clauses
+            + encoder.budget_clauses(cycles)
+            + [[encoder.selector(cycles)]]
+        )
+        return encoding
 
     # -- the stochastic path --------------------------------------------------
 

@@ -4,10 +4,10 @@ One :class:`CompilationSession` runs the paper's Figure 1 pipeline for a
 single GMA as explicit, observable stages — **saturation** (matcher +
 axioms, served from the cross-compilation saturation cache when the same
 goals were saturated before), **encode** (per-budget CNF, sharing the
-budget-independent prefix across probes), **sat** (the CDCL solver, with
-deadline/cancellation plumbing for the portfolio scheduler), **extract**
-(model decoding) and **verify** (differential checking) — and threads a
-:class:`StageStats` record through them.
+budget-independent prefix across probes), **sat** (one incremental CDCL
+solver for the whole probe ladder, with deadline and cancellation
+plumbing), **extract** (model decoding) and **verify** (differential
+checking) — and threads a :class:`StageStats` record through them.
 
 Completed sessions are announced to registered observers
 (:func:`add_observer`), which is how the CLI's ``--stats-json`` report
@@ -25,15 +25,10 @@ from typing import Callable, Dict, List, Optional
 from repro.core import cache as _cache
 from repro.core.probes import Probe, SearchOutcome, get_scheduler
 from repro.egraph.egraph import EGraph, EGraphSnapshot, ENode
-from repro.encode.constraints import (
-    IncrementalEncoder,
-    cycle_floor,
-    encode_schedule,
-)
+from repro.encode.constraints import IncrementalEncoder
 from repro.lang.gma import GMA
 from repro.matching.saturation import SaturationStats, saturate
 from repro.sat.incremental import IncrementalSolver
-from repro.sat.solver import CdclSolver
 
 
 @dataclass
@@ -101,7 +96,6 @@ class StageStats:
                 "quiescent": s.quiescent,
                 "enodes": s.enodes,
                 "classes": s.classes,
-                "incremental": s.incremental,
                 "matches_attempted": s.matches_attempted,
                 "matches_found": s.matches_found,
                 "matches_pruned": s.matches_pruned,
@@ -159,7 +153,6 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
     cache: Dict[str, int] = {}
     saturation: Dict[str, int] = {
         "sessions": 0,
-        "incremental_sessions": 0,
         "rounds": 0,
         "quiescent": 0,
         "instances_asserted": 0,
@@ -251,7 +244,6 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
         sat = stats.saturation
         if sat is not None:
             saturation["sessions"] += 1
-            saturation["incremental_sessions"] += 1 if sat.incremental else 0
             saturation["rounds"] += sat.rounds
             saturation["quiescent"] += 1 if sat.quiescent else 0
             saturation["instances_asserted"] += sat.instances_asserted
@@ -366,28 +358,15 @@ class CompilationSession:
         self.config = denali.config
         self.gma = gma
         self.stats = StageStats(label=label, strategy=self.config.strategy.value)
-        # An extra stop signal combined into every probe's stop_check —
-        # this is how a losing race contestant is cancelled from outside
-        # the session's own scheduler.
+        # The stop_check of every solve — how a losing race contestant is
+        # cancelled from outside the session.
         self.external_stop: Optional[Callable[[], bool]] = None
-        self._lock = threading.Lock()  # guards the E-graph + encoder
+        # The encoder and the persistent solver shared by every probe of
+        # this session (both created in make_probe).
         self._encoder: Optional[IncrementalEncoder] = None
-        # The persistent solver shared by every probe of this session
-        # (created in make_probe when the incremental path is enabled).
         self._solver: Optional[IncrementalSolver] = None
         self._fed_clauses = 0  # master clauses already handed to the solver
         self._fed_budgets: set = set()
-
-    def _stop(
-        self, cancel: Optional[Callable[[], bool]]
-    ) -> Optional[Callable[[], bool]]:
-        """Combine a scheduler's cancel token with the session-level stop."""
-        ext = self.external_stop
-        if ext is None:
-            return cancel
-        if cancel is None:
-            return ext
-        return lambda: bool(cancel()) or bool(ext())
 
     # -- stage 1: saturation -------------------------------------------------
 
@@ -449,79 +428,59 @@ class CompilationSession:
     ):
         """The instrumented probe function handed to the scheduler.
 
-        Two probe flavours share one shape (encode, solve, maybe extract):
-
-        * **incremental** (default): one :class:`IncrementalSolver` serves
-          every probe of the session.  The encoder's master clauses are
-          fed exactly once (``_fed_clauses`` marks how far), each budget's
-          gated suffix is fed on first probe, and the solve runs under the
-          budget's selector assumptions.  Definite verdicts retire the
-          budget — schedulers never revisit an answered budget — which
-          drops its selector-local learnt clauses.
-        * **scratch**: PR 1 behaviour, a fresh :class:`CdclSolver` per
-          probe; kept as the reference path for the differential tests
-          and the benchmark baseline.
+        One :class:`IncrementalSolver` serves every probe of the session.
+        The encoder's master clauses are fed exactly once (``_fed_clauses``
+        marks how far), each budget's gated suffix is fed on first probe,
+        and the solve runs under the budget's selector assumptions.
+        Definite verdicts retire the budget — schedulers never revisit an
+        answered budget — which drops its selector-local learnt clauses.
         """
         from repro.core.emit import extract_schedule
 
         cfg = self.config
-        use_incremental = bool(
-            cfg.enable_incremental_solver and cfg.enable_cnf_prefix_cache
+        enc = self._encoder = IncrementalEncoder(
+            eg, self.spec, goal_ids, cfg.encoding, unsafe, overrides
         )
-        if cfg.enable_cnf_prefix_cache:
-            with self._lock:
-                self._encoder = IncrementalEncoder(
-                    eg, self.spec, goal_ids, cfg.encoding, unsafe, overrides
-                )
-                if use_incremental:
-                    self._solver = IncrementalSolver()
-                    self._fed_clauses = 0
-                    self._fed_budgets = set()
-                self.stats.cycle_floor = self._encoder.cycle_floor
-        else:
-            self.stats.cycle_floor = cycle_floor(
-                eg, self.spec, goal_ids, cfg.encoding, unsafe, overrides
-            )
+        solver = self._solver = IncrementalSolver()
+        self._fed_clauses = 0
+        self._fed_budgets = set()
+        self.stats.cycle_floor = enc.cycle_floor
 
-        def probe_incremental(k: int, cancel=None):
-            p = Probe(cycles=k, satisfiable=None, solver="incremental")
-            enc, solver = self._encoder, self._solver
+        def probe(k: int):
+            p = Probe(cycles=k, satisfiable=None)
             t0 = time.perf_counter()
-            with self._lock:
-                reused = enc.ensure_budget(k)
-                p.prefix_cycles_reused = reused
-                self.stats.cache["cnf_prefix_cycles_reused"] += reused
-                self.stats.cache["cnf_prefix_cycles_built"] += k - reused
-                # Feed the solver everything it has not seen yet: the new
-                # master (cycle-block) clauses, then this budget's gated
-                # suffix.  Both are root-level adds; the solver's own lock
-                # makes them wait for any in-flight portfolio solve.
-                solver.ensure_vars(enc.master.num_vars)
-                master_clauses = enc.master.clauses
-                if self._fed_clauses < len(master_clauses):
-                    solver.add_clauses(
-                        master_clauses[self._fed_clauses:], trusted=True
-                    )
-                    self.stats.cache["solver_clauses_fed"] += (
-                        len(master_clauses) - self._fed_clauses
-                    )
-                    self._fed_clauses = len(master_clauses)
-                if k not in self._fed_budgets:
-                    gated = enc.budget_clauses(k)
-                    solver.add_clauses(gated, trusted=True)
-                    solver.push_budget(k, enc.selector(k))
-                    self.stats.cache["solver_clauses_fed"] += len(gated)
-                    self._fed_budgets.add(k)
-                size = enc.budget_stats(k)
-            t1 = time.perf_counter()
-            p.encode_seconds = t1 - t0
+            reused = enc.ensure_budget(k)
+            p.prefix_cycles_reused = reused
+            self.stats.cache["cnf_prefix_cycles_reused"] += reused
+            self.stats.cache["cnf_prefix_cycles_built"] += k - reused
+            # Feed the solver everything it has not seen yet: the new
+            # master (cycle-block) clauses, then this budget's gated
+            # suffix.  Both are root-level adds.
+            solver.ensure_vars(enc.master.num_vars)
+            master_clauses = enc.master.clauses
+            if self._fed_clauses < len(master_clauses):
+                solver.add_clauses(
+                    master_clauses[self._fed_clauses:], trusted=True
+                )
+                self.stats.cache["solver_clauses_fed"] += (
+                    len(master_clauses) - self._fed_clauses
+                )
+                self._fed_clauses = len(master_clauses)
+            if k not in self._fed_budgets:
+                gated = enc.budget_clauses(k)
+                solver.add_clauses(gated, trusted=True)
+                solver.push_budget(k, enc.selector(k))
+                self.stats.cache["solver_clauses_fed"] += len(gated)
+                self._fed_budgets.add(k)
+            size = enc.budget_stats(k)
+            p.encode_seconds = time.perf_counter() - t0
             self.stats.add_time("encode", p.encode_seconds)
             p.vars, p.clauses = size["vars"], size["clauses"]
             res = solver.solve_budget(
                 k,
                 conflict_budget=cfg.solver_conflict_budget,
                 deadline_seconds=cfg.solver_deadline_seconds,
-                stop_check=self._stop(cancel),
+                stop_check=self.external_stop,
                 canonical_model=True,
             )
             p.satisfiable = res.satisfiable
@@ -537,10 +496,9 @@ class CompilationSession:
             payload = None
             if res.satisfiable:
                 t2 = time.perf_counter()
-                with self._lock:
-                    payload = extract_schedule(
-                        eg, enc.decode_view(k), res.model, input_registers
-                    )
+                payload = extract_schedule(
+                    eg, enc.decode_view(k), res.model, input_registers
+                )
                 p.extract_seconds = time.perf_counter() - t2
                 self.stats.add_time("extract", p.extract_seconds)
             if res.satisfiable is not None:
@@ -551,78 +509,21 @@ class CompilationSession:
                 )
             return res.satisfiable, payload, p
 
-        def probe_scratch(k: int, cancel=None):
-            p = Probe(cycles=k, satisfiable=None)
-            t0 = time.perf_counter()
-            with self._lock:
-                if self._encoder is not None:
-                    encoding = self._encoder.encode(k)
-                    p.prefix_cycles_reused = encoding.prefix_cycles_reused
-                    self.stats.cache["cnf_prefix_cycles_reused"] += (
-                        encoding.prefix_cycles_reused
-                    )
-                    self.stats.cache["cnf_prefix_cycles_built"] += (
-                        k - encoding.prefix_cycles_reused
-                    )
-                else:
-                    encoding = encode_schedule(
-                        eg, self.spec, goal_ids, k, cfg.encoding, unsafe,
-                        overrides,
-                    )
-                    self.stats.cache["cnf_prefix_cycles_built"] += k
-            t1 = time.perf_counter()
-            p.encode_seconds = t1 - t0
-            self.stats.add_time("encode", p.encode_seconds)
-            st = encoding.cnf.stats()
-            p.vars, p.clauses = st["vars"], st["clauses"]
-            solver = CdclSolver(
-                conflict_budget=cfg.solver_conflict_budget,
-                deadline_seconds=cfg.solver_deadline_seconds,
-                stop_check=self._stop(cancel),
-            )
-            res = solver.solve(encoding.cnf, canonical_model=True)
-            if solver.last_flat_counters is not None:
-                self._note_flat_counters(
-                    solver.last_flat_counters, accumulate=True
-                )
-            p.satisfiable = res.satisfiable
-            p.conflicts = res.stats.conflicts
-            p.propagations = res.stats.propagations
-            p.learned = res.stats.learned
-            p.solve_seconds = res.stats.time_seconds
-            p.time_seconds = res.stats.time_seconds
-            self.stats.add_time("sat", p.solve_seconds)
-            payload = None
-            if res.satisfiable:
-                t2 = time.perf_counter()
-                with self._lock:
-                    payload = extract_schedule(
-                        eg, encoding, res.model, input_registers
-                    )
-                p.extract_seconds = time.perf_counter() - t2
-                self.stats.add_time("extract", p.extract_seconds)
-            return res.satisfiable, payload, p
+        return probe
 
-        return probe_incremental if use_incremental else probe_scratch
+    def _note_flat_counters(self, fc: Dict[str, int]) -> None:
+        """Fold the solver's flat-arena telemetry into the session cache.
 
-    def _note_flat_counters(self, fc: Dict[str, int], accumulate=False) -> None:
-        """Fold one solver's flat-arena telemetry into the session cache.
-
-        The incremental path reports one core's *cumulative* counters, so
-        later snapshots supersede earlier ones (max); the scratch path
-        builds a fresh core per probe, so its compaction counts add up
-        (``accumulate``).  Arena bytes are always tracked as a peak.
+        The solver reports its core's *cumulative* counters, so later
+        snapshots supersede earlier ones; arena bytes are a peak.
         """
         cache = self.stats.cache
-        if fc["arena_bytes"] > cache["solver_arena_bytes"]:
-            cache["solver_arena_bytes"] = fc["arena_bytes"]
         for key, name in (
+            ("solver_arena_bytes", "arena_bytes"),
             ("solver_watch_compactions", "watch_compactions"),
             ("solver_arena_compactions", "arena_compactions"),
         ):
-            if accumulate:
-                cache[key] += fc[name]
-            elif fc[name] > cache[key]:
+            if fc[name] > cache[key]:
                 cache[key] = fc[name]
 
     def search(self, probe, lo: int, hi: int) -> SearchOutcome:
@@ -631,8 +532,7 @@ class CompilationSession:
         The ladder starts at the encoder's proved cycle floor (computed
         by :meth:`make_probe`), which also seeds the proved floor.
         """
-        cfg = self.config
-        scheduler = get_scheduler(cfg.strategy, cfg.portfolio_workers)
+        scheduler = get_scheduler(self.config.strategy)
         outcome = scheduler.search(probe, lo, hi, floor=self.stats.cycle_floor)
         self.stats.probes = outcome.probes
         self.stats.best_cycles = outcome.best_cycles
@@ -649,7 +549,6 @@ class CompilationSession:
         cycles: Optional[int],
         input_registers: Dict[str, str],
         overrides: Optional[Dict[ENode, int]] = None,
-        cancel: Optional[Callable[[], bool]] = None,
     ):
         """Minimise the schedule's selected-term cost (``extraction=exact``).
 
@@ -658,7 +557,7 @@ class CompilationSession:
         persistent solver (see :mod:`repro.extraction.refine`) and may
         return a cheaper schedule of the same cycle count.  Falls back to
         the greedy schedule — with the reason in the stats record — when
-        the incremental path was disabled or no schedule exists.
+        no schedule exists.
         """
         from repro.extraction.costs import latency_cost
         from repro.extraction.refine import greedy_stats, refine_exact
@@ -674,12 +573,6 @@ class CompilationSession:
                 "cost": None,
                 "fallback": "no-schedule",
             }
-            return schedule
-        enc, solver = self._encoder, self._solver
-        if enc is None or solver is None:
-            record = greedy_stats(schedule, cost)
-            record.update({"mode": "exact", "fallback": "no-incremental"})
-            self.stats.extraction = record
             return schedule
         # The refinement is a pure function of (goals, axioms, budget,
         # registers, overrides, knobs): repeat compiles through the same
@@ -709,20 +602,19 @@ class CompilationSession:
                 self.stats.extraction = record
                 return best
         with _StageTimer(self.stats, "extraction"):
-            with self._lock:
-                best, record = refine_exact(
-                    eg,
-                    enc,
-                    solver,
-                    cycles,
-                    schedule,
-                    input_registers,
-                    live_budgets=sorted(self._fed_budgets),
-                    saturation=self.stats.saturation,
-                    conflict_budget=cfg.extraction_conflict_budget,
-                    max_solves=cfg.extraction_max_solves,
-                    stop_check=self._stop(cancel),
-                )
+            best, record = refine_exact(
+                eg,
+                self._encoder,
+                self._solver,
+                cycles,
+                schedule,
+                input_registers,
+                live_budgets=sorted(self._fed_budgets),
+                saturation=self.stats.saturation,
+                conflict_budget=cfg.extraction_conflict_budget,
+                max_solves=cfg.extraction_max_solves,
+                stop_check=self.external_stop,
+            )
         self.stats.extraction = record
         if memo is not None and key is not None:
             memo[key] = (best, dict(record))

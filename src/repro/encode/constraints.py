@@ -112,9 +112,6 @@ class Encoding:
     spec: ArchSpec = None  # type: ignore[assignment]
     # Per-node latency overrides (profile-style memory annotations, §6).
     latency_overrides: Dict[ENode, int] = field(default_factory=dict)
-    # Cycle blocks served from an IncrementalEncoder's cross-probe prefix
-    # cache (0 for one-shot encodings).
-    prefix_cycles_reused: int = 0
 
     def latency(self, node: ENode) -> int:
         """The latency the schedule was encoded with for this node."""
@@ -565,9 +562,10 @@ class IncrementalEncoder:
     other, so the CNF for budget ``K`` is the concatenation of per-cycle
     *blocks* ``0 .. K-1`` plus a tiny budget-specific suffix.  This
     encoder builds each block once, in cycle order (so variable numbering
-    for a smaller budget is a prefix of a larger budget's), and assembles
-    per-budget :class:`Encoding` views from the cached blocks.  Probing
-    budgets 4, 8 and 6 encodes 8 blocks total instead of 18.
+    for a smaller budget is a prefix of a larger budget's), and gates each
+    budget's suffix on a selector variable, so one solver holds every
+    probed budget at once.  Probing budgets 4, 8 and 6 encodes 8 blocks
+    total instead of 18.
 
     Unlike :func:`encode_schedule`, machine terms whose latency exceeds
     the probed budget keep their (inert) launch variables: their ``A``
@@ -721,10 +719,10 @@ class IncrementalEncoder:
         self._built = 0
         self._var_end = [0]
         self._clause_end = [0]
-        # Budget-local suffixes for the incremental-solver path: per budget,
-        # a selector variable and the goal/cardinality clauses gated on it.
-        # Gated clauses live *outside* the master clause list so the
-        # ``encode`` block slices stay budget-independent.
+        # Budget-local suffixes: per budget, a selector variable and the
+        # goal/cardinality clauses gated on it.  Gated clauses live
+        # *outside* the master clause list, which stays a concatenation
+        # of budget-independent cycle blocks.
         self._budget_selectors: Dict[int, int] = {}
         self._budget_clauses: Dict[int, List[List[int]]] = {}
 
@@ -818,62 +816,6 @@ class IncrementalEncoder:
         self._var_end.append(cnf.num_vars)
         self._clause_end.append(len(cnf.clauses))
 
-    # -- per-budget views -----------------------------------------------------
-
-    def encode(self, cycles: int) -> Encoding:
-        """The :class:`Encoding` for one budget, reusing built blocks.
-
-        The returned encoding's ``prefix_cycles_reused`` attribute counts
-        how many of its cycle blocks were already built by earlier calls.
-        """
-        if cycles < 1:
-            raise EncodeError("cycle budget must be at least 1")
-        reused = min(self._built, cycles)
-        while self._built < cycles:
-            self._build_block(self._built)
-
-        view = CNF()
-        view.num_vars = self._var_end[cycles]
-        view.clauses = list(self._master.clauses[: self._clause_end[cycles]])
-        clusters = self.spec.cluster_ids()
-        avail_vars = {
-            key: var for key, var in self._avail_vars.items() if key[0] < cycles
-        }
-        launch_vars = {
-            key: var
-            for key, var in self._launch_vars.items()
-            if key[0] < cycles
-        }
-
-        # family 5: goals computed within the budget.
-        for g in self.goal_roots:
-            if g in self.free:
-                continue
-            view.add_clause(
-                [avail_vars[(cycles - 1, g, c)] for c in clusters]
-            )
-        if self.options.launch_at_most_once:
-            per_term: Dict[ENode, List[int]] = {}
-            for (i, node, u), var in launch_vars.items():
-                per_term.setdefault(node, []).append(var)
-            for term_vars in per_term.values():
-                view.at_most_one(term_vars)
-
-        encoding = Encoding(
-            cnf=view,
-            cycles=cycles,
-            goal_classes=list(self.goal_roots),
-            machine_terms=list(self.machine_terms),
-            support_classes=list(self.support),
-            free_classes=self.free,
-            launch_vars=launch_vars,
-            avail_vars=avail_vars,
-            spec=self.spec,
-            latency_overrides=dict(self.latency_overrides),
-            prefix_cycles_reused=reused,
-        )
-        return encoding
-
     # -- budget selectors (the persistent-solver path) ------------------------
     #
     # The incremental solver keeps *one* clause database for the whole probe
@@ -913,7 +855,7 @@ class IncrementalEncoder:
         # Emit through the master CNF builder (so auxiliary variables of
         # the cardinality ladder are allocated there), then peel the
         # clauses off and gate them: the master clause list must stay a
-        # pure concatenation of cycle blocks for the ``encode`` views.
+        # pure concatenation of cycle blocks.
         start = len(m.clauses)
         for g in self.goal_roots:
             if g in self.free:
@@ -984,5 +926,4 @@ class IncrementalEncoder:
             },
             spec=self.spec,
             latency_overrides=dict(self.latency_overrides),
-            prefix_cycles_reused=min(self._built, cycles),
         )

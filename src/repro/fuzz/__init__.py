@@ -7,8 +7,10 @@ the answers agree (:mod:`repro.fuzz.oracles`):
 
 * emitted assembly, executed on the EV6 simulator, vs the reference
   term evaluator;
-* the incremental SAT path vs a from-scratch solver, byte-for-byte;
-* all three probe strategies (binary / linear / portfolio);
+* the incremental SAT ladder vs a fresh solver on the same formula,
+  byte-for-byte;
+* both probe strategies (binary / linear);
+* dirty-cone vs full-scan saturation fixpoints;
 * brute-force baseline output on small goals.
 
 Failures are delta-debugged to minimal reproducers

@@ -21,9 +21,9 @@ cone of classes touched since the previous round began — Simplify's
 mod-time optimisation, which the E-graph supports through its touch
 journal (:meth:`EGraph.dirty_cone`).  The cone is refreshed whenever an
 assertion changes the graph mid-round, so the incremental scan discovers
-exactly the matches a full re-scan would, in the same bucket order; the
-full-scan path stays available (``SaturationConfig.incremental_match =
-False``) as a differential oracle.
+exactly the matches a full re-scan would, in the same bucket order (the
+fuzzer's ``matching`` oracle checks this against an engine that rescans
+every round).
 
 The engine stops when a round changes nothing (true quiescence) or when a
 budget is exhausted, in which case the result is marked non-quiescent —
@@ -67,9 +67,6 @@ class SaturationConfig:
     # is off unless the pipeline detects such a target.
     synthesize_mask_alternatives: bool = False
     max_pow2_exponent: int = 63
-    # Match only against the dirty cone after the first round.  The full
-    # re-scan path (False) is kept as a differential oracle.
-    incremental_match: bool = True
     # Tiered axiom scheduling (Caviar-style): defer *expansive* axioms —
     # clauses and equalities whose non-trigger side is strictly larger
     # than the trigger side — for the first ``tier_cheap_rounds`` rounds,
@@ -98,7 +95,6 @@ class SaturationStats:
     quiescent: bool = False
     enodes: int = 0
     classes: int = 0
-    incremental: bool = True
     matches_attempted: int = 0  # head candidates handed to the matcher
     matches_found: int = 0  # substitutions produced
     matches_pruned: int = 0  # head candidates skipped by the stamp filter
@@ -214,7 +210,6 @@ class SaturationEngine:
         cfg = self.config
         eg = self.eg
         stats = self.stats
-        stats.incremental = bool(cfg.incremental_match)
         timer = time.perf_counter
         all_axioms = list(self.axioms)
         # Tier partition (static, pattern-shape-based).  Tiering is inert
@@ -229,8 +224,8 @@ class SaturationEngine:
         stats.tiered = tiering
         tier_active = not tiering
         tier_debut = False  # expansive axioms need one full scan on debut
-        # None = full scan (round one, or incremental matching disabled);
-        # otherwise the version stamp the round's dirty cone is relative to.
+        # None = full scan (round one); otherwise the version stamp the
+        # round's dirty cone is relative to.
         since: Optional[int] = None
         for round_index in range(cfg.max_rounds):
             stats.rounds = round_index + 1
@@ -281,7 +276,7 @@ class SaturationEngine:
             if eg.enodes_at_least(cfg.max_enodes):
                 stats.budget_hits.setdefault("max_enodes_round", stats.rounds)
                 break
-            since = before if cfg.incremental_match else None
+            since = before
         if not stats.quiescent and "max_enodes_round" not in stats.budget_hits:
             stats.budget_hits["max_rounds"] = stats.rounds
         stats.enodes = self.eg.num_enodes()
@@ -356,7 +351,7 @@ class SaturationEngine:
 
     def _fold_constants(self, since: Optional[int]) -> None:
         eg = self.eg
-        if self.config.incremental_match and since is not None:
+        if since is not None:
             self._refresh_cone(since)
             cone = self._cone
             if not cone:
@@ -480,7 +475,7 @@ class SaturationEngine:
         cfg = self.config
         eg = self.eg
         stats = self.stats
-        incremental = cfg.incremental_match and since is not None
+        incremental = since is not None
         timer = time.perf_counter
         budget_hit = False
         stop = False

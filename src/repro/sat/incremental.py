@@ -31,9 +31,8 @@ artifact of the gating (a positive ``s_K`` can only be forced when the
 formula plus the probe's own assumptions is already unsatisfiable).
 
 The instance is thread-safe: a reentrant lock serialises mutation and
-solving, which is what lets the portfolio scheduler share one solver —
-losing probes block on the lock, observe their cancellation token via
-``stop_check`` on entry, and release the solver without corrupting it.
+solving, and a solve abandoned through ``stop_check`` leaves the solver
+usable.
 """
 
 from __future__ import annotations

@@ -65,8 +65,6 @@ class JobSpec:
     verify: bool = True
     load_latency: int = 3
     miss_latency: int = 12
-    incremental: bool = True  # persistent solver across the probe ladder
-    incremental_match: bool = True  # dirty-cone matching during saturation
     axiom_tiers: bool = False  # tiered (cheap-first) axiom scheduling
     backend: str = "sat"  # "sat" | "stochastic" | "race"
     extraction: str = "greedy"  # "greedy" | "exact" schedule selection
@@ -89,12 +87,33 @@ class JobSpec:
         if unknown:
             raise JobError("unknown job spec fields: %s" % sorted(unknown))
         spec = cls(**data)
+        # Reject what a worker would refuse here, so the service answers
+        # 400 instead of failing the job inside a worker.
         lo, hi = spec.min_cycles, spec.max_cycles
-        # Reject an empty cycle window here, so the service answers 400
-        # instead of failing the job inside a worker.
         if not (type(lo) is int and type(hi) is int and 1 <= lo <= hi):
             raise JobError(
                 "need 1 <= min_cycles <= max_cycles, got %r and %r" % (lo, hi)
+            )
+        from repro.core.pipeline import BACKENDS, EXTRACTION_MODES
+        from repro.core.probes import SearchStrategy
+        from repro.isa.targets import get_target, target_names
+
+        for name, value, allowed in (
+            ("strategy", spec.strategy, [s.value for s in SearchStrategy]),
+            ("backend", spec.backend, BACKENDS),
+            ("extraction", spec.extraction, EXTRACTION_MODES),
+        ):
+            if value not in allowed:
+                raise JobError(
+                    "unknown %s %r (expected one of %s)"
+                    % (name, value, ", ".join(allowed))
+                )
+        try:
+            get_target(spec.arch)
+        except KeyError:
+            raise JobError(
+                "unknown arch %r (expected a target or alias of %s)"
+                % (spec.arch, ", ".join(target_names()))
             )
         return spec
 
@@ -115,8 +134,6 @@ _SEMANTIC_FIELDS = (
     "verify",
     "load_latency",
     "miss_latency",
-    "incremental",
-    "incremental_match",
     "axiom_tiers",
     "backend",
     "extraction",
@@ -180,11 +197,7 @@ def run_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
 def _build_spec(spec: JobSpec):
     from repro.isa.targets import get_target
 
-    try:
-        target = get_target(spec.arch)
-    except KeyError:
-        raise JobError("unknown arch %r" % spec.arch)
-    return target.spec(load_latency=spec.load_latency)
+    return get_target(spec.arch).spec(load_latency=spec.load_latency)
 
 
 def _compile(spec: JobSpec) -> Dict[str, Any]:
@@ -221,7 +234,6 @@ def _compile(spec: JobSpec) -> Dict[str, Any]:
         strategy=SearchStrategy(spec.strategy),
         verify=spec.verify,
         miss_latency=spec.miss_latency,
-        enable_incremental_solver=spec.incremental,
         backend=spec.backend,
         extraction=spec.extraction,
         seed=spec.seed,
@@ -233,7 +245,6 @@ def _compile(spec: JobSpec) -> Dict[str, Any]:
         saturation=SaturationConfig(
             max_rounds=spec.max_rounds,
             max_enodes=spec.max_enodes,
-            incremental_match=spec.incremental_match,
             axiom_tiers=spec.axiom_tiers,
         ),
     )
@@ -390,7 +401,6 @@ class CompilationEngine:
         # "saturation" block of /v1/metrics, incl. budget truncations).
         self._saturation_totals: Dict[str, int] = {
             "sessions": 0,
-            "incremental_sessions": 0,
             "rounds": 0,
             "quiescent": 0,
             "instances_asserted": 0,

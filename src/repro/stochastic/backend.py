@@ -106,7 +106,6 @@ class StochasticProbe:
             time_seconds=outcome.time_seconds,
             solve_seconds=outcome.time_seconds,
             solver="stochastic",
-            cancelled=any(c.cancelled for c in outcome.chains),
         )
 
 

@@ -142,6 +142,48 @@ class TestCli:
             result = CdclSolver().solve(cnf)
             assert result.satisfiable is not None
 
+    def test_dimacs_dumps_the_solved_formula(
+        self, source_file, tmp_path, capsys
+    ):
+        """Each dump is the formula its probe solved — latency overrides
+        included — not a re-encoding with the architectural latencies."""
+        from repro.axioms import default_axiom_corpus
+        from repro.core.pipeline import Denali, DenaliConfig
+        from repro.isa import get_target
+        from repro.lang import parse_program, translate_procedure
+        from repro.sat import CdclSolver, from_dimacs
+
+        out_dir = str(tmp_path / "cnf")
+        status = main([source_file(MISS), "--miss-latency", "9",
+                       "--dimacs", out_dir])
+        assert status == 0
+        program = parse_program(MISS)
+        den = Denali(
+            get_target("ev6").spec(),
+            axioms=default_axiom_corpus(program.registry, "ev6"),
+            registry=program.registry,
+            config=DenaliConfig(miss_latency=9),
+        )
+        [(label, gma)] = translate_procedure(
+            program.procedures[0], program.registry
+        )
+        result = den.compile_gma(gma, label=label)
+        probes = {p.cycles: p for p in result.search.probes}
+        assert sorted(os.listdir(out_dir)) == sorted(
+            "%s.K%d.cnf" % (label, k) for k in probes
+        )
+        for k, probe in probes.items():
+            with open(os.path.join(out_dir, "%s.K%d.cnf" % (label, k))) as f:
+                cnf = from_dimacs(f.read())
+            # The probe's clauses plus the selector it was solved under.
+            assert len(cnf.clauses) == probe.clauses + 1
+            assert CdclSolver().solve(cnf).satisfiable == probe.satisfiable
+            reference = den.reference_encoding(result, k).cnf
+            assert len(cnf.clauses) == len(reference.clauses)
+        # Under the 9-cycle miss, ld + add cannot finish in 9 cycles.
+        below = den.reference_encoding(result, 9).cnf
+        assert CdclSolver().solve(below).satisfiable is False
+
 
 class TestWholeProcedure:
     def test_whole_flag_emits_stitched_program(self, source_file, capsys):
@@ -255,24 +297,25 @@ class TestStatsJson:
         assert status == 0
         report = json.load(open(path))
         sat = report["gmas"][0]["saturation"]
-        assert sat["incremental"] is True
+        assert "incremental" not in sat
         assert {"matches_attempted", "matches_found", "matches_pruned",
                 "budget_hits", "per_axiom", "phase_seconds"} <= set(sat)
         totals = report["totals"]["saturation"]
         assert totals["sessions"] == len(report["gmas"])
         assert "budget_hits" in totals
 
-    def test_no_incremental_match_flag(self, source_file, tmp_path, capsys):
-        import json
-
-        path = str(tmp_path / "stats.json")
-        status = main([source_file(SIMPLE), "--quiet",
-                       "--no-incremental-match", "--stats-json", path])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "s4addq" in out  # the naive path emits the same optimum
-        report = json.load(open(path))
-        assert report["gmas"][0]["saturation"]["incremental"] is False
+    def test_removed_path_options_are_usage_errors(
+        self, source_file, capsys
+    ):
+        # One ladder, one solver, one matcher: the options that selected
+        # the portfolio scheduler, the per-probe scratch solver and the
+        # full-rescan matcher are gone.
+        for argv in (
+            ["--strategy", "portfolio"],
+            ["--no-incremental"],
+            ["--no-incremental-match"],
+        ):
+            assert main([source_file(SIMPLE)] + argv) == 2, argv
 
     def test_cycle_floor_schema(self, source_file, tmp_path, capsys):
         """Both reports carry the ladder's floor and optimality proof."""

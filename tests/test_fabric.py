@@ -128,6 +128,19 @@ class TestSingleNode:
             fabric_probe.close()
             server.stop(drain=False)
 
+    def test_unknown_strategy_submit_400(self, node):
+        from repro.service import ServiceError
+
+        client = ServiceClient(node.url)
+        try:
+            spec = compile_spec().to_dict()
+            spec["strategy"] = "portfolio"
+            with pytest.raises(ServiceError, match="400.*unknown strategy"):
+                client._request("/v1/submit", {"jobs": [spec]})
+            assert client.metrics()["jobs"]["submitted"] == 0
+        finally:
+            client.close()
+
     def test_unknown_job_and_route(self, node):
         client = ServiceClient(node.url)
         try:

@@ -13,6 +13,7 @@ from repro.fuzz.oracles import (
     ORACLE_ASM,
     ORACLE_CRASH,
     ORACLE_EXTRACTION,
+    ORACLE_FLOOR,
     ORACLE_SOLVER,
     ORACLE_STRATEGY,
 )
@@ -33,7 +34,8 @@ class TestCheckCase:
         # Every enabled oracle with an eligible GMA actually compared.
         assert report.checks.get(ORACLE_ASM) == report.compiled
         assert report.checks.get(ORACLE_SOLVER) == report.compiled
-        assert report.checks.get(ORACLE_STRATEGY) == 2 * report.compiled
+        # One alternative strategy (linear) per GMA.
+        assert report.checks.get(ORACLE_STRATEGY) == report.compiled
 
     def test_accepts_raw_source(self):
         report = check_case(
@@ -68,6 +70,81 @@ class TestCheckCase:
         report = check_case(generate_case(11), options)
         assert report.failing_oracles() == (ORACLE_EXTRACTION,)
         assert "floor" in report.divergences[0].detail
+
+    def test_solver_paths_catches_a_false_refutation(self, monkeypatch):
+        # The ladder "refutes" K=1 without solving; a fresh solve of the
+        # reference formula at K=1 finds the one-cycle addq.
+        from repro.sat.incremental import IncrementalSolver
+        from repro.sat.solver import SatResult
+
+        real = IncrementalSolver.solve_budget
+
+        def refute_one(self, cycles, *args, **kwargs):
+            if cycles == 1:
+                return SatResult(satisfiable=False)
+            return real(self, cycles, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalSolver, "solve_budget", refute_one)
+        options = OracleOptions().narrowed_to(ORACLE_SOLVER)
+        report = check_case(
+            "(\\procdecl t ((a long)) long (:= (\\res (+ a 1))))", options
+        )
+        assert report.failing_oracles() == (ORACLE_SOLVER,)
+        assert "one-shot formula there is SAT" in (
+            report.divergences[0].detail
+        )
+
+    def test_floor_catches_a_term_the_ladder_encoder_drops(
+        self, monkeypatch
+    ):
+        # The ladder's encoder loses the s4addq row, so its floor (and
+        # optimum) is the 2-cycle sll+addq; the one-shot encode_schedule
+        # the floor oracle solves still has the 1-cycle s4addq.
+        import repro.encode.constraints as constraints
+
+        real_init = constraints.IncrementalEncoder.__init__
+        real_rows = constraints._term_rows
+
+        def rows_without_s4addq(*args, **kwargs):
+            return [
+                row for row in real_rows(*args, **kwargs)
+                if row.node.op != "s4addq"
+            ]
+
+        def init(self, *args, **kwargs):
+            constraints._term_rows = rows_without_s4addq
+            try:
+                real_init(self, *args, **kwargs)
+            finally:
+                constraints._term_rows = real_rows
+
+        monkeypatch.setattr(constraints.IncrementalEncoder, "__init__", init)
+        options = OracleOptions().narrowed_to(ORACLE_FLOOR)
+        report = check_case(
+            "(\\procdecl s ((a long)) long (:= (\\res (+ (* a 4) 1))))",
+            options,
+        )
+        assert report.failing_oracles() == (ORACLE_FLOOR,)
+        assert "one-shot solve at 1 cycles is SAT" in (
+            report.divergences[0].detail
+        )
+
+    def test_matching_catches_a_diverging_fixpoint(self, monkeypatch):
+        from repro.fuzz.oracles import ORACLE_MATCHING, FullScanEngine
+
+        # A full-scan engine that never instantiates an axiom stops at a
+        # smaller fixpoint than the dirty-cone engine.
+        monkeypatch.setattr(
+            FullScanEngine, "_instantiate_axioms",
+            lambda self, since, axioms=None: False,
+        )
+        options = OracleOptions().narrowed_to(ORACLE_MATCHING)
+        report = check_case(
+            "(\\procdecl s ((a long)) long (:= (\\res (+ (* a 4) 1))))",
+            options,
+        )
+        assert report.failing_oracles() == (ORACLE_MATCHING,)
+        assert "full-scan saturation" in report.divergences[0].detail
 
     def test_all_oracles_constant(self):
         assert set(ALL_ORACLES) == {

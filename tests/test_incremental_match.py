@@ -3,7 +3,7 @@
 Covers the E-graph's mod-time journal (``changed_since`` / ``dirty_cone``
 / ``extend_cone``), snapshot/restore, the stamp-filtered ``ematch_since``
 scan, dedupe-key recanonicalization after merges, budget-hit telemetry,
-partition signatures, and the incremental-vs-naive saturation fixpoint
+partition signatures, and the dirty-cone-vs-full-scan saturation fixpoint
 parity the ``matching`` fuzz oracle enforces.
 """
 
@@ -326,12 +326,14 @@ class TestPartitionSignature:
 
 class TestFixpointParity:
     def _run(self, build, axioms, reg=None):
+        """Saturate with the dirty-cone engine, then the full-scan one."""
+        from repro.fuzz.oracles import FullScanEngine
+
         results = []
-        for incremental in (True, False):
-            cfg = SaturationConfig(incremental_match=incremental)
+        for engine in (SaturationEngine, FullScanEngine):
             eg = EGraph()
             build(eg)
-            stats = saturate(eg, axioms, reg, cfg)
+            stats = engine(eg, axioms, reg, SaturationConfig()).run()
             results.append((eg, stats))
         return results
 
@@ -367,7 +369,6 @@ class TestFixpointParity:
         )
         assert inc_eg.num_enodes() == nai_eg.num_enodes()
         assert partition_signature(inc_eg) == partition_signature(nai_eg)
-        assert inc_stats.incremental and not nai_stats.incremental
         # The incremental path must actually skip quiescent head nodes.
         assert inc_stats.matches_pruned > 0
         assert nai_stats.matches_pruned == 0
@@ -408,12 +409,11 @@ class TestStatsPlumbing:
             matches_found=9,
             matches_pruned=31,
             quiescent=True,
-            incremental=True,
             budget_hits={"max_matches": {"comm#0": 2}},
             per_axiom={"comm": {"seconds": 0.25, "matches": 9, "instances": 7}},
         )
         sat = stats.to_dict()["saturation"]
-        assert sat["incremental"] is True
+        assert "incremental" not in sat
         assert sat["matches_attempted"] == 40
         assert sat["matches_pruned"] == 31
         assert sat["budget_hits"] == {"max_matches": {"comm#0": 2}}
@@ -429,17 +429,17 @@ class TestStatsPlumbing:
         a = StageStats()
         a.saturation = SaturationStats(
             rounds=2, instances_asserted=5, matches_attempted=10,
-            matches_pruned=4, quiescent=True, incremental=True,
+            matches_pruned=4, quiescent=True,
         )
         b = StageStats()
         b.saturation = SaturationStats(
             rounds=4, instances_asserted=1, matches_attempted=6,
-            matches_pruned=0, quiescent=False, incremental=False,
+            matches_pruned=0, quiescent=False,
             budget_hits={"max_rounds": 4, "max_matches": {"x#0": 3}},
         )
         agg = aggregate_stats([a, b])["saturation"]
         assert agg["sessions"] == 2
-        assert agg["incremental_sessions"] == 1
+        assert "incremental_sessions" not in agg
         assert agg["rounds"] == 6
         assert agg["quiescent"] == 1
         assert agg["matches_attempted"] == 16
@@ -490,17 +490,3 @@ class TestSaturationHandle:
     def test_cache_disabled_leaves_snapshot_unset(self):
         handle = self._session(enable_saturation_cache=False).saturate()
         assert handle.snapshot is None
-
-    def test_key_separates_matching_modes(self):
-        from repro.core.cache import saturation_key
-
-        reg = default_registry()
-        axioms = math_axioms(reg)
-        goals = (mk("add64", inp("a"), const(1)),)
-        inc = saturation_key(
-            goals, axioms, reg, SaturationConfig(incremental_match=True)
-        )
-        naive = saturation_key(
-            goals, axioms, reg, SaturationConfig(incremental_match=False)
-        )
-        assert inc != naive

@@ -3,9 +3,13 @@
 Unit tests exercise :class:`repro.sat.incremental.IncrementalSolver`
 directly (budget selectors, learned-clause retention and retirement,
 assumption handling, canonical models); the differential tests compile
-the committed workloads both ways — one persistent solver per session
-versus a fresh ``CdclSolver`` per probe — and require the same verdict
-on every probe and byte-identical assembly.
+the committed workloads on the probe ladder's one persistent solver and
+re-solve every probed budget's standalone formula
+(:meth:`~repro.core.pipeline.Denali.reference_encoding`) with a fresh
+``CdclSolver``: the verdicts must match, the one-shot encoder
+(:func:`~repro.encode.encode_schedule`) must agree on each of them, and
+the reference model at the optimum must decode to byte-identical
+assembly.
 """
 
 import itertools
@@ -193,11 +197,11 @@ class TestCanonicalModel:
         assert res.model == {1: False, 2: True, 3: True, 4: False}
 
 
-# -- differential: one solver per session vs one per probe --------------------
+# -- differential: the ladder vs a fresh solver on the reference formula -------
 
 
-def _compile_workload(name, incremental, strategy="linear"):
-    """Compile every GMA of a workload; returns (probe map, assemblies)."""
+def _compile_workload(name, strategy="linear"):
+    """Compile every GMA of a workload; returns (denali, [(gma, result)])."""
     from repro.axioms import (
         AxiomSet,
         alpha_axioms,
@@ -223,38 +227,48 @@ def _compile_workload(name, incremental, strategy="linear"):
         max_cycles=10,
         strategy=SearchStrategy(strategy),
         verify=False,
-        enable_incremental_solver=incremental,
         saturation=SaturationConfig(max_rounds=8, max_enodes=2500),
     )
     den = Denali(ev6(), axioms=axioms, registry=prog.registry, config=config)
-    verdicts, assemblies = {}, {}
+    compiled = []
     for proc in prog.procedures:
         for label, gma in translate_procedure(proc, prog.registry):
-            result = den.compile_gma(gma, label=label)
-            verdicts[label] = {
-                p.cycles: p.satisfiable for p in result.stats.probes
-            }
-            assemblies[label] = (
-                result.assembly if result.schedule is not None else None
-            )
-            # Probes pre-empted by the portfolio scheduler never ran a
-            # solver; every probe that did must name the right one.
-            expected = "incremental" if incremental else "scratch"
-            assert all(
-                p.solver == expected
-                for p in result.stats.probes
-                if not p.cancelled
-            )
-    return verdicts, assemblies
+            compiled.append((gma, den.compile_gma(gma, label=label)))
+    return den, compiled
 
 
-def _assert_agree(name, strategy="linear", compare_verdicts=True):
-    v_inc, a_inc = _compile_workload(name, True, strategy)
-    v_scr, a_scr = _compile_workload(name, False, strategy)
-    if compare_verdicts:
-        assert v_inc == v_scr, "probe verdicts diverged on %s" % name
-    assert a_inc == a_scr, "assembly diverged on %s" % name
-    assert all(asm is not None for asm in a_inc.values())
+def _assert_agree(name, strategy="linear"):
+    from repro.core.emit import extract_schedule
+    from repro.encode import encode_schedule
+
+    den, compiled = _compile_workload(name, strategy)
+    for gma, result in compiled:
+        assert result.schedule is not None
+        eg, goals = result.egraph, result.goal_classes
+        unsafe = den._unsafe_terms(eg, gma, goals)
+        overrides = den._latency_overrides(eg, gma)
+        verdicts = {p.cycles: p.satisfiable for p in result.stats.probes}
+        assert all(p.solver == "incremental" for p in result.stats.probes)
+        if result.cycles > 1:
+            # The budget below the optimum is refuted, by a probe or by
+            # the floor; the reference must refute it too.
+            verdicts.setdefault(result.cycles - 1, False)
+        for k, verdict in verdicts.items():
+            reference = den.reference_encoding(result, k)
+            answer = CdclSolver().solve(reference.cnf, canonical_model=True)
+            assert answer.satisfiable == verdict, (gma, k)
+            one_shot = encode_schedule(
+                eg, den.spec, goals, k, den.config.encoding, unsafe, overrides
+            )
+            assert CdclSolver().solve(one_shot.cnf).satisfiable == verdict
+            if k == result.cycles:
+                decoded = extract_schedule(
+                    eg, reference, answer.model,
+                    den._default_input_registers(gma),
+                )
+                assert decoded.render() == result.assembly, (
+                    "assembly diverged on %s" % name
+                )
 
 
 class TestDifferential:
@@ -271,18 +285,6 @@ class TestDifferential:
     @pytest.mark.slow
     def test_byteswap4_binary(self):
         _assert_agree("byteswap4.dn", strategy="binary")
-
-    def test_fig2_portfolio(self):
-        # The portfolio scheduler shares the session's one solver across
-        # worker threads and cancels losers; cancellation order is
-        # timing-dependent, so only the answers are compared.
-        _assert_agree("fig2.dn", strategy="portfolio",
-                      compare_verdicts=False)
-
-    @pytest.mark.slow
-    def test_checksum_portfolio(self):
-        _assert_agree("checksum.dn", strategy="portfolio",
-                      compare_verdicts=False)
 
 
 class TestRetireDifferential:

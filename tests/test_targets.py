@@ -135,17 +135,13 @@ class TestRV64Pipeline:
     def test_deterministic_across_strategies(self):
         goal = mk("mul64", mk("add64", inp("a"), const(3)), const(8))
         outputs = []
-        for strategy in (
-            SearchStrategy.BINARY,
-            SearchStrategy.LINEAR,
-            SearchStrategy.PORTFOLIO,
-        ):
+        for strategy in (SearchStrategy.BINARY, SearchStrategy.LINEAR):
             res = Denali(
                 rv64(), config=_config(strategy=strategy)
             ).compile_term(goal)
             assert res.schedule is not None
             outputs.append((res.cycles, res.schedule.render()))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_deterministic_across_fresh_pipelines(self):
         first = Denali(rv64(), config=_config()).compile_term(FIG2)
