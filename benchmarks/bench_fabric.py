@@ -1,33 +1,25 @@
-"""E-fabric — sharded fabric soak vs the pre-PR single-node stack.
+"""E-fabric — soak of the sharded fabric on one and three nodes.
 
 Drives thousands of concurrent jobs (the fig2 + byteswap4 + checksum
 mix, seed-varied into distinct fingerprints, then repeated hot) against
-three topologies:
+two topologies:
 
-* **blocking** — the pre-PR stack: blocking ``ThreadingHTTPServer``
-  front end plus the legacy per-request ``urllib`` client (one TCP
-  connection + full HTTP parse per call), warm store;
 * **fabric 1-node** — one :class:`FabricNode` (asyncio front end,
-  keep-alive clients, bounded admission), warm store;
+  keep-alive clients, bounded admission), warm store; this is what a
+  plain ``repro serve`` runs;
 * **fabric 3-node** — three nodes on localhost, ring-sharded, gossip
   replication on.
 
 The soak phase is store-hit dominated on purpose: with the corpus and
 results warm, the request path (accept, parse, route, respond) is the
-bottleneck, which is exactly what the fabric rebuilt — and the only
-axis that can show on a 1-CPU runner, where three Python nodes share
-one core and CPU-bound 3-node scaling is physically unmeasurable
-(measured there, fabric3/fabric1 is ~0.7-0.8x: pure process overhead).
-Gates are therefore tiered by what the machine can prove:
+bottleneck.  Throughput is recorded, not gated: the blocking HTTP
+server the fabric was once gated against has been deleted, and
+three-node scaling is unmeasurable on a small runner (three Python
+nodes sharing one core run at ~0.7x one node: pure process overhead).
+Regression cover for the fabric's request path is the ``service-mix``
+workload of ``perfsuite/``.
 
-* with >= 4 cores (3 nodes + driver): fabric 3-node >= 2.5x the
-  blocking baseline's soak throughput;
-* always (full matrix): fabric 1-node >= 2.0x blocking, fabric 3-node
-  >= 1.5x blocking, and fabric 3-node soak p99 <= half the blocking
-  p99 — the tail is where the blocking stack collapses (~1s p99 at 16
-  concurrent clients vs ~50ms for the fabric).
-
-Also measured, per the ISSUE:
+Also measured:
 
 * **shed behaviour** — a tiny ``--max-queue`` node under a sleep-job
   burst must shed (429) with ``Retry-After`` in [1, 30] while every
@@ -37,12 +29,14 @@ Also measured, per the ISSUE:
   warmed fabric and had the corpus shipped;
 * **byte-identical assembly** across all topologies.
 
-Env knobs (CI smoke): ``BENCH_FABRIC_JOBS`` (soak submissions per
-topology, default 3000), ``BENCH_FABRIC_THREADS`` (default 16),
-``BENCH_FABRIC_PROFILES`` (csv subset of blocking,fabric1,fabric3).
-Gates assert only on a full run (all profiles, >= 2000 jobs).
-Results land in ``benchmarks/out/bench_fabric.json``; the repo-root
-``BENCH_fabric.json`` summary tracks the trajectory across PRs.
+Gated on every run: zero lost or failed jobs, identical assembly, the
+shed behaviour and corpus shipping.  Env knobs (CI smoke):
+``BENCH_FABRIC_JOBS`` (soak submissions per topology, default 3000),
+``BENCH_FABRIC_THREADS`` (default 16), ``BENCH_FABRIC_PROFILES`` (csv
+subset of fabric1,fabric3).  Results land in
+``benchmarks/out/bench_fabric.json``; a full run (both profiles, >= 2000
+jobs) also rewrites the repo-root ``BENCH_fabric.json`` summary, which
+tracks the trajectory across changes.
 """
 
 from __future__ import annotations
@@ -51,8 +45,6 @@ import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 
 from benchmarks.conftest import output_dir
 
@@ -66,13 +58,11 @@ THREADS = int(os.environ.get("BENCH_FABRIC_THREADS", "16"))
 PROFILES = [
     p.strip()
     for p in os.environ.get(
-        "BENCH_FABRIC_PROFILES", "blocking,fabric1,fabric3"
+        "BENCH_FABRIC_PROFILES", "fabric1,fabric3"
     ).split(",")
     if p.strip()
 ]
-FULL_RUN = (
-    set(PROFILES) == {"blocking", "fabric1", "fabric3"} and JOBS >= 2000
-)
+FULL_RUN = set(PROFILES) == {"fabric1", "fabric3"} and JOBS >= 2000
 
 
 def _specs(seeds=(0,), timeout=300.0):
@@ -109,59 +99,8 @@ def _percentile(values, q):
     return ordered[index]
 
 
-class _LegacyClient:
-    """The pre-PR client: one urllib connection per request."""
-
-    def __init__(self, url, timeout=30.0):
-        self.url = url.rstrip("/")
-        self.timeout = timeout
-
-    def _request(self, path, body=None):
-        data = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            self.url + path, data=data, headers=headers
-        )
-        # Retry TCP-level transients (accept-backlog resets under the
-        # thread burst) so the zero-lost gate measures jobs, not RSTs;
-        # the fabric client retries these too.
-        for attempt in range(3):
-            try:
-                with urllib.request.urlopen(
-                    req, timeout=self.timeout
-                ) as resp:
-                    payload = json.loads(resp.read().decode("utf-8"))
-                    payload["_http_status"] = resp.status
-                    return payload
-            except urllib.error.HTTPError as exc:
-                payload = json.loads(exc.read().decode("utf-8") or "{}")
-                payload["_http_status"] = exc.code
-                return payload
-            except (urllib.error.URLError, OSError):
-                if attempt == 2:
-                    raise
-                time.sleep(0.02 * (attempt + 1))
-
-    def submit(self, specs):
-        body = {"jobs": [spec.to_dict() for spec in specs]}
-        return self._request("/v1/submit", body)["ids"]
-
-    def result(self, job_id):
-        while True:
-            payload = self._request("/v1/jobs/%s/result" % job_id)
-            if payload["_http_status"] != 202:
-                return payload
-            time.sleep(0.01)
-
-    def close(self):
-        pass
-
-
 def _units(payload):
-    """label -> assembly, for blocking- or fabric-shaped results."""
+    """label -> assembly of one result payload."""
     result = payload.get("result", payload)
     return {
         unit["label"]: unit["assembly"] for unit in result.get("units", [])
@@ -234,24 +173,6 @@ def _warm_through(client, result_of, specs):
 
 
 # -- topologies ----------------------------------------------------------------
-
-
-def _run_blocking(specs, jobs, threads):
-    from repro.service import CompilationEngine, ResultStore, ServiceServer
-
-    engine = CompilationEngine(workers=2, store=ResultStore(None))
-    server = ServiceServer(engine)
-    server.start()
-    try:
-        warm_client = _LegacyClient(server.url)
-        assemblies = _warm_through(
-            warm_client, lambda c, i: c.result(i), specs
-        )
-        soak = _soak(lambda: _LegacyClient(server.url), specs, jobs, threads)
-    finally:
-        server.stop(drain=False)
-    soak["topology"] = "blocking (pre-PR server + per-request client)"
-    return soak, assemblies
 
 
 def _run_fabric(node_count, specs, jobs, threads):
@@ -419,10 +340,6 @@ def test_fabric_soak(report):
 
     runs = {}
     assemblies = {}
-    if "blocking" in PROFILES:
-        runs["blocking"], assemblies["blocking"] = _run_blocking(
-            distinct, JOBS, THREADS
-        )
     if "fabric1" in PROFILES:
         runs["fabric1"], assemblies["fabric1"] = _run_fabric(
             1, distinct, JOBS, THREADS
@@ -438,22 +355,6 @@ def test_fabric_soak(report):
     shed = _run_shed_phase()
     cold_warm = _run_cold_vs_warm()
 
-    speedup = None
-    fabric1_speedup = None
-    if "blocking" in runs and "fabric3" in runs:
-        base = runs["blocking"]["jobs_per_second"]
-        speedup = (
-            round(runs["fabric3"]["jobs_per_second"] / base, 2)
-            if base
-            else None
-        )
-    if "blocking" in runs and "fabric1" in runs:
-        base = runs["blocking"]["jobs_per_second"]
-        fabric1_speedup = (
-            round(runs["fabric1"]["jobs_per_second"] / base, 2)
-            if base
-            else None
-        )
     fabric_ratio = None
     if "fabric1" in runs and "fabric3" in runs:
         base = runs["fabric1"]["jobs_per_second"]
@@ -472,8 +373,6 @@ def test_fabric_soak(report):
         "assembly_identical_across_topologies": identical,
         "shed_phase": shed,
         "cold_vs_warm": cold_warm,
-        "fabric3_vs_blocking_speedup": speedup,
-        "fabric1_vs_blocking_speedup": fabric1_speedup,
         "fabric3_vs_fabric1_ratio_ungated": fabric_ratio,
     }
     with open(os.path.join(output_dir(), "bench_fabric.json"), "w") as handle:
@@ -483,7 +382,7 @@ def test_fabric_soak(report):
     lines = [
         "topology            jobs  done   jobs/s    p50ms    p99ms  err",
     ]
-    for key in ("blocking", "fabric1", "fabric3"):
+    for key in ("fabric1", "fabric3"):
         if key not in runs:
             continue
         entry = runs[key]
@@ -518,16 +417,6 @@ def test_fabric_soak(report):
             cold_warm["speedup"] or 0.0,
         )
     )
-    if speedup is not None:
-        lines.append(
-            "fabric 3-node vs blocking baseline: %.2fx "
-            "(gate >= 2.5x with >= 4 cores, >= 1.5x on fewer)" % speedup
-        )
-    if fabric1_speedup is not None:
-        lines.append(
-            "fabric 1-node vs blocking baseline: %.2fx  (gate >= 2.0x)"
-            % fabric1_speedup
-        )
     if fabric_ratio is not None:
         lines.append(
             "fabric 3-node vs 1-node: %.2fx on %d CPU(s) (ungated)"
@@ -550,23 +439,6 @@ def test_fabric_soak(report):
     assert cold_warm["warm_corpus_source"] == "shipped"
     assert cold_warm["cold_corpus_source"] == "cold"
 
-    # Throughput gates: only meaningful on the full matrix.  The
-    # headline 2.5x 3-node claim needs cores for three nodes plus the
-    # driver; on fewer, gate what one CPU can legitimately show.
-    if FULL_RUN:
-        assert fabric1_speedup is not None and fabric1_speedup >= 2.0, (
-            "fabric 1-node must beat the pre-PR stack >= 2x, got %r"
-            % fabric1_speedup
-        )
-        floor = 2.5 if (os.cpu_count() or 1) >= 4 else 1.5
-        assert speedup is not None and speedup >= floor, (
-            "fabric 3-node must beat the pre-PR stack >= %.1fx on "
-            "%d CPU(s), got %r" % (floor, os.cpu_count() or 1, speedup)
-        )
-        assert (
-            runs["fabric3"]["p99_ms"] <= runs["blocking"]["p99_ms"] / 2
-        ), "fabric soak p99 must at least halve the blocking stack's"
-
 
 def _write_summary(result):
     """The repo-root BENCH_fabric.json trajectory entry (full runs)."""
@@ -576,7 +448,7 @@ def _write_summary(result):
         os.path.dirname(os.path.abspath(__file__))
     )
     summary = {
-        "bench": "fabric soak: sharded nodes vs pre-PR blocking stack",
+        "bench": "fabric soak: one node vs three sharded nodes",
         "jobs": result["jobs"],
         "threads": result["threads"],
         "cpus": result["cpus"],
@@ -587,12 +459,6 @@ def _write_summary(result):
         "p99_ms": {
             key: entry["p99_ms"] for key, entry in result["soak"].items()
         },
-        "fabric3_vs_blocking_speedup": result[
-            "fabric3_vs_blocking_speedup"
-        ],
-        "fabric1_vs_blocking_speedup": result[
-            "fabric1_vs_blocking_speedup"
-        ],
         "fabric3_vs_fabric1_ratio_ungated": result[
             "fabric3_vs_fabric1_ratio_ungated"
         ],
@@ -610,10 +476,9 @@ def _write_summary(result):
             "assembly_identical_across_topologies"
         ],
         "note": (
-            "soak is store-hit dominated (request-path bound); on a "
-            "1-CPU runner the 3-node fabric shares one core, so the "
-            "gated comparison is against the pre-PR blocking stack, "
-            "not fabric1"
+            "soak is store-hit dominated (request-path bound); "
+            "throughput is recorded, not gated (perfsuite's "
+            "service-mix workload carries the regression bound)"
         ),
     }
     with open(os.path.join(root, "BENCH_fabric.json"), "w") as handle:

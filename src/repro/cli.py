@@ -62,13 +62,10 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--target",
-        "--arch",
-        dest="target",
         choices=sorted(target_names()),
         default="ev6",
         help="target ISA, resolved through the repro.isa.targets registry "
-        "(default: ev6; `repro targets` lists them; --arch is the "
-        "backwards-compatible spelling)",
+        "(default: ev6; `repro targets` lists them)",
     )
     parser.add_argument(
         "--max-cycles", type=int, default=12, help="largest budget to try"
@@ -190,15 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json",
         metavar="FILE",
         default=None,
-        help="write a per-stage JSON report (timings, CNF sizes, cache "
-        "hit/miss counters for every probe) to FILE",
-    )
-    parser.add_argument(
-        "--profile-json",
-        metavar="FILE",
-        default=None,
-        help="write a probe-ladder profile (per-probe propagations, "
-        "conflicts, learned-clause reuse, and wall time per stage) to FILE",
+        help="write a per-stage JSON report (timings, CNF sizes, solver "
+        "and cache counters for every probe, run totals) to FILE",
     )
     parser.add_argument(
         "--whole",
@@ -212,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
-        description="run the compilation service (JSON over HTTP)",
+        description="run the compilation service: a fabric node serving "
+        "JSON over HTTP (one node unless --peers names others)",
     )
     parser.add_argument(
         "--version", action="version", version="repro %s" % __version__
@@ -249,30 +240,18 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log every HTTP request"
     )
     parser.add_argument(
-        "--fabric",
-        action="store_true",
-        help="serve as a fabric node: asyncio front end, consistent-hash "
-        "sharding over --peers, result gossip, load shedding",
-    )
-    parser.add_argument(
         "--peers",
         default=None,
         metavar="URLS",
-        help="comma-separated URLs of other fabric nodes (implies "
-        "--fabric)",
+        help="comma-separated URLs of other fabric nodes to join "
+        "(default: none, a one-node fabric)",
     )
     parser.add_argument(
         "--max-queue",
         type=int,
         default=512,
-        help="fabric admission bound: jobs admitted but unfinished "
-        "beyond this are shed with HTTP 429 (default: 512)",
-    )
-    parser.add_argument(
-        "--vnodes",
-        type=int,
-        default=64,
-        help="virtual nodes per fabric member on the hash ring",
+        help="admission bound: jobs admitted but unfinished beyond this "
+        "are shed with HTTP 429 (default: 512)",
     )
     return parser
 
@@ -576,7 +555,7 @@ def _compile_main(argv: List[str]) -> int:
     den = Denali(spec, axioms=axioms, registry=program.registry, config=config)
 
     collected_stats = []
-    if args.stats_json or args.profile_json:
+    if args.stats_json:
         from repro.core.session import add_observer
 
         add_observer(collected_stats.append)
@@ -642,24 +621,16 @@ def _compile_main(argv: List[str]) -> int:
                 status = EXIT_FAILURE
             print()
 
-    if args.stats_json or args.profile_json:
+    if args.stats_json:
         from repro.core.session import remove_observer
 
         remove_observer(collected_stats.append)
-        if args.stats_json:
-            try:
-                _write_stats_json(args, collected_stats)
-            except OSError as exc:
-                print("error writing %s: %s" % (args.stats_json, exc),
-                      file=sys.stderr)
-                status = EXIT_FAILURE
-        if args.profile_json:
-            try:
-                _write_profile_json(args, collected_stats)
-            except OSError as exc:
-                print("error writing %s: %s" % (args.profile_json, exc),
-                      file=sys.stderr)
-                status = EXIT_FAILURE
+        try:
+            _write_stats_json(args, collected_stats)
+        except OSError as exc:
+            print("error writing %s: %s" % (args.stats_json, exc),
+                  file=sys.stderr)
+            status = EXIT_FAILURE
     return status
 
 
@@ -667,35 +638,8 @@ def _compile_main(argv: List[str]) -> int:
 
 
 def _serve_main(argv: List[str]) -> int:
+    """Boot a fabric node; with no ``--peers`` it is a one-node fabric."""
     args = build_serve_parser().parse_args(argv)
-    if args.fabric or args.peers:
-        return _serve_fabric(args)
-    from repro.service import CompilationEngine, ResultStore, ServiceServer
-
-    engine = CompilationEngine(
-        workers=args.workers,
-        store=ResultStore(args.store),
-        max_retries=args.max_retries,
-        default_timeout=args.job_timeout,
-    )
-    server = ServiceServer(
-        engine, host=args.host, port=args.port, verbose=args.verbose
-    )
-    print(
-        "repro service listening on %s (%d workers, store=%s)"
-        % (server.url, args.workers, args.store or "memory"),
-        file=sys.stderr,
-    )
-    try:
-        server.serve_until_shutdown()
-    except KeyboardInterrupt:
-        print("draining...", file=sys.stderr)
-        server.stop()
-        return EXIT_INTERRUPTED
-    return EXIT_OK
-
-
-def _serve_fabric(args) -> int:
     from repro.fabric import FabricNode
 
     peers = [
@@ -710,7 +654,6 @@ def _serve_fabric(args) -> int:
         workers=args.workers,
         store_path=args.store,
         max_queue=args.max_queue,
-        vnodes=args.vnodes,
         max_retries=args.max_retries,
         default_timeout=args.job_timeout,
         verbose=args.verbose,
@@ -812,14 +755,10 @@ def _batch_main(argv: List[str]) -> int:
 
 
 def _batch_remote(args, specs) -> int:
-    from repro.service import ServiceClient, ServiceError
+    from repro.fabric import FabricClient
+    from repro.service import ServiceError
 
-    client = ServiceClient(args.url)
-    # A fabric node answers /v1/fabric/ring; route on the ring if so.
-    from repro.fabric import FabricClient, is_fabric
-
-    if is_fabric(client):
-        client = FabricClient(args.url, shed_retries=3)
+    client = FabricClient(args.url, shed_retries=3)
     status = EXIT_OK
     try:
         ids = client.submit(specs)
@@ -1070,133 +1009,6 @@ def _write_stats_json(args, collected) -> None:
         },
     }
     with open(args.stats_json, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
-
-def _write_profile_json(args, collected) -> None:
-    """Write the probe-ladder profile: where each compilation's time went.
-
-    Narrower than ``--stats-json``: per probe it keeps only the solver's
-    hot-path counters (propagations, conflicts, learned clauses and how
-    many carried over from earlier probes) plus the encode/solve/extract
-    wall-time split, and per GMA the stage totals.  ``perfsuite/``
-    measures the same layers cold, across changes.
-    """
-    import json
-
-    from repro.core.session import aggregate_stats
-
-    gmas = []
-    totals = {"propagations": 0, "conflicts": 0, "learned": 0,
-              "learned_reused": 0}
-    sat_totals = {"matches_attempted": 0, "matches_found": 0,
-                  "matches_pruned": 0, "instances_asserted": 0,
-                  "rounds": 0}
-    # Flat-core telemetry: arena footprint is a peak (the largest solver
-    # arena any compilation grew), compactions and snapshot copies are
-    # cumulative work counts.
-    flat_totals = {"solver_arena_bytes_peak": 0, "solver_watch_compactions": 0,
-                   "solver_arena_compactions": 0, "snapshot_copy_bytes": 0}
-    for stats in collected:
-        probes = []
-        for p in stats.probes:
-            probes.append(
-                {
-                    "cycles": p.cycles,
-                    "satisfiable": p.satisfiable,
-                    "solver": p.solver,
-                    "propagations": p.propagations,
-                    "conflicts": p.conflicts,
-                    "learned": p.learned,
-                    "learned_reused": p.learned_reused,
-                    "encode_seconds": round(p.encode_seconds, 6),
-                    "solve_seconds": round(p.solve_seconds, 6),
-                    "extract_seconds": round(p.extract_seconds, 6),
-                }
-            )
-            totals["propagations"] += p.propagations
-            totals["conflicts"] += p.conflicts
-            totals["learned"] += p.learned
-            totals["learned_reused"] += p.learned_reused
-        saturation = None
-        if stats.saturation is not None:
-            s = stats.saturation
-            saturation = {
-                "rounds": s.rounds,
-                "matches_attempted": s.matches_attempted,
-                "matches_found": s.matches_found,
-                "matches_pruned": s.matches_pruned,
-                "instances_asserted": s.instances_asserted,
-                "budget_hits": {
-                    key: dict(val) if isinstance(val, dict) else val
-                    for key, val in s.budget_hits.items()
-                },
-                "per_axiom_seconds": {
-                    name: round(entry.get("seconds", 0.0), 6)
-                    for name, entry in s.per_axiom.items()
-                },
-                "phase_seconds": {
-                    k: round(v, 6) for k, v in s.phase_seconds.items()
-                },
-            }
-            sat_totals["matches_attempted"] += s.matches_attempted
-            sat_totals["matches_found"] += s.matches_found
-            sat_totals["matches_pruned"] += s.matches_pruned
-            sat_totals["instances_asserted"] += s.instances_asserted
-            sat_totals["rounds"] += s.rounds
-        cache = stats.cache
-        flat_cores = {
-            "solver_arena_bytes": cache.get("solver_arena_bytes", 0),
-            "solver_watch_compactions": cache.get(
-                "solver_watch_compactions", 0
-            ),
-            "solver_arena_compactions": cache.get(
-                "solver_arena_compactions", 0
-            ),
-            "snapshot_copy_bytes": cache.get("snapshot_copy_bytes", 0),
-        }
-        if flat_cores["solver_arena_bytes"] > flat_totals[
-            "solver_arena_bytes_peak"
-        ]:
-            flat_totals["solver_arena_bytes_peak"] = flat_cores[
-                "solver_arena_bytes"
-            ]
-        for key in ("solver_watch_compactions", "solver_arena_compactions",
-                    "snapshot_copy_bytes"):
-            flat_totals[key] += flat_cores[key]
-        gmas.append(
-            {
-                "label": stats.label,
-                "backend": stats.backend,
-                "winner": stats.winner,
-                "cycle_floor": stats.cycle_floor,
-                "optimal_by": stats.optimal_by,
-                "stage_seconds": {
-                    k: round(v, 6) for k, v in stats.timings.items()
-                },
-                "saturation": saturation,
-                "extraction": stats.extraction,
-                "stochastic": stats.stochastic,
-                "flat_cores": flat_cores,
-                "probes": probes,
-            }
-        )
-    ladder = aggregate_stats(collected)
-    report = {
-        "source": args.source,
-        "strategy": args.strategy,
-        "backend": getattr(args, "backend", "sat"),
-        "extraction": getattr(args, "extraction", "greedy"),
-        "gmas": gmas,
-        "totals": totals,
-        "saturation_totals": sat_totals,
-        "flat_core_totals": flat_totals,
-        "cycle_floor": ladder["cycle_floor"],
-        "optimal_by": ladder["optimal_by"],
-        "extraction_totals": ladder["extraction"],
-    }
-    with open(args.profile_json, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 

@@ -92,9 +92,7 @@ def saturation_key(
             config.synthesize_constants,
             config.synthesize_byte_masks,
             config.synthesize_mask_alternatives,
-            config.max_pow2_exponent,
             config.axiom_tiers,
-            config.tier_cheap_rounds,
         ),
     )
 

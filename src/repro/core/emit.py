@@ -17,8 +17,7 @@ some care:
   (:attr:`~repro.isa.spec.ArchSpec.regs`).
 
 This module was named ``repro.core.extraction`` until the optimal-extraction
-package :mod:`repro.extraction` arrived; the old name survives one release
-as a deprecation shim.
+package :mod:`repro.extraction` arrived; the old name is gone (1.12.0).
 """
 
 from __future__ import annotations

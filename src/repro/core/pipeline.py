@@ -53,21 +53,11 @@ class DenaliConfig:
     strategy: SearchStrategy = SearchStrategy.BINARY
     saturation: SaturationConfig = field(default_factory=SaturationConfig)
     encoding: EncodingOptions = field(default_factory=EncodingOptions)
-    solver_conflict_budget: Optional[int] = None
-    guard_safety: bool = True
     verify: bool = True
     verify_trials: int = 16
     # Latency assumed for loads annotated as likely misses (section 6's
     # profile-derived annotations; the EV6's L2 hit is ~12 cycles).
     miss_latency: int = 12
-    # Append late moves placing each register target's value in its home
-    # register (section 7's destination-conflict handling).
-    bind_outputs: bool = False
-    # Abandon a probe (satisfiable=None) after this much wall-clock.
-    solver_deadline_seconds: Optional[float] = None
-    # Serve saturated E-graphs from the process-wide cache when the same
-    # goals/axioms/config were saturated before.
-    enable_saturation_cache: bool = True
     # Which engine answers the GMA: "sat" (the exact ladder), "stochastic"
     # (the MCMC sampler alone), or "race" (both, first verified wins).
     backend: str = "sat"
@@ -75,11 +65,8 @@ class DenaliConfig:
     # verifier's trial generator, so a CLI line reproduces a run exactly.
     seed: int = 0
     stochastic: StochasticConfig = field(default_factory=StochasticConfig)
-    # Extraction mode (see EXTRACTION_MODES) plus the exact refiner's
-    # effort knobs: conflicts per cost-ladder solve and solve count cap.
+    # Extraction mode (see EXTRACTION_MODES).
     extraction: str = "greedy"
-    extraction_conflict_budget: Optional[int] = 50_000
-    extraction_max_solves: int = 12
 
 
 @dataclass
@@ -250,7 +237,7 @@ class Denali:
         gma: GMA,
         input_registers: Optional[Dict[str, str]] = None,
         max_cycles: Optional[int] = None,
-        bind_outputs: Optional[bool] = None,
+        bind_outputs: bool = False,
         label: str = "",
     ) -> CompilationResult:
         """Generate near-optimal code for one GMA (the paper's Figure 1).
@@ -299,7 +286,7 @@ class Denali:
         gma: GMA,
         input_registers: Dict[str, str],
         max_cycles: Optional[int],
-        bind_outputs: Optional[bool],
+        bind_outputs: bool,
         label: str,
         start: float,
         external_stop=None,
@@ -342,8 +329,7 @@ class Denali:
         schedule = session.refine_extraction(
             eg, schedule, outcome.best_cycles, input_registers, overrides
         )
-        bind = cfg.bind_outputs if bind_outputs is None else bind_outputs
-        if schedule is not None and bind:
+        if schedule is not None and bind_outputs:
             from repro.core import moves
 
             schedule = moves.bind_outputs(schedule, gma, self.spec)
@@ -414,14 +400,13 @@ class Denali:
             input_registers,
             self.config.stochastic,
             session_seed=self.config.seed,
-            deadline_seconds=self.config.solver_deadline_seconds,
         )
 
     def _compile_stochastic(
         self,
         gma: GMA,
         input_registers: Dict[str, str],
-        bind_outputs: Optional[bool],
+        bind_outputs: bool,
         label: str,
     ) -> CompilationResult:
         """MCMC only: no E-graph, no CNF — sample, realize, verify."""
@@ -442,8 +427,7 @@ class Denali:
         stats.optimal = False
 
         schedule = outcome.schedule
-        bind = cfg.bind_outputs if bind_outputs is None else bind_outputs
-        if schedule is not None and bind:
+        if schedule is not None and bind_outputs:
             from repro.core import moves
 
             schedule = moves.bind_outputs(schedule, gma, self.spec)
@@ -479,7 +463,7 @@ class Denali:
         gma: GMA,
         input_registers: Dict[str, str],
         max_cycles: Optional[int],
-        bind_outputs: Optional[bool],
+        bind_outputs: bool,
         label: str,
     ) -> CompilationResult:
         """Race the SAT ladder against the sampler; first verified wins.
@@ -602,8 +586,7 @@ class Denali:
 
         if chosen is not None and chosen[0] == "stochastic":
             schedule = outcome.schedule
-            bind = cfg.bind_outputs if bind_outputs is None else bind_outputs
-            if schedule is not None and bind:
+            if schedule is not None and bind_outputs:
                 from repro.core import moves
 
                 schedule = moves.bind_outputs(schedule, gma, self.spec)
@@ -683,7 +666,7 @@ class Denali:
         after the guard's value is available.  Terms the guard itself
         depends on are exempt (the guard must be computable first).
         """
-        if gma.guard is None or not self.config.guard_safety:
+        if gma.guard is None:
             return None
         guard_id = eg.find(eg.add_term(gma.guard))
         guard_support = set()

@@ -143,14 +143,23 @@ class StageStats:
         }
 
 
+# The ladder solver's per-probe work counters that ``aggregate_stats``
+# sums into its "solver" block.
+SOLVER_COUNTERS = ("propagations", "conflicts", "learned", "learned_reused")
+
+
 def aggregate_stats(collected: List["StageStats"]) -> dict:
     """Sum per-stage timings and cache counters over many sessions.
 
     Shared by the CLI's ``--stats-json`` report, the benchmark harness's
     per-test breakdowns and the compilation service's per-worker metrics.
+    Counters are summed, except ``cache.solver_arena_bytes``: each
+    session's value is its solver's peak arena, so the total is the
+    largest of them.
     """
     timings: Dict[str, float] = {}
     cache: Dict[str, int] = {}
+    solver: Dict[str, int] = dict.fromkeys(SOLVER_COUNTERS, 0)
     saturation: Dict[str, int] = {
         "sessions": 0,
         "rounds": 0,
@@ -202,7 +211,13 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
         for stage, seconds in stats.timings.items():
             timings[stage] = timings.get(stage, 0.0) + seconds
         for key, value in stats.cache.items():
-            cache[key] = cache.get(key, 0) + value
+            if key == "solver_arena_bytes":
+                cache[key] = max(cache.get(key, 0), value)
+            else:
+                cache[key] = cache.get(key, 0) + value
+        for p in stats.probes:
+            for key in SOLVER_COUNTERS:
+                solver[key] += getattr(p, key)
         if stats.best_cycles is not None:
             winner = stats.winner or (
                 "stochastic" if stats.backend == "stochastic" else "sat"
@@ -268,6 +283,7 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
         "probes": sum(len(s.probes) for s in collected),
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "cache": cache,
+        "solver": solver,
         "saturation": saturation,
         "extraction": extraction,
         "backend_wins": wins,
@@ -383,34 +399,30 @@ class CompilationSession:
         goals = self.gma.goal_terms()
         copy_bytes_before = EGraph.copy_bytes_total
         with _StageTimer(self.stats, "saturation"):
-            key = None
-            if cfg.enable_saturation_cache:
-                key = _cache.saturation_key(
-                    goals, self.axioms, self.registry, cfg.saturation
+            key = _cache.saturation_key(
+                goals, self.axioms, self.registry, cfg.saturation
+            )
+            hit = _cache.global_saturation_cache().lookup_snapshot(key)
+            if hit is not None:
+                self.stats.cache["saturation_hits"] += 1
+                snapshot, sat_stats = hit
+                eg = snapshot.restore()
+                self.stats.saturation = sat_stats
+                goal_ids = [eg.find(eg.add_term(t)) for t in goals]
+                self.stats.cache["snapshot_copy_bytes"] += (
+                    EGraph.copy_bytes_total - copy_bytes_before
                 )
-                hit = _cache.global_saturation_cache().lookup_snapshot(key)
-                if hit is not None:
-                    self.stats.cache["saturation_hits"] += 1
-                    snapshot, sat_stats = hit
-                    eg = snapshot.restore()
-                    self.stats.saturation = sat_stats
-                    goal_ids = [eg.find(eg.add_term(t)) for t in goals]
-                    self.stats.cache["snapshot_copy_bytes"] += (
-                        EGraph.copy_bytes_total - copy_bytes_before
-                    )
-                    return SaturationHandle(eg, goal_ids, sat_stats, snapshot)
-                self.stats.cache["saturation_misses"] += 1
+                return SaturationHandle(eg, goal_ids, sat_stats, snapshot)
+            self.stats.cache["saturation_misses"] += 1
             eg = EGraph()
             goal_ids = [eg.add_term(t) for t in goals]
             sat_stats = saturate(eg, self.axioms, self.registry, cfg.saturation)
             goal_ids = [eg.find(g) for g in goal_ids]
             self.stats.saturation = sat_stats
-            snapshot = None
-            if key is not None:
-                snapshot = eg.snapshot()
-                _cache.global_saturation_cache().store_snapshot(
-                    key, snapshot, sat_stats
-                )
+            snapshot = eg.snapshot()
+            _cache.global_saturation_cache().store_snapshot(
+                key, snapshot, sat_stats
+            )
         self.stats.cache["snapshot_copy_bytes"] += (
             EGraph.copy_bytes_total - copy_bytes_before
         )
@@ -478,8 +490,6 @@ class CompilationSession:
             p.vars, p.clauses = size["vars"], size["clauses"]
             res = solver.solve_budget(
                 k,
-                conflict_budget=cfg.solver_conflict_budget,
-                deadline_seconds=cfg.solver_deadline_seconds,
                 stop_check=self.external_stop,
                 canonical_model=True,
             )
@@ -575,7 +585,7 @@ class CompilationSession:
             }
             return schedule
         # The refinement is a pure function of (goals, axioms, budget,
-        # registers, overrides, knobs): repeat compiles through the same
+        # registers, overrides): repeat compiles through the same
         # Denali reuse the proved answer instead of re-entering the
         # solver (mirrors the saturation snapshot cache).
         memo = getattr(self.denali, "_extraction_memo", None)
@@ -591,8 +601,6 @@ class CompilationSession:
                 tuple(
                     sorted((repr(n), lat) for n, lat in (overrides or {}).items())
                 ),
-                cfg.extraction_conflict_budget,
-                cfg.extraction_max_solves,
             )
             hit = memo.get(key)
             if hit is not None:
@@ -611,8 +619,6 @@ class CompilationSession:
                 input_registers,
                 live_budgets=sorted(self._fed_budgets),
                 saturation=self.stats.saturation,
-                conflict_budget=cfg.extraction_conflict_budget,
-                max_solves=cfg.extraction_max_solves,
                 stop_check=self.external_stop,
             )
         self.stats.extraction = record

@@ -59,6 +59,11 @@ from repro.extraction.pb import WeightedCounter
 from repro.extraction.pruner import adaptive_slack, prune_dominated
 from repro.extraction.select import exact_select
 
+# Effort caps of the refinement: conflicts per solve (the relaxation and
+# each cost-ladder step) and the number of cost-ladder solves.
+CONFLICT_BUDGET = 50_000
+MAX_SOLVES = 12
+
 
 def greedy_stats(schedule: Optional[Schedule], cost) -> dict:
     """The extraction record for the default (greedy-decode) mode."""
@@ -79,8 +84,6 @@ def refine_exact(
     input_registers: Optional[Dict[str, str]],
     live_budgets,
     saturation=None,
-    conflict_budget: Optional[int] = 50_000,
-    max_solves: int = 12,
     stop_check: Optional[Callable[[], bool]] = None,
 ) -> "tuple[Schedule, dict]":
     """Minimise selected-term cost among the K-cycle schedules.
@@ -165,7 +168,7 @@ def refine_exact(
             eg,
             encoder.goal_roots,
             cost,
-            conflict_budget=conflict_budget,
+            conflict_budget=CONFLICT_BUDGET,
             prune=False,
             upper=greedy_cost,
             **restriction,
@@ -247,7 +250,7 @@ def refine_exact(
     bound = greedy_cost - 1
     prune_on = pruned > 0
     proved_by: Optional[str] = None
-    while bound >= floor and stats["solves"] < max_solves:
+    while bound >= floor and stats["solves"] < MAX_SOLVES:
         if stop_check is not None and stop_check():
             break
         assumptions = [s_goal]
@@ -258,7 +261,7 @@ def refine_exact(
             assumptions.append(-geq)
         res = solver.solve(
             assumptions,
-            conflict_budget=conflict_budget,
+            conflict_budget=CONFLICT_BUDGET,
             stop_check=stop_check,
             canonical_model=True,
         )

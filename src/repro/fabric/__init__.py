@@ -4,8 +4,9 @@ Scales the single-box service of :mod:`repro.service` out to N
 cooperating nodes (ISSUE 8):
 
 * :mod:`repro.fabric.frontend` — asyncio front end with a bounded
-  admission queue and explicit 429 load-shedding, replacing the
-  blocking ``ThreadingHTTPServer``;
+  admission queue and explicit 429 load-shedding; the service's only
+  HTTP server (it replaced a blocking ``ThreadingHTTPServer``, since
+  deleted);
 * :mod:`repro.fabric.ring` — consistent-hash ring (virtual nodes,
   process-stable hashes) sharding job fingerprints across members, plus
   the registry/health view that routes around dead nodes;
@@ -17,13 +18,13 @@ cooperating nodes (ISSUE 8):
 * :mod:`repro.fabric.client` — ring-aware client that routes each job
   to its home node and follows redirects/reroutes on membership change.
 
-CLI: ``repro serve --fabric [--peers ...] [--max-queue N]`` boots a
-node; ``repro batch --url`` auto-detects a fabric and routes on the
+CLI: ``repro serve [--peers ...] [--max-queue N]`` boots a node (with
+no ``--peers``, a one-node fabric); ``repro batch --url`` routes on the
 ring.  Soak numbers live in ``benchmarks/bench_fabric.py`` /
 ``BENCH_fabric.json``.
 """
 
-from repro.fabric.client import FabricClient, is_fabric
+from repro.fabric.client import FabricClient
 from repro.fabric.frontend import AsyncFrontend, FrontendMetrics
 from repro.fabric.node import FabricNode
 from repro.fabric.replica import (
@@ -60,7 +61,6 @@ __all__ = [
     "corpus_payload",
     "fetch_corpus",
     "install_corpus",
-    "is_fabric",
     "node_id_for_url",
     "placement",
     "ring_from_description",

@@ -216,11 +216,3 @@ class FabricClient(ServiceClient):
             except ServiceError:
                 continue
 
-
-def is_fabric(client: ServiceClient) -> bool:
-    """Does ``client.url`` front a fabric node (vs the blocking server)?"""
-    try:
-        payload = client._request("/v1/fabric/ring")
-    except ServiceError:
-        return False
-    return payload.get("_http_status") == 200 and "nodes" in payload

@@ -1,13 +1,19 @@
 """Asyncio HTTP front end for a fabric node.
 
-Replaces the blocking ``ThreadingHTTPServer`` of :mod:`repro.service`
-with a single-threaded asyncio accept/parse loop in front of the
-(threaded, multiprocessing-backed) compilation engine:
+The only HTTP server of the compilation service: a single-threaded
+asyncio accept/parse loop in front of the (threaded,
+multiprocessing-backed) compilation engine.  It serves the service API
+(``/healthz``, ``/v1/submit``, ``/v1/jobs/<id>[/result]``,
+``/v1/metrics``, ``/v1/shutdown``) plus the fabric's own routes
+(``/v1/fabric/ring``, ``/join``, ``/replicate``, ``/corpus``):
 
 * **non-blocking accept/parse** — every connection is a coroutine;
   thousands of keep-alive clients cost no threads.  ``TCP_NODELAY`` is
   set and each response is a single ``write`` so small JSON round-trips
-  never stall on Nagle/delayed-ACK.
+  never stall on Nagle/delayed-ACK.  A request whose body cannot be
+  framed (a malformed or oversized ``Content-Length``) is answered with
+  400 or 413 and ``Connection: close``: its unread body must never be
+  parsed as the next request.
 * **bounded admission queue** — mutating requests (submissions,
   replication) pass through an ``asyncio.Queue`` drained by a small,
   fixed pool of dispatcher tasks that run the blocking engine calls in
@@ -32,12 +38,17 @@ import asyncio
 import json
 import math
 import socket
+import sys
 import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.service.jobs import JobState
 
 _MAX_BODY = 32 * 1024 * 1024
+# How long a rejected connection's unread input is drained before the
+# socket closes (closing with unread bytes would reset the connection
+# and could destroy the error response in flight).
+_LINGER_SECONDS = 1.0
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -49,6 +60,14 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class _Unframeable(Exception):
+    """A request whose body cannot be delimited; answered, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class FrontendMetrics:
@@ -112,6 +131,7 @@ class AsyncFrontend:
         max_queue: bound on both the admission queue and the engine's
             admitted-but-unfinished backlog; beyond either, shed.
         dispatchers: dispatcher tasks draining the admission queue.
+        verbose: log each request's method, path and status to stderr.
     """
 
     def __init__(
@@ -174,13 +194,22 @@ class AsyncFrontend:
         self.metrics.connections += 1
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _Unframeable as exc:
+                    self._log(writer, "-", "-", exc.status)
+                    await self._respond(
+                        writer, exc.status, {"error": str(exc)}, close=True
+                    )
+                    await self._linger(reader, writer)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
                 status, payload, extra = await self._route(
                     method, path, body
                 )
+                self._log(writer, method, path, status)
                 close = headers.get("connection", "").lower() == "close"
                 await self._respond(
                     writer, status, payload, extra, close=close
@@ -204,6 +233,11 @@ class AsyncFrontend:
     async def _read_request(
         self, reader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """Parse one request; None at end of stream.
+
+        Raises :class:`_Unframeable` when the body cannot be read: the
+        caller answers it and closes the connection.
+        """
         try:
             line = await reader.readline()
         except (ValueError, ConnectionResetError):
@@ -216,18 +250,43 @@ class AsyncFrontend:
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            try:
+                raw = await reader.readline()
+            except ValueError:  # a header line beyond the stream limit
+                raise _Unframeable(400, "header line too long") from None
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Unframeable(400, "malformed Content-Length %r" % declared)
+        length = int(declared)
         if length > _MAX_BODY:
-            return method, target, headers, b"__too_large__"
-        if length:
-            body = await reader.readexactly(length)
+            raise _Unframeable(413, "body too large")
+        body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
+
+    async def _linger(self, reader, writer) -> None:
+        """Half-close, then drop unread input until EOF or a timeout."""
+
+        async def discard() -> None:
+            while await reader.read(65536):
+                pass
+
+        try:
+            writer.write_eof()
+            await asyncio.wait_for(discard(), _LINGER_SECONDS)
+        except (asyncio.TimeoutError, OSError):
+            pass
+
+    def _log(self, writer, method: str, path: str, status: int) -> None:
+        if self.verbose:
+            peer = writer.get_extra_info("peername") or ("-",)
+            print(
+                '%s - "%s %s" %d' % (peer[0], method, path, status),
+                file=sys.stderr,
+            )
 
     async def _respond(
         self,
@@ -257,8 +316,6 @@ class AsyncFrontend:
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, Any], Optional[Dict[str, str]]]:
         path, _, query = path.partition("?")
-        if body == b"__too_large__":
-            return 413, {"error": "body too large"}, None
         if method == "GET":
             return await self._route_get(path, query)
         if method == "POST":

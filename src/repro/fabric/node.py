@@ -70,8 +70,6 @@ class FabricNode:
         workers: local worker process count.
         store_path: node-local sqlite store (None: in-memory).
         max_queue: admission/backlog bound before load-shedding.
-        vnodes: ring points per node.
-        replicate: gossip locally computed results to peers.
         health_interval: seconds between peer health probes.
     """
 
@@ -83,8 +81,6 @@ class FabricNode:
         workers: int = 2,
         store_path: Optional[str] = None,
         max_queue: int = 512,
-        vnodes: int = 64,
-        replicate: bool = True,
         health_interval: float = 1.0,
         max_retries: int = 2,
         default_timeout: Optional[float] = None,
@@ -93,8 +89,6 @@ class FabricNode:
         self.configured_peers = [u.rstrip("/") for u in (peers or [])]
         self.workers = workers
         self.max_queue = max_queue
-        self.vnodes = vnodes
-        self.replicate = replicate
         self.health_interval = health_interval
         self.max_retries = max_retries
         self.default_timeout = default_timeout
@@ -135,7 +129,7 @@ class FabricNode:
         ).result(timeout=10.0)
         self.url = "http://%s:%d" % (host, port)
 
-        self.registry = NodeRegistry(self.url, vnodes=self.vnodes)
+        self.registry = NodeRegistry(self.url)
         self.node_id = self.registry.self_id
         self.peer_client = ServiceClient(self.url, timeout=10.0, retries=1)
         self.health_client = ServiceClient(self.url, timeout=2.0, retries=0)
@@ -155,11 +149,8 @@ class FabricNode:
         if self.corpus_source == "cold" and self.engine.corpus_warmed:
             self.corpus_source = "local"
 
-        if self.replicate:
-            self._gossip = GossipPump(
-                self.store, self.registry, self.peer_client
-            )
-            self._gossip.start()
+        self._gossip = GossipPump(self.store, self.registry, self.peer_client)
+        self._gossip.start()
         self._health_thread = threading.Thread(
             target=self._health_loop,
             daemon=True,

@@ -66,16 +66,20 @@ class SaturationConfig:
     # on the Alpha it only floods the graph with worse computations, so it
     # is off unless the pipeline detects such a target.
     synthesize_mask_alternatives: bool = False
-    max_pow2_exponent: int = 63
     # Tiered axiom scheduling (Caviar-style): defer *expansive* axioms —
     # clauses and equalities whose non-trigger side is strictly larger
-    # than the trigger side — for the first ``tier_cheap_rounds`` rounds,
+    # than the trigger side — for the first ``TIER_CHEAP_ROUNDS`` rounds,
     # letting the cheap/simplifying tier shrink the frontier before the
     # growers fire.  The deferred tier is always activated before the
     # engine may declare quiescence, so a quiescent tiered run reaches
     # the same fixpoint (identical class partition) as an untiered one.
     axiom_tiers: bool = False
-    tier_cheap_rounds: int = 2
+
+
+# Rounds the tiered schedule runs the cheap tier alone.
+TIER_CHEAP_ROUNDS = 2
+# Largest n for which a 2**n multiplier gets a pow(2, n) alternative.
+MAX_POW2_EXPONENT = 63
 
 
 def _zero_phases() -> Dict[str, float]:
@@ -229,7 +233,7 @@ class SaturationEngine:
         since: Optional[int] = None
         for round_index in range(cfg.max_rounds):
             stats.rounds = round_index + 1
-            if not tier_active and round_index >= cfg.tier_cheap_rounds:
+            if not tier_active and round_index >= TIER_CHEAP_ROUNDS:
                 tier_active = True
                 tier_debut = True
                 stats.tier_activation_round = stats.rounds
@@ -403,7 +407,7 @@ class SaturationEngine:
             if c & (c - 1):
                 continue  # not a power of two
             n = c.bit_length() - 1
-            if n > self.config.max_pow2_exponent:
+            if n > MAX_POW2_EXPONENT:
                 continue
             two = eg.add_enode("const", (), value=2, sort=Sort.INT)
             exp = eg.add_enode("const", (), value=n, sort=Sort.INT)

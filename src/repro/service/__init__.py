@@ -15,13 +15,13 @@ subsystem with three layers:
   sqlite store, so warm results and compiled axiom corpora survive
   process restarts; identical in-flight requests are coalesced so each
   distinct goal compiles once;
-* **front end** (:mod:`repro.service.server`,
-  :mod:`repro.service.client`) — a stdlib-only JSON-over-HTTP server
-  exposing submit/status/result/metrics endpoints, and the matching
-  client used by ``repro batch --url``.
+* **client** (:mod:`repro.service.client`) — the stdlib-only
+  JSON-over-HTTP client for the submit/status/result/metrics endpoints.
 
-The CLI verbs ``repro serve`` and ``repro batch`` are thin wrappers over
-these layers.
+The HTTP server is a :class:`repro.fabric.FabricNode` (one node unless
+it is given peers).  The CLI verbs ``repro serve`` (a fabric node) and
+``repro batch`` (a local engine, or ``--url`` to a node) are thin
+wrappers over these layers.
 """
 
 from repro.service.jobs import (
@@ -40,7 +40,6 @@ from repro.service.client import (
     ServiceError,
     ServiceOverloadError,
 )
-from repro.service.server import ServiceServer
 
 __all__ = [
     "CompilationEngine",
@@ -55,5 +54,4 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceOverloadError",
-    "ServiceServer",
 ]

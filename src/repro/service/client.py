@@ -1,7 +1,8 @@
 """Stdlib HTTP client for the compilation service.
 
-Used by ``repro batch --url`` and the service tests; no dependencies
-beyond ``http.client``.  Connections are **kept alive** and reused
+Used by ``repro batch --url`` (through its ring-aware subclass), by
+fabric nodes for their peer and health requests, and by the service
+tests; no dependencies beyond ``http.client``.  Connections are **kept alive** and reused
 across requests (one pool per thread, so a multi-threaded soak driver
 never shares a socket), with ``TCP_NODELAY`` set so small JSON requests
 don't stall on Nagle/delayed-ACK.  Transient connection resets — the
@@ -19,8 +20,8 @@ non-2xx responses, with two refinements:
 
 Redirects (307 from a fabric node that doesn't own a job) are followed
 transparently, which makes this plain client work against a sharded
-fabric front end; :class:`repro.fabric.client.FabricClient` avoids the
-extra hop by routing on the ring directly.
+fabric; :class:`repro.fabric.client.FabricClient` avoids the extra hop
+by routing on the ring directly.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class ServiceOverloadError(ServiceError):
 
 
 class ServiceClient:
-    """Talks JSON to a :class:`~repro.service.server.ServiceServer`.
+    """Talks JSON to a service node (:class:`~repro.fabric.FabricNode`).
 
     Args:
         url: base URL, e.g. ``http://127.0.0.1:8642``.

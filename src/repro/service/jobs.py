@@ -25,6 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.session import SOLVER_COUNTERS
 from repro.service.pool import WorkerPool
 from repro.service.store import ResultStore
 
@@ -443,6 +444,11 @@ class CompilationEngine:
             "solver_arena_compactions": 0,
             "snapshot_copy_bytes": 0,
         }
+        # The ladder solver's work over completed compile jobs
+        # (aggregate_stats' "solver" block).
+        self._solver_totals: Dict[str, int] = dict.fromkeys(
+            SOLVER_COUNTERS, 0
+        )
         # Probe-ladder floors and optimality proofs over completed compile
         # jobs (aggregate_stats' "cycle_floor" and "optimal_by" blocks).
         self._cycle_floor_totals: Dict[str, int] = {
@@ -666,6 +672,7 @@ class CompilationEngine:
                 )
         ext = stats.get("extraction") if stats else None
         for source, key, totals in (
+            (stats, "solver", self._solver_totals),
             (stats, "cycle_floor", self._cycle_floor_totals),
             (stats, "optimal_by", self._optimal_by_totals),
             (stats, "extraction", self._extraction_totals),
@@ -836,6 +843,7 @@ class CompilationEngine:
                     budget_hits=dict(self._saturation_budget_hits),
                 ),
                 "flat_cores": dict(self._flat_core_totals),
+                "solver": dict(self._solver_totals),
                 "targets": {
                     name: dict(bucket)
                     for name, bucket in sorted(self._target_totals.items())

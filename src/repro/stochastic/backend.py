@@ -58,7 +58,6 @@ class StochasticProbe:
         input_registers: Optional[Dict[str, str]] = None,
         config: Optional[StochasticConfig] = None,
         session_seed: int = 0,
-        deadline_seconds: Optional[float] = None,
     ) -> None:
         self.gma = gma
         self.spec = spec
@@ -67,7 +66,6 @@ class StochasticProbe:
         self.input_registers = input_registers
         self.config = config if config is not None else StochasticConfig()
         self.session_seed = session_seed
-        self.deadline_seconds = deadline_seconds
         self.outcome: Optional[StochasticOutcome] = None
 
     def __call__(
@@ -88,7 +86,6 @@ class StochasticProbe:
             self.config,
             session_seed=self.session_seed,
             stop_check=token,
-            deadline_seconds=self.deadline_seconds,
             throttle=throttle,
         )
         return self.outcome

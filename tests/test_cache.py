@@ -172,9 +172,8 @@ class TestCachedCompilationEquivalence:
         assert cold.stats.cache["saturation_misses"] == 1
         warm = Denali(ev6(), config=_config()).compile_term(goal)
         assert warm.stats.cache["saturation_hits"] == 1
-        uncached = Denali(
-            ev6(), config=_config(enable_saturation_cache=False)
-        ).compile_term(goal)
+        global_saturation_cache().clear()
+        uncached = Denali(ev6(), config=_config()).compile_term(goal)
         assert uncached.stats.cache["saturation_hits"] == 0
         assert cold.cycles == warm.cycles == uncached.cycles
         assert cold.optimal == warm.optimal == uncached.optimal

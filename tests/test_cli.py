@@ -52,13 +52,13 @@ class TestCli:
         assert "===" not in out
 
     def test_retarget_itanium(self, source_file, capsys):
-        status = main([source_file(SIMPLE), "--arch", "itanium"])
+        status = main([source_file(SIMPLE), "--target", "itanium"])
         out = capsys.readouterr().out
         assert status == 0
         assert "shladd4" in out
 
     def test_single_issue_arch(self, source_file, capsys):
-        status = main([source_file(SIMPLE), "--arch", "simple"])
+        status = main([source_file(SIMPLE), "--target", "simple"])
         assert status == 0
         assert "P0" in capsys.readouterr().out
 
@@ -285,6 +285,12 @@ class TestStatsJson:
         assert totals["sessions"] == len(report["gmas"])
         assert totals["probes"] >= 1
         assert "saturation" in totals["timings"]
+        assert set(totals["solver"]) == {
+            "propagations", "conflicts", "learned", "learned_reused",
+        }
+        assert totals["solver"]["propagations"] == sum(
+            p["propagations"] for g in report["gmas"] for p in g["probes"]
+        )
         assert {"saturation", "axiom_corpus"} <= set(report["global_caches"])
 
     def test_saturation_block_reports_matcher_counters(
@@ -307,24 +313,29 @@ class TestStatsJson:
     def test_removed_path_options_are_usage_errors(
         self, source_file, capsys
     ):
-        # One ladder, one solver, one matcher: the options that selected
-        # the portfolio scheduler, the per-probe scratch solver and the
-        # full-rescan matcher are gone.
+        # One ladder, one solver, one matcher, one stats report: the
+        # options that selected the portfolio scheduler, the per-probe
+        # scratch solver and the full-rescan matcher are gone, as are
+        # the --arch spelling of --target and --profile-json.
         for argv in (
             ["--strategy", "portfolio"],
             ["--no-incremental"],
             ["--no-incremental-match"],
+            ["--arch", "ev6"],
+            ["--profile-json", "profile.json"],
         ):
             assert main([source_file(SIMPLE)] + argv) == 2, argv
+        # One front end: `repro serve` is always a fabric node.
+        for argv in (["--fabric"], ["--vnodes", "64"]):
+            assert main(["serve", "--port", "0"] + argv) == 2, argv
 
     def test_cycle_floor_schema(self, source_file, tmp_path, capsys):
-        """Both reports carry the ladder's floor and optimality proof."""
+        """The report carries the ladder's floor and optimality proof."""
         import json
 
         stats_path = str(tmp_path / "stats.json")
-        profile_path = str(tmp_path / "profile.json")
         status = main([source_file(SIMPLE), "--quiet", "--stats-json",
-                       stats_path, "--profile-json", profile_path])
+                       stats_path])
         assert status == 0
         floor_totals = {"sessions": 1, "sum": 1, "at_optimum": 1}
         optimal_by = {"floor": 1, "unsat": 0}
@@ -335,21 +346,14 @@ class TestStatsJson:
         assert [p["cycles"] for p in gma["probes"]] == [1]
         assert stats["totals"]["cycle_floor"] == floor_totals
         assert stats["totals"]["optimal_by"] == optimal_by
-        profile = json.load(open(profile_path))
-        assert profile["gmas"][0]["cycle_floor"] == 1
-        assert profile["gmas"][0]["optimal_by"] == "floor"
-        assert profile["cycle_floor"] == floor_totals
-        assert profile["optimal_by"] == optimal_by
 
     def test_extraction_floor_schema(self, source_file, tmp_path, capsys):
-        """Both reports count the exact refinement's floors and proofs."""
+        """The report counts the exact refinement's floors and proofs."""
         import json
 
         stats_path = str(tmp_path / "stats.json")
-        profile_path = str(tmp_path / "profile.json")
         status = main([source_file(SIMPLE), "--quiet", "--extraction",
-                       "exact", "--stats-json", stats_path,
-                       "--profile-json", profile_path])
+                       "exact", "--stats-json", stats_path])
         assert status == 0
         stats = json.load(open(stats_path))
         record = stats["gmas"][0]["extraction"]
@@ -358,8 +362,6 @@ class TestStatsJson:
         totals = stats["totals"]["extraction"]
         assert totals["floor_by"] == {"dag": 1, "selection": 0}
         assert totals["optimal_by"] == {"floor": 1, "unsat": 0}
-        profile = json.load(open(profile_path))
-        assert profile["extraction_totals"] == totals
 
     def test_unwritable_path_fails(self, source_file, capsys):
         status = main([source_file(SIMPLE), "--quiet",
@@ -400,20 +402,19 @@ class TestServiceVerbs:
         assert status == 1
 
     def test_batch_against_running_server(self, source_file, capsys):
-        from repro.service import CompilationEngine, ServiceServer
+        from repro.fabric import FabricNode
 
-        engine = CompilationEngine(workers=1)
-        server = ServiceServer(engine, port=0)
-        server.start()
+        node = FabricNode(port=0, workers=1)
+        node.start()
         try:
             status = main(["batch", source_file(SIMPLE), "--quiet",
                            "--strategy", "linear", "--max-cycles", "10",
-                           "--url", server.url])
+                           "--url", node.url])
             out = capsys.readouterr().out
             assert status == 0
             assert "s4addq" in out
         finally:
-            server.stop(drain=False)
+            node.stop(drain=False)
 
     def test_batch_unreachable_server_fails(self, source_file, capsys):
         status = main(["batch", source_file(SIMPLE),

@@ -10,17 +10,17 @@ with a usable ``Retry-After``.  The one real-compile test (warm-corpus
 shipping) runs the smallest workload once.
 """
 
+import json
+import socket
 import time
 
 import pytest
 
-from repro.fabric import FabricClient, FabricNode, is_fabric
+from repro.fabric import FabricClient, FabricNode
 from repro.service import (
-    CompilationEngine,
     JobSpec,
     ServiceClient,
     ServiceOverloadError,
-    ServiceServer,
     default_corpus_key,
     job_fingerprint,
 )
@@ -114,20 +114,6 @@ class TestSingleNode:
         finally:
             client.close()
 
-    def test_is_fabric_discriminates(self, node):
-        fabric_probe = ServiceClient(node.url)
-        engine = CompilationEngine(workers=1)
-        server = ServiceServer(engine)
-        server.start()
-        blocking_probe = ServiceClient(server.url)
-        try:
-            assert is_fabric(fabric_probe) is True
-            assert is_fabric(blocking_probe) is False
-        finally:
-            blocking_probe.close()
-            fabric_probe.close()
-            server.stop(drain=False)
-
     def test_unknown_strategy_submit_400(self, node):
         from repro.service import ServiceError
 
@@ -141,6 +127,16 @@ class TestSingleNode:
         finally:
             client.close()
 
+    def test_verbose_node_logs_each_request(self, capsys):
+        node = boot(verbose=True)
+        client = ServiceClient(node.url)
+        try:
+            assert client.health() is True
+        finally:
+            client.close()
+            node.stop(drain=False)
+        assert '"GET /healthz" 200' in capsys.readouterr().err
+
     def test_unknown_job_and_route(self, node):
         client = ServiceClient(node.url)
         try:
@@ -150,6 +146,82 @@ class TestSingleNode:
                 client._request("/v1/no/such/route")
         finally:
             client.close()
+
+
+# -- request framing -----------------------------------------------------------
+
+
+def raw_exchange(url, request, timeout=3.0):
+    """Send raw bytes to a node; return all it writes until it closes."""
+    host, port = url.split("//", 1)[1].rsplit(":", 1)
+    chunks = []
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(request)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except socket.timeout:
+                pytest.fail("node left the connection open: %r" % chunks)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestFraming:
+    """A body the front end cannot delimit is answered, then the
+    connection closes: its bytes are never parsed as a next request."""
+
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            (b"Content-Length: abc", "Content-Length"),
+            (b"Content-Length: -5", "Content-Length"),
+            (b"X-Pad: " + b"a" * 70_000, "header line too long"),
+        ],
+        ids=["length-letters", "length-negative", "header-too-long"],
+    )
+    def test_unframeable_request_is_400(self, node, header, error):
+        reply = raw_exchange(
+            node.url,
+            b"POST /v1/submit HTTP/1.1\r\n" + header + b"\r\n\r\n{}",
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
+        assert b"Connection: close" in head
+        assert error in json.loads(body)["error"]
+        assert reply.count(b"HTTP/1.1 ") == 1
+        client = ServiceClient(node.url)
+        try:
+            assert client.health() is True  # the node kept serving
+        finally:
+            client.close()
+
+    def test_oversized_body_is_413_and_closes(self, node, monkeypatch):
+        from repro.fabric import frontend
+
+        monkeypatch.setattr(frontend, "_MAX_BODY", 16)
+        smuggled = b"GET /healthz HTTP/1.1\r\n\r\n"
+        reply = raw_exchange(
+            node.url,
+            b"POST /v1/submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(smuggled)
+            + smuggled,
+        )
+        head, _, _ = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 "), reply
+        assert b"Connection: close" in head
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+
+    def test_too_large_lookalike_body_is_plain_json(self, node):
+        body = b"__too_large__"
+        reply = raw_exchange(
+            node.url,
+            b"POST /v1/submit HTTP/1.1\r\nContent-Length: %d\r\n"
+            b"Connection: close\r\n\r\n" % len(body)
+            + body,
+        )
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"malformed JSON body" in reply
 
 
 # -- load shedding -------------------------------------------------------------

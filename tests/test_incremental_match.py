@@ -445,6 +445,36 @@ class TestStatsPlumbing:
         assert agg["matches_attempted"] == 16
         assert agg["budget_hits"] == {"max_rounds": 1, "max_matches": 3}
 
+    def test_aggregate_stats_takes_arena_peak_and_sums_solver_work(self):
+        from repro.core.probes import Probe
+        from repro.core.session import StageStats, aggregate_stats
+
+        a = StageStats()
+        a.cache.update(solver_arena_bytes=900, solver_arena_compactions=2)
+        a.probes = [
+            Probe(cycles=1, satisfiable=False, propagations=50,
+                  conflicts=4, learned=3, learned_reused=0),
+            Probe(cycles=2, satisfiable=True, propagations=70,
+                  conflicts=1, learned=1, learned_reused=3),
+        ]
+        b = StageStats()
+        b.cache.update(solver_arena_bytes=700, solver_arena_compactions=1)
+        b.probes = [
+            Probe(cycles=3, satisfiable=True, propagations=30,
+                  conflicts=0, learned=0, learned_reused=0),
+        ]
+        agg = aggregate_stats([a, b])
+        # Each session's arena bytes is already a peak: the run's peak
+        # is the largest, not the sum; work counters still add up.
+        assert agg["cache"]["solver_arena_bytes"] == 900
+        assert agg["cache"]["solver_arena_compactions"] == 3
+        assert agg["solver"] == {
+            "propagations": 150,
+            "conflicts": 5,
+            "learned": 4,
+            "learned_reused": 3,
+        }
+
 
 class TestSaturationHandle:
     @pytest.fixture(autouse=True)
@@ -487,6 +517,16 @@ class TestSaturationHandle:
             first.egraph
         )
 
-    def test_cache_disabled_leaves_snapshot_unset(self):
-        handle = self._session(enable_saturation_cache=False).saturate()
-        assert handle.snapshot is None
+    def test_cleared_cache_saturates_afresh(self):
+        from repro.core.cache import global_saturation_cache
+
+        first = self._session().saturate()
+        global_saturation_cache().clear()
+        session = self._session()
+        second = session.saturate()
+        assert session.stats.cache["saturation_misses"] == 1
+        assert second.snapshot is not None
+        assert second.snapshot is not first.snapshot
+        assert partition_signature(second.egraph) == partition_signature(
+            first.egraph
+        )

@@ -157,7 +157,6 @@ class TestPipelineIntegration:
             ev6(),
             config=DenaliConfig(
                 max_cycles=8,
-                bind_outputs=True,
                 saturation=SaturationConfig(max_rounds=8, max_enodes=1000),
             ),
         )
@@ -165,7 +164,7 @@ class TestPipelineIntegration:
             ("reg6", "reg7"),
             (mk("add64", inp("reg6"), inp("reg7")), inp("reg6")),
         )
-        result = den.compile_gma(gma)
+        result = den.compile_gma(gma, bind_outputs=True)
         assert result.verified
         movs = [i for i in result.schedule.instructions if i.mnemonic == "mov"]
         assert movs  # the destination conflict forced late moves
@@ -177,10 +176,11 @@ class TestPipelineIntegration:
             ev6(),
             config=DenaliConfig(
                 max_cycles=4,
-                bind_outputs=True,
                 saturation=SaturationConfig(max_rounds=4, max_enodes=500),
             ),
         )
-        result = den.compile_gma(GMA(("a", "b"), (inp("b"), inp("a"))))
+        result = den.compile_gma(
+            GMA(("a", "b"), (inp("b"), inp("a"))), bind_outputs=True
+        )
         assert result.verified
         assert result.schedule.instruction_count() == 3  # swap via temp

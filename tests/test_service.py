@@ -1,4 +1,4 @@
-"""Tests for the compilation service (jobs, pool, store, HTTP front end).
+"""Tests for the compilation service (jobs, pool, store, HTTP API).
 
 Fast tests exercise the machinery with diagnostic jobs (``sleep`` /
 ``crash``) and small compiles; the slow tier runs the ISSUE's acceptance
@@ -20,7 +20,6 @@ from repro.service import (
     JobState,
     ResultStore,
     ServiceClient,
-    ServiceServer,
     job_fingerprint,
     run_job,
 )
@@ -290,6 +289,16 @@ class TestEngine:
         }
         assert metrics["optimal_by"] == {"floor": 1, "unsat": 0}
 
+    def test_metrics_report_solver_work(self, engine):
+        payload = engine.result(engine.submit(compile_spec()), timeout=60)
+        metrics = engine.metrics()
+        assert metrics["solver"] == payload["stats"]["solver"]
+        assert metrics["solver"]["propagations"] > 0
+        assert (
+            metrics["flat_cores"]["solver_arena_bytes_peak"]
+            == payload["stats"]["cache"]["solver_arena_bytes"]
+        )
+
     def test_metrics_report_extraction_floors(self, engine):
         engine.result(engine.submit(compile_spec()), timeout=60)
         engine.result(
@@ -316,17 +325,19 @@ class TestEngine:
             second.shutdown(drain=False)
 
 
-# -- HTTP front end ------------------------------------------------------------
+# -- HTTP API (served by a one-node fabric) -----------------------------------
 
 
 @pytest.fixture
 def service():
-    engine = CompilationEngine(workers=1, max_retries=0)
-    server = ServiceServer(engine, port=0)
-    server.start()
-    client = ServiceClient(server.url, timeout=10.0)
+    from repro.fabric import FabricNode
+
+    node = FabricNode(port=0, workers=1, max_retries=0)
+    node.start()
+    client = ServiceClient(node.url, timeout=10.0)
     yield client
-    server.stop(drain=False)
+    client.close()
+    node.stop(drain=False)
 
 
 class TestHttpService:

@@ -12,8 +12,6 @@ The retargeting refactor's contract, tested from four sides:
   partition and the emitted bytes are identical with it on or off.
 """
 
-import warnings
-
 import pytest
 
 from repro import Denali, DenaliConfig, SearchStrategy, const, inp, mk
@@ -352,24 +350,3 @@ class TestAxiomTiers:
         assert res.saturation.tiered is True
         assert res.saturation.tier_activation_round >= 1
 
-
-# -- the emit rename shim ------------------------------------------------------
-
-
-class TestEmitShim:
-    def test_legacy_import_warns_and_aliases(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.core.extraction", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = importlib.import_module("repro.core.extraction")
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        import repro.core.emit as emit
-
-        assert legacy.extract_schedule is emit.extract_schedule
-        assert legacy.Schedule is emit.Schedule
-        assert legacy.ScheduledInstruction is emit.ScheduledInstruction
