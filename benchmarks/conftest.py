@@ -4,19 +4,17 @@ Each ``bench_*.py`` module regenerates one table or figure of the paper's
 evaluation (see DESIGN.md's experiment index).  Benchmarks print a
 paper-vs-measured table; run with ``pytest benchmarks/ --benchmark-only -s``
 to see the tables inline, or read ``bench_output.txt``.  Generated
-telemetry (``bench_stages.json``, ``bench_service.json``) lands in the
-git-ignored ``benchmarks/out/`` directory.
+telemetry (``bench_service.json``, ...) lands in the git-ignored
+``benchmarks/out/`` directory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
 from repro import DenaliConfig, SearchStrategy, const, inp, mk
-from repro.core.session import add_observer, aggregate_stats, remove_observer
 from repro.matching import SaturationConfig
 
 
@@ -45,41 +43,6 @@ def default_config(max_cycles: int = 8, **kwargs) -> DenaliConfig:
     )
     defaults.update(kwargs)
     return DenaliConfig(**defaults)
-
-
-@pytest.fixture(autouse=True)
-def stage_stats(request):
-    """Collect per-stage session telemetry for every benchmark test.
-
-    Each compilation that finishes during the test announces its
-    :class:`~repro.core.session.StageStats` to this observer; the
-    breakdowns are aggregated per test and dumped to
-    ``benchmarks/out/bench_stages.json`` at the end of the run (see
-    ``pytest_sessionfinish``).
-    """
-    collected = []
-    add_observer(collected.append)
-    yield collected
-    remove_observer(collected.append)
-    if collected:
-        record = {"test": request.node.nodeid}
-        record.update(aggregate_stats(collected))
-        _STAGE_RECORDS.append(record)
-
-
-_STAGE_RECORDS = []
-
-
-def pytest_sessionfinish(session):
-    if not _STAGE_RECORDS:
-        return
-    path = os.path.join(output_dir(), "bench_stages.json")
-    try:
-        with open(path, "w") as handle:
-            json.dump({"tests": _STAGE_RECORDS}, handle, indent=2)
-            handle.write("\n")
-    except OSError:
-        pass
 
 
 @pytest.fixture

@@ -51,15 +51,13 @@ from repro.core import (
     Schedule,
     SearchStrategy,
     StageStats,
-    add_observer,
     execute_program,
     global_saturation_cache,
-    remove_observer,
 )
 from repro.sim import execute_schedule, simulate_timing
 from repro.verify import check_schedule
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "Memory",
@@ -95,8 +93,6 @@ __all__ = [
     "Schedule",
     "SearchStrategy",
     "StageStats",
-    "add_observer",
-    "remove_observer",
     "global_saturation_cache",
     "execute_program",
     "execute_schedule",

@@ -32,22 +32,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from typing import List, Optional
 
 from repro import __version__
 from repro.axioms import (
-    AxiomSet,
     alpha_axioms,
     constant_synthesis_axioms,
-    default_axiom_corpus,
     math_axioms,
     riscv_axioms,
 )
-from repro.core.pipeline import Denali, DenaliConfig
 from repro.core.probes import SearchStrategy
-from repro.isa import available_targets, get_target, target_names
-from repro.lang import parse_program, translate_procedure
-from repro.matching import SaturationConfig
+from repro.isa import available_targets, target_names
+from repro.lang import parse_program
+from repro.service.jobs import CompileReport, JobError, JobSpec, compile_job
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -56,34 +54,46 @@ EXIT_INTERRUPTED = 130
 
 
 def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
-    """Options shared by the one-shot compiler and the batch verb."""
+    """Options shared by the one-shot compiler and the batch verb.
+
+    Each sets the :class:`JobSpec` field of its ``dest`` (see
+    :func:`_job_spec`), and takes that field's default.
+    """
+    defaults = JobSpec()
     parser.add_argument(
-        "--proc", help="compile only this procedure", default=None
+        "--proc", help="compile only this procedure", default=defaults.proc
     )
     parser.add_argument(
         "--target",
+        dest="arch",
         choices=sorted(target_names()),
-        default="ev6",
+        default=defaults.arch,
         help="target ISA, resolved through the repro.isa.targets registry "
         "(default: ev6; `repro targets` lists them)",
     )
     parser.add_argument(
-        "--max-cycles", type=int, default=12, help="largest budget to try"
+        "--max-cycles",
+        type=int,
+        default=defaults.max_cycles,
+        help="largest budget to try",
     )
     parser.add_argument(
-        "--min-cycles", type=int, default=1, help="smallest budget to try"
+        "--min-cycles",
+        type=int,
+        default=defaults.min_cycles,
+        help="smallest budget to try",
     )
     parser.add_argument(
         "--strategy",
         choices=[s.value for s in SearchStrategy],
-        default="binary",
+        default=defaults.strategy,
         help="cycle-budget search strategy: gallop up from the proved "
         "floor and bisect, or step up one budget at a time",
     )
     parser.add_argument(
         "--backend",
         choices=["sat", "stochastic", "race"],
-        default="sat",
+        default=defaults.backend,
         help="compilation engine: the exact SAT ladder, the stochastic "
         "MCMC sampler, or a race of both (first verified winner cancels "
         "the loser)",
@@ -91,7 +101,7 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--extraction",
         choices=["greedy", "exact"],
-        default="greedy",
+        default=defaults.extraction,
         help="schedule selection at the proved cycle count: the ladder's "
         "canonical greedy decode, or an exact selected-term cost "
         "minimisation on the incremental solver",
@@ -99,55 +109,64 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        default=0,
+        default=defaults.seed,
         help="session seed: fixes the stochastic chains and the "
         "verifier's trials, so a run is byte-reproducible (default: 0)",
     )
     parser.add_argument(
         "--mcmc-seed",
         type=int,
-        default=0,
+        default=defaults.mcmc_seed,
         help="stochastic search seed, mixed with --seed per chain",
     )
     parser.add_argument(
         "--mcmc-chains",
         type=int,
-        default=4,
+        default=defaults.mcmc_chains,
         help="independent MCMC chains per stochastic campaign",
     )
     parser.add_argument(
         "--mcmc-moves",
         type=int,
-        default=20000,
+        default=defaults.mcmc_moves,
         help="proposals per MCMC chain",
     )
     parser.add_argument(
         "--load-latency",
         type=int,
-        default=3,
+        default=defaults.load_latency,
         help="assumed cache-hit load latency (targets that model a "
         "D-cache: ev6, rv64)",
     )
     parser.add_argument(
         "--miss-latency",
         type=int,
-        default=12,
+        default=defaults.miss_latency,
         help="latency for \\miss-annotated loads",
     )
     parser.add_argument(
-        "--max-enodes", type=int, default=4000, help="saturation enode budget"
+        "--max-enodes",
+        type=int,
+        default=defaults.max_enodes,
+        help="saturation enode budget",
     )
     parser.add_argument(
-        "--max-rounds", type=int, default=12, help="saturation round budget"
+        "--max-rounds",
+        type=int,
+        default=defaults.max_rounds,
+        help="saturation round budget",
     )
     parser.add_argument(
         "--no-verify",
-        action="store_true",
+        dest="verify",
+        action="store_false",
+        default=defaults.verify,
         help="skip the differential correctness check",
     )
     parser.add_argument(
         "--axiom-tiers",
         action="store_true",
+        default=defaults.axiom_tiers,
         help="tiered axiom scheduling: defer expansive (growing) axioms "
         "for the first saturation rounds, activating them before "
         "quiescence so the fixpoint is unchanged (off by default)",
@@ -256,17 +275,26 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_pipeline_args(
-    parser: argparse.ArgumentParser, argv: List[str]
-) -> argparse.Namespace:
-    """Parse ``argv``, rejecting an empty cycle window as a usage error."""
-    args = parser.parse_args(argv)
-    if not 1 <= args.min_cycles <= args.max_cycles:
-        parser.error(
-            "need 1 <= --min-cycles <= --max-cycles (got %d and %d)"
-            % (args.min_cycles, args.max_cycles)
-        )
-    return args
+# The flags whose spelling is not their JobSpec field's name.
+_FLAGS = {"arch": "--target", "verify": "--no-verify",
+          "timeout_seconds": "--job-timeout"}
+
+
+def _job_spec(parser: argparse.ArgumentParser, args) -> JobSpec:
+    """The compile request the pipeline flags in ``args`` describe.
+
+    Every parsed option whose ``dest`` names a :class:`JobSpec` field
+    sets it; ``source`` and ``name`` stay empty for the caller to fill
+    (the compile verb's positional ``source`` is a path, not the text).
+    The spec's own validator rejects a bad combination, as a usage error.
+    """
+    names = {f.name for f in fields(JobSpec)} - {"source"}
+    spec = JobSpec(**{k: v for k, v in vars(args).items() if k in names})
+    try:
+        return spec.validate()
+    except JobError as exc:
+        flag = _FLAGS.get(exc.field, "--" + exc.field.replace("_", "-"))
+        parser.error("argument %s: %s" % (flag, exc))
 
 
 def build_batch_parser() -> argparse.ArgumentParser:
@@ -308,8 +336,9 @@ def build_batch_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--job-timeout",
+        dest="timeout_seconds",
         type=float,
-        default=None,
+        default=JobSpec().timeout_seconds,
         help="per-job wall-clock bound in seconds",
     )
     parser.add_argument(
@@ -481,7 +510,9 @@ def _targets_main(argv: List[str]) -> int:
 
 
 def _compile_main(argv: List[str]) -> int:
-    args = _parse_pipeline_args(build_parser(), argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    spec = _job_spec(parser, args)
 
     if args.list_axioms:
         from repro.terms.ops import default_registry
@@ -506,132 +537,71 @@ def _compile_main(argv: List[str]) -> int:
 
     try:
         with open(args.source) as handle:
-            source = handle.read()
+            spec = replace(spec, source=handle.read(), name=args.source)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        program = parse_program(source)
+        program = parse_program(spec.source)
     except Exception as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 
-    if not program.procedures:
-        print("error: no procedures in %s" % args.source, file=sys.stderr)
+    try:
+        report = compile_job(spec, program=program, whole=args.whole)
+    except JobError as exc:  # no procedures, or no such --proc
+        print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 
-    target = get_target(args.target)
-    spec = target.spec(load_latency=args.load_latency)
-
-    # The built-in corpus for the chosen target (shared mathematical core
-    # + the target's instruction sublayer), plus the program's own axioms.
-    axioms = default_axiom_corpus(program.registry, target.name) + AxiomSet(
-        program.axioms, "program"
-    )
-    from repro.stochastic.search import StochasticConfig
-
-    config = DenaliConfig(
-        target=target.name,
-        min_cycles=args.min_cycles,
-        max_cycles=args.max_cycles,
-        strategy=SearchStrategy(args.strategy),
-        verify=not args.no_verify,
-        miss_latency=args.miss_latency,
-        backend=args.backend,
-        extraction=args.extraction,
-        seed=args.seed,
-        stochastic=StochasticConfig(
-            seed=args.mcmc_seed,
-            chains=args.mcmc_chains,
-            moves=args.mcmc_moves,
-        ),
-        saturation=SaturationConfig(
-            max_rounds=args.max_rounds,
-            max_enodes=args.max_enodes,
-            axiom_tiers=args.axiom_tiers,
-        ),
-    )
-    den = Denali(spec, axioms=axioms, registry=program.registry, config=config)
-
-    collected_stats = []
-    if args.stats_json:
-        from repro.core.session import add_observer
-
-        add_observer(collected_stats.append)
-
-    procedures = program.procedures
-    if args.proc is not None:
-        try:
-            procedures = [program.procedure(args.proc)]
-        except KeyError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_USAGE
-
-    status = EXIT_OK
-    for proc in procedures:
-        if args.whole:
-            try:
-                result = den.compile_procedure(proc)
-            except Exception as exc:
-                print("error compiling %s: %s" % (proc.name, exc),
-                      file=sys.stderr)
-                status = EXIT_FAILURE
-                continue
-            print(result.assembly)
+    status = EXIT_OK if report.ok else EXIT_FAILURE
+    if args.whole:
+        for proc in report.procedures:
+            print(proc.assembly)
             if not args.quiet:
-                print("; all GMAs verified: %s" % result.all_verified())
-            if not result.all_verified():
-                status = EXIT_FAILURE
+                print("; all GMAs verified: %s" % proc.all_verified())
             print()
-            continue
-        try:
-            gmas = translate_procedure(proc, program.registry)
-        except Exception as exc:
-            print("translation error in %s: %s" % (proc.name, exc),
-                  file=sys.stderr)
-            status = EXIT_FAILURE
-            continue
-        for label, gma in gmas:
-            if not args.quiet:
-                print("; === %s: %s" % (label, gma.pretty()))
-            result = den.compile_gma(gma, label=label)
-            if result.schedule is None:
-                print(
-                    "; %s: no schedule within %d cycles (floor proved: %d)"
-                    % (label, args.max_cycles, result.search.proved_floor),
-                    file=sys.stderr,
-                )
-                status = EXIT_FAILURE
-                continue
-            if args.dimacs:
-                _dump_dimacs(args.dimacs, label, den, result)
-            print(result.schedule.render(label=label.replace(".", "_")))
-            if not args.quiet:
-                print(
-                    "; %s%s"
-                    % (
-                        result.summary(),
-                        ""
-                        if result.verified is None
-                        else ", verified=%s" % result.verified,
-                    )
-                )
-            if result.verified is False:
-                status = EXIT_FAILURE
-            print()
+    else:
+        _print_gmas(args, spec, report)
+    for error in report.errors:
+        print(error, file=sys.stderr)
 
     if args.stats_json:
-        from repro.core.session import remove_observer
-
-        remove_observer(collected_stats.append)
         try:
-            _write_stats_json(args, collected_stats)
+            _write_stats_json(args.stats_json, spec, report)
         except OSError as exc:
             print("error writing %s: %s" % (args.stats_json, exc),
                   file=sys.stderr)
             status = EXIT_FAILURE
     return status
+
+
+def _print_gmas(args, spec: JobSpec, report: CompileReport) -> None:
+    """Print each GMA's block from the report's unit records."""
+    for (label, result), unit in zip(report.results, report.units):
+        if not args.quiet:
+            print("; === %s: %s" % (label, result.gma.pretty()))
+        if unit["assembly"] is None:
+            print(
+                "; %s: no schedule within %d cycles (floor proved: %d)"
+                % (label, spec.max_cycles, unit["floor"]),
+                file=sys.stderr,
+            )
+            continue
+        if args.dimacs:
+            _dump_dimacs(args.dimacs, label, report.denali, result)
+        print(unit["assembly"])
+        if not args.quiet:
+            print(
+                "; %s%s"
+                % (
+                    unit["summary"],
+                    ""
+                    if unit["verified"] is None
+                    else ", verified=%s" % unit["verified"],
+                )
+            )
+        print()
 
 
 # -- service verbs -------------------------------------------------------------
@@ -683,42 +653,6 @@ def _serve_main(argv: List[str]) -> int:
     return EXIT_OK
 
 
-def _batch_specs(args) -> List:
-    """One JobSpec per source file (times ``--repeat``)."""
-    from repro.service import JobSpec
-
-    specs = []
-    for path in args.sources:
-        with open(path) as handle:
-            source = handle.read()
-        specs.append(
-            JobSpec(
-                kind="compile",
-                source=source,
-                name=path,
-                proc=args.proc,
-                arch=args.target,
-                axiom_tiers=args.axiom_tiers,
-                min_cycles=args.min_cycles,
-                max_cycles=args.max_cycles,
-                strategy=args.strategy,
-                max_rounds=args.max_rounds,
-                max_enodes=args.max_enodes,
-                verify=not args.no_verify,
-                load_latency=args.load_latency,
-                miss_latency=args.miss_latency,
-                backend=args.backend,
-                extraction=args.extraction,
-                seed=args.seed,
-                mcmc_seed=args.mcmc_seed,
-                mcmc_chains=args.mcmc_chains,
-                mcmc_moves=args.mcmc_moves,
-                timeout_seconds=args.job_timeout,
-            )
-        )
-    return specs * max(1, args.repeat)
-
-
 def _print_batch_result(name: str, payload: Optional[dict], quiet: bool) -> int:
     """Render one job's units; returns the job's exit contribution."""
     status = EXIT_OK
@@ -742,12 +676,18 @@ def _print_batch_result(name: str, payload: Optional[dict], quiet: bool) -> int:
 
 
 def _batch_main(argv: List[str]) -> int:
-    args = _parse_pipeline_args(build_batch_parser(), argv)
+    parser = build_batch_parser()
+    args = parser.parse_args(argv)
+    template = _job_spec(parser, args)
+    specs = []
     try:
-        specs = _batch_specs(args)
+        for path in args.sources:
+            with open(path) as handle:
+                specs.append(replace(template, source=handle.read(), name=path))
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    specs *= max(1, args.repeat)
 
     if args.url is not None:
         return _batch_remote(args, specs)
@@ -764,7 +704,9 @@ def _batch_remote(args, specs) -> int:
         ids = client.submit(specs)
         for spec, job_id in zip(specs, ids):
             try:
-                wrapper = client.result(job_id, timeout=args.job_timeout or 300.0)
+                wrapper = client.result(
+                    job_id, timeout=args.timeout_seconds or 300.0
+                )
             except ServiceError as exc:
                 print("error: %s" % exc, file=sys.stderr)
                 status = EXIT_FAILURE
@@ -789,7 +731,7 @@ def _batch_local(args, specs) -> int:
     engine = CompilationEngine(
         workers=args.workers,
         store=ResultStore(args.store),
-        default_timeout=args.job_timeout,
+        default_timeout=args.timeout_seconds,
     )
     status = EXIT_OK
     try:
@@ -987,20 +929,23 @@ def _fuzz_main(argv: List[str]) -> int:
 # -- reports -------------------------------------------------------------------
 
 
-def _write_stats_json(args, collected) -> None:
-    """Aggregate the collected session stats into one JSON report."""
+def _write_stats_json(
+    path: str, spec: JobSpec, report: CompileReport
+) -> None:
+    """Write the report's per-GMA stage stats, and their totals, as JSON."""
     import json
 
     from repro.core.cache import global_axiom_cache, global_saturation_cache
     from repro.core.session import aggregate_stats
 
-    report = {
-        "source": args.source,
-        "arch": args.target,
-        "target": args.target,
-        "strategy": args.strategy,
-        "backend": getattr(args, "backend", "sat"),
-        "seed": getattr(args, "seed", 0),
+    collected = [result.stats for _label, result in report.results]
+    payload = {
+        "source": spec.name,
+        "arch": spec.arch,
+        "target": spec.arch,
+        "strategy": spec.strategy,
+        "backend": spec.backend,
+        "seed": spec.seed,
         "gmas": [stats.to_dict() for stats in collected],
         "totals": aggregate_stats(collected),
         "global_caches": {
@@ -1008,8 +953,8 @@ def _write_stats_json(args, collected) -> None:
             "axiom_corpus": global_axiom_cache().stats.to_dict(),
         },
     }
-    with open(args.stats_json, "w") as handle:
-        json.dump(report, handle, indent=2)
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 

@@ -35,8 +35,6 @@ from repro.core.cache import (
 from repro.core.session import (
     CompilationSession,
     StageStats,
-    add_observer,
-    remove_observer,
 )
 from repro.core.pipeline import (
     CompilationResult,
@@ -73,8 +71,6 @@ __all__ = [
     "global_saturation_cache",
     "CompilationSession",
     "StageStats",
-    "add_observer",
-    "remove_observer",
     "CompilationResult",
     "Denali",
     "DenaliConfig",

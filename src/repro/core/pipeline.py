@@ -9,7 +9,7 @@ verification of the emitted code against the GMA's reference semantics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.axioms.axiom import AxiomSet
@@ -45,8 +45,8 @@ class DenaliConfig:
     """Everything that parameterises one compilation."""
 
     # Target ISA, resolved through repro.isa.targets when the pipeline is
-    # constructed without an explicit ArchSpec; kept in sync with the
-    # spec's target so stats and job fingerprints can always report it.
+    # constructed without an explicit ArchSpec; a Denali's own copy is
+    # kept in sync with its spec's target, so it can always report it.
     target: str = "ev6"
     min_cycles: int = 1
     max_cycles: int = 12
@@ -147,14 +147,23 @@ class Denali:
     ) -> None:
         from repro.isa.targets import resolve_spec, target_for_spec
 
-        self.config = config if config is not None else DenaliConfig()
+        config = config if config is not None else DenaliConfig()
         if spec is None:
-            spec = resolve_spec(self.config.target)
+            spec = resolve_spec(config.target)
         elif isinstance(spec, str):
             spec = resolve_spec(spec)
         self.spec = spec
         self.target = target_for_spec(spec)
-        self.config.target = self.target
+        # A private copy (saturation knobs included): the caller's config
+        # may be shared with compilers for other targets.
+        saturation = replace(config.saturation)
+        # Targets without byte-manipulation instructions need the explicit
+        # and64 alternatives for mask operations (see SaturationConfig).
+        if not spec.is_machine_op("mskbl"):
+            saturation.synthesize_mask_alternatives = True
+        self.config = replace(
+            config, target=self.target, saturation=saturation
+        )
         self.registry = registry if registry is not None else default_registry()
         if axioms is None:
             # The built-in corpus compiles to the same patterns for any
@@ -164,10 +173,6 @@ class Denali:
                 self.registry, self.target
             )
         self.axioms = axioms
-        # Targets without byte-manipulation instructions need the explicit
-        # and64 alternatives for mask operations (see SaturationConfig).
-        if not spec.is_machine_op("mskbl"):
-            self.config.saturation.synthesize_mask_alternatives = True
         # Exact-extraction memo: the refinement is deterministic given
         # the same goals/budget/knobs (like saturation, its answer is a
         # pure function of the inputs), so repeat compiles through this
@@ -243,9 +248,8 @@ class Denali:
         """Generate near-optimal code for one GMA (the paper's Figure 1).
 
         The work runs as a staged :class:`~repro.core.session.CompilationSession`
-        (saturation → per-probe encode/sat/extract → verify); registered
-        session observers receive the per-stage statistics, which are also
-        attached to the result as ``result.stats``.
+        (saturation → per-probe encode/sat/extract → verify); its
+        per-stage statistics are attached to the result as ``result.stats``.
 
         ``config.backend`` selects the engine: the exact SAT ladder
         (default), the stochastic MCMC sampler, or a race of both where
@@ -293,9 +297,9 @@ class Denali:
     ) -> Tuple[CompilationResult, CompilationSession]:
         """Saturate, probe the budget ladder, extract and verify.
 
-        Returns the result *and* its session without announcing the stats
-        to observers — the caller decides when the record is final (race
-        mode appends the stochastic contestant's telemetry first).
+        Returns the result *and* its session without sealing the stats —
+        the caller decides when the record is final (race mode appends
+        the stochastic contestant's telemetry first).
         """
         cfg = self.config
         session = CompilationSession(self, gma, label=label)

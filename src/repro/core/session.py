@@ -8,16 +8,13 @@ budget-independent prefix across probes), **sat** (one incremental CDCL
 solver for the whole probe ladder, with deadline and cancellation
 plumbing), **extract** (model decoding) and **verify** (differential
 checking) — and threads a :class:`StageStats` record through them.
-
-Completed sessions are announced to registered observers
-(:func:`add_observer`), which is how the CLI's ``--stats-json`` report
-and the benchmark harness's per-test stage breakdowns are collected
-without the pipeline knowing about either.
+The record travels on the result (``CompilationResult.stats``); callers
+that report on many compilations aggregate those with
+:func:`aggregate_stats`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -151,8 +148,8 @@ SOLVER_COUNTERS = ("propagations", "conflicts", "learned", "learned_reused")
 def aggregate_stats(collected: List["StageStats"]) -> dict:
     """Sum per-stage timings and cache counters over many sessions.
 
-    Shared by the CLI's ``--stats-json`` report, the benchmark harness's
-    per-test breakdowns and the compilation service's per-worker metrics.
+    Shared by the CLI's ``--stats-json`` report and the compilation
+    service's job payloads (whose totals feed ``/v1/metrics``).
     Counters are summed, except ``cache.solver_arena_bytes``: each
     session's value is its solver's peak arena, so the total is the
     largest of them.
@@ -291,33 +288,6 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
         "cycle_floor": floors,
         "optimal_by": optimal_by,
     }
-
-
-# -- observers ----------------------------------------------------------------
-
-_observers: List[Callable[[StageStats], None]] = []
-_observer_lock = threading.Lock()
-
-
-def add_observer(fn: Callable[[StageStats], None]) -> None:
-    """Register a callback invoked with each completed session's stats."""
-    with _observer_lock:
-        _observers.append(fn)
-
-
-def remove_observer(fn: Callable[[StageStats], None]) -> None:
-    with _observer_lock:
-        try:
-            _observers.remove(fn)
-        except ValueError:
-            pass
-
-
-def _notify(stats: StageStats) -> None:
-    with _observer_lock:
-        observers = list(_observers)
-    for fn in observers:
-        fn(stats)
 
 
 @dataclass
@@ -643,6 +613,5 @@ class CompilationSession:
         return report.passed
 
     def finish(self, total_seconds: float) -> None:
-        """Seal the stats record and announce it to observers."""
+        """Seal the stats record."""
         self.stats.timings["total"] = total_seconds
-        _notify(self.stats)

@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.baselines.bruteforce import _execute as brute_execute
 from repro.baselines.bruteforce import brute_force_search, goal_from_term
 from repro.core.emit import extract_schedule
-from repro.core.pipeline import CompilationResult, Denali, DenaliConfig
+from repro.core.pipeline import CompilationResult, Denali
 from repro.core.probes import SearchStrategy
 from repro.egraph.egraph import EGraph
 from repro.encode.constraints import encode_schedule
@@ -72,7 +72,7 @@ from repro.isa.spec import ArchSpec
 from repro.isa.targets import get_target
 from repro.lang import parse_program, translate_procedure
 from repro.lang.gma import GMA
-from repro.matching.saturation import SaturationConfig, SaturationEngine
+from repro.matching.saturation import SaturationEngine
 from repro.sat.solver import CdclSolver
 from repro.sim.machine import execute_schedule
 from repro.terms.ops import OperatorRegistry, Sort
@@ -215,22 +215,23 @@ def _denali(
     extraction: str = "greedy",
     spec: Optional[ArchSpec] = None,
 ) -> Denali:
-    config = DenaliConfig(
+    from repro.service.jobs import JobSpec
+
+    request = JobSpec(
+        arch=options.target,
         min_cycles=1,
         max_cycles=options.max_cycles,
-        strategy=strategy,
+        strategy=strategy.value,
         verify=False,  # the oracle layer runs its own checks
         extraction=extraction,
-        saturation=SaturationConfig(
-            max_rounds=options.max_rounds,
-            max_enodes=options.max_enodes,
-        ),
+        max_rounds=options.max_rounds,
+        max_enodes=options.max_enodes,
     )
     return Denali(
         spec if spec is not None else get_target(options.target).spec(),
         axioms=axioms,
         registry=registry,
-        config=config,
+        config=request.to_config(),
     )
 
 

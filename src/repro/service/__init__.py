@@ -26,9 +26,11 @@ wrappers over these layers.
 
 from repro.service.jobs import (
     CompilationEngine,
+    CompileReport,
     JobError,
     JobSpec,
     JobState,
+    compile_job,
     default_corpus_key,
     job_fingerprint,
     run_job,
@@ -43,9 +45,11 @@ from repro.service.client import (
 
 __all__ = [
     "CompilationEngine",
+    "CompileReport",
     "JobError",
     "JobSpec",
     "JobState",
+    "compile_job",
     "default_corpus_key",
     "job_fingerprint",
     "run_job",

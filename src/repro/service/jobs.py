@@ -2,10 +2,11 @@
 
 A :class:`JobSpec` describes one compilation request as plain data
 (source text plus options), so it crosses process boundaries without
-pickling interned terms.  :func:`run_job` is the worker-side entry
-point: it compiles every GMA of the requested procedures exactly the way
-the one-shot CLI does, but inside a long-lived process whose axiom and
-saturation caches stay warm across jobs.
+pickling interned terms.  :func:`compile_job` runs one in-process and
+returns a :class:`CompileReport`; the one-shot CLI calls it directly,
+and :func:`run_job`, the worker-side entry point, calls it inside a
+long-lived process whose axiom and saturation caches stay warm across
+jobs.
 
 :class:`CompilationEngine` is the parent-side orchestrator: it coalesces
 identical in-flight requests onto one job, serves repeats from the
@@ -23,7 +24,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.session import SOLVER_COUNTERS
 from repro.service.pool import WorkerPool
@@ -31,7 +32,14 @@ from repro.service.store import ResultStore
 
 
 class JobError(Exception):
-    """Raised for malformed job specifications."""
+    """Raised for malformed job specifications.
+
+    ``field`` names the offending :class:`JobSpec` field, when there is one.
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class JobState:
@@ -44,9 +52,18 @@ class JobState:
     CANCELLED = "cancelled"
 
 
+# Annotation name -> the one runtime type a field of it accepts (JSON
+# true is not an int; 1 is not a bool).
+_EXACT_TYPES = {"int": int, "bool": bool, "str": str}
+
+
 @dataclass
 class JobSpec:
     """One compilation request, as plain picklable data.
+
+    The only compile request: the CLI's flags, the service's JSON body
+    and the fuzz oracles all build one, and :meth:`to_config` is the one
+    mapping onto :class:`~repro.core.pipeline.DenaliConfig`.
 
     ``kind`` is ``"compile"`` for real work; ``"sleep"`` and ``"crash"``
     are diagnostic kinds used by the pool's tests and health checks
@@ -87,62 +104,100 @@ class JobSpec:
         unknown = set(data) - known
         if unknown:
             raise JobError("unknown job spec fields: %s" % sorted(unknown))
-        spec = cls(**data)
-        # Reject what a worker would refuse here, so the service answers
-        # 400 instead of failing the job inside a worker.
-        lo, hi = spec.min_cycles, spec.max_cycles
+        return cls(**data).validate()
+
+    def validate(self) -> "JobSpec":
+        """Check every field's type and range; returns ``self``.
+
+        Rejects what a worker would refuse (or choke on), so the service
+        answers 400 and the CLI a usage error instead of a job failing,
+        or a worker slot wedging, later.  Types come from the field
+        annotations: ints must be non-bool ints, bools bools, and the
+        float fields non-negative numbers (or None where optional).
+        """
+        lo, hi = self.min_cycles, self.max_cycles
         if not (type(lo) is int and type(hi) is int and 1 <= lo <= hi):
             raise JobError(
-                "need 1 <= min_cycles <= max_cycles, got %r and %r" % (lo, hi)
+                "need 1 <= min_cycles <= max_cycles, got %r and %r" % (lo, hi),
+                "min_cycles",
             )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.replace("Optional[", "").rstrip("]")
+            if value is None and kind != f.type:
+                continue
+            if kind == "float":
+                ok = type(value) in (int, float) and value >= 0
+            else:
+                ok = type(value) is _EXACT_TYPES[kind]
+            if not ok:
+                sign = "non-negative " if kind == "float" else ""
+                raise JobError(
+                    "%s must be a %s%s, got %r" % (f.name, sign, kind, value),
+                    f.name,
+                )
         from repro.core.pipeline import BACKENDS, EXTRACTION_MODES
         from repro.core.probes import SearchStrategy
         from repro.isa.targets import get_target, target_names
 
         for name, value, allowed in (
-            ("strategy", spec.strategy, [s.value for s in SearchStrategy]),
-            ("backend", spec.backend, BACKENDS),
-            ("extraction", spec.extraction, EXTRACTION_MODES),
+            ("strategy", self.strategy, [s.value for s in SearchStrategy]),
+            ("backend", self.backend, BACKENDS),
+            ("extraction", self.extraction, EXTRACTION_MODES),
         ):
             if value not in allowed:
                 raise JobError(
                     "unknown %s %r (expected one of %s)"
-                    % (name, value, ", ".join(allowed))
+                    % (name, value, ", ".join(allowed)),
+                    name,
                 )
         try:
-            get_target(spec.arch)
+            get_target(self.arch)
         except KeyError:
             raise JobError(
                 "unknown arch %r (expected a target or alias of %s)"
-                % (spec.arch, ", ".join(target_names()))
+                % (self.arch, ", ".join(target_names())),
+                "arch",
             )
-        return spec
+        return self
+
+    def to_config(self):
+        """The :class:`~repro.core.pipeline.DenaliConfig` this request
+        compiles under."""
+        from repro.core.pipeline import DenaliConfig
+        from repro.core.probes import SearchStrategy
+        from repro.isa.targets import get_target
+        from repro.matching import SaturationConfig
+        from repro.stochastic.search import StochasticConfig
+
+        return DenaliConfig(
+            target=get_target(self.arch).name,
+            min_cycles=self.min_cycles,
+            max_cycles=self.max_cycles,
+            strategy=SearchStrategy(self.strategy),
+            verify=self.verify,
+            miss_latency=self.miss_latency,
+            backend=self.backend,
+            extraction=self.extraction,
+            seed=self.seed,
+            stochastic=StochasticConfig(
+                seed=self.mcmc_seed,
+                chains=self.mcmc_chains,
+                moves=self.mcmc_moves,
+            ),
+            saturation=SaturationConfig(
+                max_rounds=self.max_rounds,
+                max_enodes=self.max_enodes,
+                axiom_tiers=self.axiom_tiers,
+            ),
+        )
 
 
 # Fields that change what a compilation produces.  ``name`` (display
 # only) and ``timeout_seconds`` (an operational bound) are excluded, so
 # the same goal submitted under different labels coalesces.
-_SEMANTIC_FIELDS = (
-    "kind",
-    "source",
-    "proc",
-    "arch",
-    "min_cycles",
-    "max_cycles",
-    "strategy",
-    "max_rounds",
-    "max_enodes",
-    "verify",
-    "load_latency",
-    "miss_latency",
-    "axiom_tiers",
-    "backend",
-    "extraction",
-    "seed",
-    "mcmc_seed",
-    "mcmc_chains",
-    "mcmc_moves",
-    "seconds",
+_SEMANTIC_FIELDS = tuple(
+    f.name for f in fields(JobSpec) if f.name not in ("name", "timeout_seconds")
 )
 
 
@@ -179,6 +234,138 @@ def default_corpus_key(target: str = "ev6") -> str:
     return "default:%s:%s:%s" % (__version__, target, digest[:16])
 
 
+# -- one compile request, one report --------------------------------------------
+
+
+@dataclass
+class CompileReport:
+    """What one compile request produced.
+
+    ``results`` pairs each compiled GMA's label with its in-process
+    :class:`~repro.core.pipeline.CompilationResult` (schedule, E-graph and
+    per-GMA ``StageStats``); ``procedures`` holds the stitched programs of
+    a whole-procedure compile, and ``errors`` the procedures that failed.
+    :meth:`to_dict` is the wire form the store persists and
+    ``/v1/jobs/<id>`` serves: per-GMA stats travel only as totals.
+    """
+
+    name: str
+    target: str
+    denali: Any  # the Denali that compiled it (--dimacs re-encodes with it)
+    results: List[Tuple[str, Any]] = field(default_factory=list)
+    procedures: List[Any] = field(default_factory=list)
+    errors: List[str] = field(default_factory=list)
+    elapsed_seconds: float = 0.0
+
+    @property
+    def units(self) -> List[Dict[str, Any]]:
+        """One record per GMA: the rendered block and its verdicts."""
+        return [
+            {
+                "label": label,
+                "assembly": None
+                if result.schedule is None
+                else result.schedule.render(label=label.replace(".", "_")),
+                "cycles": result.cycles,
+                "optimal": result.optimal,
+                "verified": result.verified,
+                "backend": result.backend,
+                "winner": result.winner,
+                "summary": result.summary(),
+                "floor": result.search.proved_floor,
+                "optimal_by": result.stats.optimal_by,
+            }
+            for label, result in self.results
+        ]
+
+    @property
+    def ok(self) -> bool:
+        return (
+            not self.errors
+            and all(
+                result.schedule is not None and result.verified is not False
+                for _label, result in self.results
+            )
+            and all(proc.all_verified() for proc in self.procedures)
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        from repro.core.session import aggregate_stats
+
+        return {
+            "ok": self.ok,
+            "kind": "compile",
+            "name": self.name,
+            "target": self.target,
+            "units": self.units,
+            "stats": aggregate_stats(
+                [result.stats for _label, result in self.results]
+            ),
+            "elapsed_seconds": round(self.elapsed_seconds, 6),
+            "pid": os.getpid(),
+        }
+
+
+def compile_job(
+    spec: JobSpec, program=None, whole: bool = False
+) -> CompileReport:
+    """Compile ``spec`` in this process: what the CLI and the worker run.
+
+    ``program`` is ``spec.source`` already parsed, when the caller has
+    it.  ``whole`` compiles each procedure into one stitched program
+    (:meth:`~repro.core.pipeline.Denali.compile_procedure`) instead of
+    per-GMA blocks.  A procedure that fails to translate or compile is
+    recorded in ``errors`` and the others still compile.
+    """
+    from repro.axioms import AxiomSet
+    from repro.core.cache import global_axiom_cache
+    from repro.core.pipeline import Denali
+    from repro.isa.targets import get_target
+    from repro.lang import parse_program, translate_procedure
+
+    start = time.perf_counter()
+    if program is None:
+        program = parse_program(spec.source)
+    if not program.procedures:
+        raise JobError("no procedures in %s" % (spec.name or "<job>"))
+    procedures = program.procedures
+    if spec.proc is not None:
+        try:
+            procedures = [program.procedure(spec.proc)]
+        except KeyError as exc:
+            raise JobError(str(exc), "proc")
+
+    config = spec.to_config()
+    corpus = global_axiom_cache().default_corpus(
+        program.registry, config.target
+    )
+    den = Denali(
+        get_target(spec.arch).spec(load_latency=spec.load_latency),
+        axioms=corpus + AxiomSet(program.axioms, "program"),
+        registry=program.registry,
+        config=config,
+    )
+    report = CompileReport(spec.name, config.target, den)
+    for proc in procedures:
+        try:
+            if whole:
+                stitched = den.compile_procedure(proc)
+            else:
+                gmas = translate_procedure(proc, program.registry)
+        except Exception as exc:
+            what = "error compiling" if whole else "translation error in"
+            report.errors.append("%s %s: %s" % (what, proc.name, exc))
+            continue
+        if whole:
+            report.procedures.append(stitched)
+            report.results.extend(stitched.results)
+            continue
+        for label, gma in gmas:
+            report.results.append((label, den.compile_gma(gma, label=label)))
+    report.elapsed_seconds = time.perf_counter() - start
+    return report
+
+
 # -- worker-side execution -----------------------------------------------------
 
 
@@ -192,121 +379,10 @@ def run_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
         os._exit(3)
     if spec.kind != "compile":
         raise JobError("unknown job kind %r" % spec.kind)
-    return _compile(spec)
-
-
-def _build_spec(spec: JobSpec):
-    from repro.isa.targets import get_target
-
-    return get_target(spec.arch).spec(load_latency=spec.load_latency)
-
-
-def _compile(spec: JobSpec) -> Dict[str, Any]:
-    from repro.axioms import AxiomSet
-    from repro.core import cache as _cache
-    from repro.core.pipeline import Denali, DenaliConfig
-    from repro.core.probes import SearchStrategy
-    from repro.core.session import add_observer, aggregate_stats, remove_observer
-    from repro.lang import parse_program, translate_procedure
-    from repro.matching import SaturationConfig
-
-    start = time.perf_counter()
-    program = parse_program(spec.source)
-    if not program.procedures:
-        raise JobError("no procedures in source %r" % (spec.name or "<job>"))
-    procedures = program.procedures
-    if spec.proc is not None:
-        procedures = [program.procedure(spec.proc)]
-
-    arch_spec = _build_spec(spec)
-    from repro.isa.targets import target_for_spec
-
-    target = target_for_spec(arch_spec)
-    corpus = _cache.global_axiom_cache().default_corpus(
-        program.registry, target
-    )
-    axioms = corpus + AxiomSet(program.axioms, "program")
-    from repro.stochastic.search import StochasticConfig
-
-    config = DenaliConfig(
-        target=target,
-        min_cycles=spec.min_cycles,
-        max_cycles=spec.max_cycles,
-        strategy=SearchStrategy(spec.strategy),
-        verify=spec.verify,
-        miss_latency=spec.miss_latency,
-        backend=spec.backend,
-        extraction=spec.extraction,
-        seed=spec.seed,
-        stochastic=StochasticConfig(
-            seed=spec.mcmc_seed,
-            chains=spec.mcmc_chains,
-            moves=spec.mcmc_moves,
-        ),
-        saturation=SaturationConfig(
-            max_rounds=spec.max_rounds,
-            max_enodes=spec.max_enodes,
-            axiom_tiers=spec.axiom_tiers,
-        ),
-    )
-    den = Denali(
-        arch_spec, axioms=axioms, registry=program.registry,
-        config=config,
-    )
-
-    collected: List[Any] = []
-    add_observer(collected.append)
-    units: List[Dict[str, Any]] = []
-    ok = True
-    try:
-        for proc in procedures:
-            gmas = translate_procedure(proc, program.registry)
-            for label, gma in gmas:
-                result = den.compile_gma(gma, label=label)
-                if result.schedule is None:
-                    ok = False
-                    units.append(
-                        {
-                            "label": label,
-                            "assembly": None,
-                            "cycles": None,
-                            "optimal": False,
-                            "verified": None,
-                            "backend": result.backend,
-                            "winner": None,
-                            "summary": result.summary(),
-                        }
-                    )
-                    continue
-                if result.verified is False:
-                    ok = False
-                units.append(
-                    {
-                        "label": label,
-                        "assembly": result.schedule.render(
-                            label=label.replace(".", "_")
-                        ),
-                        "cycles": result.cycles,
-                        "optimal": result.optimal,
-                        "verified": result.verified,
-                        "backend": result.backend,
-                        "winner": result.winner,
-                        "summary": result.summary(),
-                    }
-                )
-    finally:
-        remove_observer(collected.append)
-
-    return {
-        "ok": ok,
-        "kind": "compile",
-        "name": spec.name,
-        "target": target,
-        "units": units,
-        "stats": aggregate_stats(collected),
-        "elapsed_seconds": round(time.perf_counter() - start, 6),
-        "pid": os.getpid(),
-    }
+    report = compile_job(spec)
+    if report.errors:
+        raise JobError(report.errors[0])
+    return report.to_dict()
 
 
 # -- the engine ----------------------------------------------------------------
@@ -653,10 +729,9 @@ class CompilationEngine:
             for stage, seconds in stats["timings"].items():
                 per_worker[stage] = per_worker.get(stage, 0.0) + seconds
         if stats and isinstance(stats.get("saturation"), dict):
-            sat = stats["saturation"]
-            for key in self._saturation_totals:
-                self._saturation_totals[key] += int(sat.get(key, 0) or 0)
-            for key, count in (sat.get("budget_hits") or {}).items():
+            for key, count in (
+                stats["saturation"].get("budget_hits") or {}
+            ).items():
                 self._saturation_budget_hits[key] = (
                     self._saturation_budget_hits.get(key, 0) + int(count)
                 )
@@ -665,13 +740,10 @@ class CompilationEngine:
                 self._backend_wins[name] = (
                     self._backend_wins.get(name, 0) + int(count or 0)
                 )
-        if stats and isinstance(stats.get("stochastic"), dict):
-            for key in self._stochastic_totals:
-                self._stochastic_totals[key] += int(
-                    stats["stochastic"].get(key, 0) or 0
-                )
         ext = stats.get("extraction") if stats else None
         for source, key, totals in (
+            (stats, "saturation", self._saturation_totals),
+            (stats, "stochastic", self._stochastic_totals),
             (stats, "solver", self._solver_totals),
             (stats, "cycle_floor", self._cycle_floor_totals),
             (stats, "optimal_by", self._optimal_by_totals),
@@ -691,18 +763,12 @@ class CompilationEngine:
             for key in ("solver_watch_compactions",
                         "solver_arena_compactions", "snapshot_copy_bytes"):
                 flat[key] += int(cache.get(key, 0) or 0)
-        if record.spec.kind == "compile":
-            target = None
-            if isinstance(payload, dict):
-                target = payload.get("target")
-            bucket = self._target_bucket(
-                target or _canonical_target(record.spec.arch)
-            )
+        if record.spec.kind == "compile":  # a CompileReport's wire form
+            bucket = self._target_bucket(payload["target"])
             bucket["done"] += 1
-            if isinstance(payload, dict):
-                bucket["units"] += len(payload.get("units") or ())
-        if record.spec.kind == "compile" and payload.get("ok"):
-            self.store.put(record.fingerprint, payload)
+            bucket["units"] += len(payload["units"])
+            if payload["ok"]:
+                self.store.put(record.fingerprint, payload)
         self._inflight.pop(record.fingerprint, None)
         record.done.set()
 

@@ -188,11 +188,13 @@ class WorkerPool:
             if handle.current_job is not None or not handle.alive():
                 continue
             job_id, spec_dict, timeout = self._pending.popleft()
+            # The deadline first: a bad timeout must raise before the
+            # worker is marked busy, or the slot stays taken for good.
+            now = time.monotonic()
+            deadline = None if timeout is None else now + timeout
             handle.current_job = job_id
-            handle.busy_since = time.monotonic()
-            handle.deadline = (
-                None if timeout is None else handle.busy_since + timeout
-            )
+            handle.busy_since = now
+            handle.deadline = deadline
             handle.inbox.put((job_id, spec_dict))
             starts.append((job_id, handle.id))
 

@@ -77,6 +77,16 @@ class TestCli:
         assert "scale_tail" in out
         assert "other" not in out
 
+    def test_translation_error_keeps_other_procedures(
+        self, source_file, capsys
+    ):
+        bad = r"(\procdecl bad ((b long)) long (:= (\res nope)))"
+        status = main([source_file(SIMPLE + bad), "--quiet"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert "s4addq" in captured.out
+        assert "translation error in bad" in captured.err
+
     def test_unknown_proc_errors(self, source_file, capsys):
         status = main([source_file(SIMPLE), "--proc", "nope"])
         assert status == 2
@@ -253,6 +263,14 @@ class TestExitCodes:
         assert "--min-cycles" in err
         assert "Traceback" not in err
 
+    def test_negative_job_timeout_is_usage_error(self, source_file, capsys):
+        # The batch flags go through JobSpec's validator, like a service
+        # request body does.
+        status = main(["batch", source_file(SIMPLE), "--job-timeout", "-1"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "--job-timeout" in err
+
     def test_keyboard_interrupt_exits_130(self, source_file, capsys,
                                           monkeypatch):
         import repro.cli as cli
@@ -415,6 +433,30 @@ class TestServiceVerbs:
             assert "s4addq" in out
         finally:
             node.stop(drain=False)
+
+    def test_compile_and_batch_print_the_same_bytes(
+        self, source_file, capsys
+    ):
+        """One compile request, one report: the one-shot compiler, a
+        local batch and a batch sent to a fabric node print each GMA's
+        block identically."""
+        from repro.fabric import FabricNode
+
+        path = source_file(LOOPY)
+        flags = ["--quiet", "--strategy", "linear", "--max-cycles", "10"]
+        assert main([path] + flags) == 0
+        one_shot = capsys.readouterr().out
+        assert main(["batch", path, "--workers", "1"] + flags) == 0
+        local = capsys.readouterr().out
+        node = FabricNode(port=0, workers=1)
+        node.start()
+        try:
+            assert main(["batch", path, "--url", node.url] + flags) == 0
+            remote = capsys.readouterr().out
+        finally:
+            node.stop(drain=False)
+        assert "count_loop0" in one_shot
+        assert one_shot == local == remote
 
     def test_batch_unreachable_server_fails(self, source_file, capsys):
         status = main(["batch", source_file(SIMPLE),

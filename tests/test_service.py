@@ -105,6 +105,30 @@ class TestJobSpec:
         )
         assert spec.arch == "riscv"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout_seconds", "5"),
+            ("timeout_seconds", -1.0),
+            ("seconds", None),
+            ("seconds", float("nan")),
+            ("verify", 1),
+            ("max_rounds", True),
+            ("max_enodes", 2.5),
+            ("seed", "0"),
+            ("source", None),
+            ("proc", 3),
+        ],
+    )
+    def test_ill_typed_field_rejected(self, field, value):
+        with pytest.raises(JobError, match=field) as info:
+            JobSpec.from_dict({"kind": "compile", field: value})
+        assert info.value.field == field
+
+    def test_numeric_timeouts_accepted(self):
+        for value in (None, 0, 5, 2.5):
+            JobSpec.from_dict({"kind": "compile", "timeout_seconds": value})
+
     def test_removed_path_fields_rejected(self):
         # The scratch-solver and full-rescan-matcher switches are gone.
         for name in ("incremental", "incremental_match"):
@@ -126,6 +150,24 @@ class TestFingerprint:
         assert job_fingerprint(compile_spec(source=SIMPLE + " ")) != base
         assert job_fingerprint(compile_spec(max_cycles=9)) != base
         assert job_fingerprint(compile_spec(arch="itanium")) != base
+
+    def test_pinned_fingerprint(self, monkeypatch):
+        # The semantic fields are derived from JobSpec's field order; a
+        # persistent store keyed by this digest must not move with it.
+        import repro
+
+        monkeypatch.setattr(repro, "__version__", "0.0.0-pin")
+        spec = JobSpec(
+            kind="compile",
+            source="(\\procdecl f ((a long)) long (:= (\\res a)))",
+            name="pin.dn",
+            arch="rv64",
+            max_cycles=9,
+            extraction="exact",
+            seed=7,
+            timeout_seconds=3.0,
+        )
+        assert job_fingerprint(spec) == "a3d7dad66e28f45b4f9796bb5467d3d2"
 
     def test_includes_package_version(self, monkeypatch):
         import repro
@@ -189,12 +231,18 @@ class TestRunJob:
         unit = payload["units"][0]
         assert "s4addq" in unit["assembly"]
         assert unit["verified"] is True and unit["cycles"] == 1
+        assert unit["floor"] == 0 and unit["optimal_by"] == "floor"
         assert payload["stats"]["sessions"] == 1
         assert "saturation" in payload["stats"]["timings"]
 
     def test_parse_error_raises(self):
         with pytest.raises(Exception):
             run_job(compile_spec(source="(\\procdecl broken").to_dict())
+
+    def test_translation_error_fails_the_job(self):
+        bad = SIMPLE + r"(\procdecl bad ((b long)) long (:= (\res nope)))"
+        with pytest.raises(JobError, match="translation error in bad"):
+            run_job(compile_spec(source=bad).to_dict())
 
     def test_unknown_kind_raises(self):
         with pytest.raises(JobError):
@@ -389,6 +437,18 @@ class TestHttpService:
         with pytest.raises(ServiceError, match="400.*unknown strategy"):
             service._request("/v1/submit", {"jobs": [spec]})
         assert service.metrics()["jobs"]["submitted"] == 0
+
+    def test_ill_typed_submit_400_keeps_worker_free(self, service):
+        from repro.service import ServiceError
+
+        spec = compile_spec().to_dict()
+        spec["timeout_seconds"] = "5"
+        with pytest.raises(ServiceError, match="400.*timeout_seconds"):
+            service._request("/v1/submit", {"jobs": [spec]})
+        # The node's one worker slot is still free for a good job.
+        ids = service.submit([compile_spec(timeout_seconds=30.0)])
+        wrapper = service.result(ids[0], timeout=60)
+        assert wrapper["state"] == "done"
 
     def test_failed_job_result_is_error(self, service):
         from repro.service import ServiceError

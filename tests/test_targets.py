@@ -159,6 +159,18 @@ class TestRV64Pipeline:
         assert den.spec.name == rv64().name
         assert den.target == "rv64"
 
+    def test_shared_config_is_not_mutated(self):
+        # One config reused across targets: each compiler works on its
+        # own copy, so rv64's mask alternatives never leak into ev6.
+        config = _config()
+        riscv = Denali("rv64", config=config)
+        alpha = Denali("ev6", config=config)
+        assert config == _config()
+        assert riscv.config.target == "rv64"
+        assert riscv.config.saturation.synthesize_mask_alternatives is True
+        assert alpha.config.target == "ev6"
+        assert alpha.config.saturation.synthesize_mask_alternatives is False
+
 
 # -- cross-target isolation ----------------------------------------------------
 
