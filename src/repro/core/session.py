@@ -10,7 +10,8 @@ plumbing), **extract** (model decoding) and **verify** (differential
 checking) — and threads a :class:`StageStats` record through them.
 The record travels on the result (``CompilationResult.stats``); callers
 that report on many compilations aggregate those with
-:func:`aggregate_stats`.
+:func:`aggregate_stats`, and fold totals of separate runs (job payloads,
+fabric nodes) with :func:`merge_totals`.
 """
 
 from __future__ import annotations
@@ -53,23 +54,9 @@ class StageStats:
     # The extraction stage's record (mode, selected-term costs, solver
     # effort) — present for both the greedy and the exact mode.
     extraction: Optional[dict] = None
+    # The totals schema's "cache" block, counted for this session.
     cache: Dict[str, int] = field(
-        default_factory=lambda: {
-            "saturation_hits": 0,
-            "saturation_misses": 0,
-            "cnf_prefix_cycles_reused": 0,
-            "cnf_prefix_cycles_built": 0,
-            "solver_clauses_fed": 0,
-            "solver_learned_reused": 0,
-            "solver_learnts_dropped": 0,
-            # Flat-core telemetry: peak clause-arena bytes across the
-            # session's solvers, watch-list / arena compaction counts,
-            # and bytes moved by E-graph snapshot/restore copies.
-            "solver_arena_bytes": 0,
-            "solver_watch_compactions": 0,
-            "solver_arena_compactions": 0,
-            "snapshot_copy_bytes": 0,
-        }
+        default_factory=lambda: _zero_totals()["cache"]
     )
     best_cycles: Optional[int] = None
     optimal: bool = False
@@ -140,154 +127,199 @@ class StageStats:
         }
 
 
-# The ladder solver's per-probe work counters that ``aggregate_stats``
-# sums into its "solver" block.
+# The ladder solver's per-probe work counters (the totals' "solver" block).
 SOLVER_COUNTERS = ("propagations", "conflicts", "learned", "learned_reused")
+
+# Counters whose total is the largest value, not the sum: a session's
+# solver arena bytes is already that session's peak.
+PEAK_COUNTERS = frozenset({"solver_arena_bytes"})
+
+
+def _zero_totals() -> dict:
+    """The totals schema with every counter at zero.
+
+    The one declaration of the key tree that ``--stats-json``, job
+    payloads and ``/v1/metrics`` share.  ``timings`` (per stage) and
+    ``saturation.budget_hits`` (per budget) are open maps: they gain a
+    key the first time a session reports one.
+    """
+    return {
+        "sessions": 0,
+        "probes": 0,
+        "timings": {},
+        "cache": {
+            "saturation_hits": 0,
+            "saturation_misses": 0,
+            "cnf_prefix_cycles_reused": 0,
+            "cnf_prefix_cycles_built": 0,
+            "solver_clauses_fed": 0,
+            "solver_learned_reused": 0,
+            "solver_learnts_dropped": 0,
+            # Flat-core telemetry: peak clause-arena bytes across the
+            # session's solvers, watch-list / arena compaction counts,
+            # and bytes moved by E-graph snapshot/restore copies.
+            "solver_arena_bytes": 0,
+            "solver_watch_compactions": 0,
+            "solver_arena_compactions": 0,
+            "snapshot_copy_bytes": 0,
+        },
+        "solver": dict.fromkeys(SOLVER_COUNTERS, 0),
+        # Matcher runs only: a saturation-cache hit re-uses a run.
+        "saturation": {
+            "sessions": 0,
+            "rounds": 0,
+            "quiescent": 0,
+            "instances_asserted": 0,
+            "matches_attempted": 0,
+            "matches_found": 0,
+            "matches_pruned": 0,
+            "budget_hits": {},
+        },
+        "extraction": {
+            "sessions": 0,
+            "exact_sessions": 0,
+            "improved": 0,
+            "proved": 0,
+            "greedy_cost": 0,
+            "exact_cost": 0,
+            "solves": 0,
+            "pruned": 0,
+            "fallbacks": 0,
+            # The exact refinement's floors and what backed each optimum.
+            "floor_by": {"dag": 0, "selection": 0},
+            "optimal_by": {"floor": 0, "unsat": 0},
+        },
+        # Which engine produced each kept schedule.
+        "backend_wins": {"sat": 0, "stochastic": 0},
+        "stochastic": {
+            "campaigns": 0,
+            "chains": 0,
+            "proposals": 0,
+            "accepted": 0,
+            "oracle_calls": 0,
+            "oracle_passes": 0,
+            "counterexamples": 0,
+            "restarts": 0,
+            "unsupported": 0,
+        },
+        # The probe ladder's proved floors and what backed each optimum.
+        "cycle_floor": {"sessions": 0, "sum": 0, "at_optimum": 0},
+        "optimal_by": {"floor": 0, "unsat": 0},
+    }
+
+
+def merge_totals(into: dict, other: dict) -> dict:
+    """Fold the counter tree ``other`` into ``into``; returns ``into``.
+
+    Nested dicts merge recursively and numbers add (seconds rounded to
+    microseconds), except :data:`PEAK_COUNTERS`, which take the max.  A
+    key missing from ``into`` is added.  Folding the totals of two runs
+    gives the totals of both: ``merge_totals(aggregate_stats(a),
+    aggregate_stats(b)) == aggregate_stats(a + b)`` up to timings.
+    """
+    for key, value in other.items():
+        if isinstance(value, dict):
+            merge_totals(into.setdefault(key, {}), value)
+        elif key in PEAK_COUNTERS:
+            into[key] = max(into.get(key, 0), value)
+        elif isinstance(value, float):
+            into[key] = round(into.get(key, 0.0) + value, 6)
+        else:
+            into[key] = into.get(key, 0) + value
+    return into
+
+
+def _session_totals(stats: "StageStats") -> dict:
+    """One session's contribution to the totals: a sub-tree of the schema.
+
+    Work served from a cache is not counted again: a saturation-cache
+    hit adds no matcher run, and a memoised exact-extraction record adds
+    its outcome but not the ``solves`` and ``pruned`` of the run it
+    copies.
+    """
+    out: dict = {
+        "sessions": 1,
+        "probes": len(stats.probes),
+        "timings": stats.timings,
+        "cache": stats.cache,
+        "solver": {
+            key: sum(getattr(p, key) for p in stats.probes)
+            for key in SOLVER_COUNTERS
+        },
+    }
+    if stats.cycle_floor is not None:
+        out["cycle_floor"] = {
+            "sessions": 1,
+            "sum": stats.cycle_floor,
+            "at_optimum": int(stats.best_cycles == stats.cycle_floor),
+        }
+    if stats.optimal_by is not None:
+        out["optimal_by"] = {stats.optimal_by: 1}
+    if stats.best_cycles is not None:
+        winner = stats.winner or (
+            "stochastic" if stats.backend == "stochastic" else "sat"
+        )
+        out["backend_wins"] = {winner: 1}
+    sto = stats.stochastic
+    if sto is not None:
+        out["stochastic"] = merge_totals(
+            {"campaigns": 1, "unsupported": int(bool(sto.get("unsupported")))},
+            sto.get("totals", {}),
+        )
+    ext = stats.extraction
+    if ext is not None:
+        block = out["extraction"] = {"sessions": 1}
+        if ext.get("mode") == "exact":
+            block.update(
+                exact_sessions=1,
+                improved=int(bool(ext.get("improved"))),
+                proved=int(bool(ext.get("proved"))),
+                greedy_cost=ext.get("greedy_cost") or 0,
+                exact_cost=ext.get("exact_cost") or 0,
+                fallbacks=int(bool(ext.get("fallback"))),
+            )
+            if not ext.get("cached"):
+                block["solves"] = ext.get("solves", 0)
+                block["pruned"] = ext.get("pruned", 0)
+            if ext.get("floor_by") is not None:
+                block["floor_by"] = {ext["floor_by"]: 1}
+            if ext.get("optimal_by") is not None:
+                block["optimal_by"] = {ext["optimal_by"]: 1}
+    sat = stats.saturation
+    if sat is not None and not stats.cache["saturation_hits"]:
+        hits = sat.budget_hits
+        budget_hits = {}
+        if hits.get("max_matches"):
+            budget_hits["max_matches"] = sum(hits["max_matches"].values())
+        if "max_enodes_round" in hits:
+            budget_hits["max_enodes"] = 1
+        if "max_rounds" in hits:
+            budget_hits["max_rounds"] = 1
+        out["saturation"] = {
+            "sessions": 1,
+            "rounds": sat.rounds,
+            "quiescent": int(sat.quiescent),
+            "instances_asserted": sat.instances_asserted,
+            "matches_attempted": sat.matches_attempted,
+            "matches_found": sat.matches_found,
+            "matches_pruned": sat.matches_pruned,
+            "budget_hits": budget_hits,
+        }
+    return out
 
 
 def aggregate_stats(collected: List["StageStats"]) -> dict:
-    """Sum per-stage timings and cache counters over many sessions.
+    """The totals of many sessions: :func:`merge_totals` folded over each
+    session's contribution, starting from the zeroed schema.
 
     Shared by the CLI's ``--stats-json`` report and the compilation
-    service's job payloads (whose totals feed ``/v1/metrics``).
-    Counters are summed, except ``cache.solver_arena_bytes``: each
-    session's value is its solver's peak arena, so the total is the
-    largest of them.
+    service's job payloads, which the engine folds into ``/v1/metrics``
+    with the same :func:`merge_totals`.
     """
-    timings: Dict[str, float] = {}
-    cache: Dict[str, int] = {}
-    solver: Dict[str, int] = dict.fromkeys(SOLVER_COUNTERS, 0)
-    saturation: Dict[str, int] = {
-        "sessions": 0,
-        "rounds": 0,
-        "quiescent": 0,
-        "instances_asserted": 0,
-        "matches_attempted": 0,
-        "matches_found": 0,
-        "matches_pruned": 0,
-    }
-    budget_hits: Dict[str, int] = {}
-    extraction: dict = {
-        "sessions": 0,
-        "exact_sessions": 0,
-        "improved": 0,
-        "proved": 0,
-        "greedy_cost": 0,
-        "exact_cost": 0,
-        "solves": 0,
-        "pruned": 0,
-        "fallbacks": 0,
-    }
-    # The exact refinement's floors and what backed each proved optimum.
-    floor_by: Dict[str, int] = {"dag": 0, "selection": 0}
-    ext_optimal_by: Dict[str, int] = {"floor": 0, "unsat": 0}
-    # Per-backend win counts: which engine produced the kept schedule.
-    wins: Dict[str, int] = {"sat": 0, "stochastic": 0}
-    stochastic: Dict[str, int] = {
-        "campaigns": 0,
-        "chains": 0,
-        "proposals": 0,
-        "accepted": 0,
-        "oracle_calls": 0,
-        "oracle_passes": 0,
-        "counterexamples": 0,
-        "restarts": 0,
-        "unsupported": 0,
-    }
-    # The probe ladder's proved floors and what backed each optimum.
-    floors: Dict[str, int] = {"sessions": 0, "sum": 0, "at_optimum": 0}
-    optimal_by: Dict[str, int] = {"floor": 0, "unsat": 0}
+    totals = _zero_totals()
     for stats in collected:
-        if stats.cycle_floor is not None:
-            floors["sessions"] += 1
-            floors["sum"] += stats.cycle_floor
-            if stats.best_cycles == stats.cycle_floor:
-                floors["at_optimum"] += 1
-        if stats.optimal_by is not None:
-            optimal_by[stats.optimal_by] += 1
-        for stage, seconds in stats.timings.items():
-            timings[stage] = timings.get(stage, 0.0) + seconds
-        for key, value in stats.cache.items():
-            if key == "solver_arena_bytes":
-                cache[key] = max(cache.get(key, 0), value)
-            else:
-                cache[key] = cache.get(key, 0) + value
-        for p in stats.probes:
-            for key in SOLVER_COUNTERS:
-                solver[key] += getattr(p, key)
-        if stats.best_cycles is not None:
-            winner = stats.winner or (
-                "stochastic" if stats.backend == "stochastic" else "sat"
-            )
-            wins[winner] = wins.get(winner, 0) + 1
-        sto = stats.stochastic
-        if sto is not None:
-            stochastic["campaigns"] += 1
-            if sto.get("unsupported"):
-                stochastic["unsupported"] += 1
-            totals = sto.get("totals", {})
-            for key in (
-                "chains",
-                "proposals",
-                "accepted",
-                "oracle_calls",
-                "oracle_passes",
-                "counterexamples",
-                "restarts",
-            ):
-                stochastic[key] += totals.get(key, 0)
-        ext = stats.extraction
-        if ext is not None:
-            extraction["sessions"] += 1
-            if ext.get("mode") == "exact":
-                extraction["exact_sessions"] += 1
-                extraction["improved"] += 1 if ext.get("improved") else 0
-                extraction["proved"] += 1 if ext.get("proved") else 0
-                extraction["greedy_cost"] += ext.get("greedy_cost") or 0
-                extraction["exact_cost"] += ext.get("exact_cost") or 0
-                extraction["solves"] += ext.get("solves", 0)
-                extraction["pruned"] += ext.get("pruned", 0)
-                if ext.get("fallback"):
-                    extraction["fallbacks"] += 1
-                if ext.get("floor_by") is not None:
-                    floor_by[ext["floor_by"]] += 1
-                if ext.get("optimal_by") is not None:
-                    ext_optimal_by[ext["optimal_by"]] += 1
-        sat = stats.saturation
-        if sat is not None:
-            saturation["sessions"] += 1
-            saturation["rounds"] += sat.rounds
-            saturation["quiescent"] += 1 if sat.quiescent else 0
-            saturation["instances_asserted"] += sat.instances_asserted
-            saturation["matches_attempted"] += sat.matches_attempted
-            saturation["matches_found"] += sat.matches_found
-            saturation["matches_pruned"] += sat.matches_pruned
-            hits = sat.budget_hits
-            max_matches = hits.get("max_matches")
-            if max_matches:
-                budget_hits["max_matches"] = budget_hits.get(
-                    "max_matches", 0
-                ) + sum(max_matches.values())
-            if "max_enodes_round" in hits:
-                budget_hits["max_enodes"] = budget_hits.get("max_enodes", 0) + 1
-            if "max_rounds" in hits:
-                budget_hits["max_rounds"] = budget_hits.get("max_rounds", 0) + 1
-    saturation["budget_hits"] = budget_hits
-    extraction["floor_by"] = floor_by
-    extraction["optimal_by"] = ext_optimal_by
-    return {
-        "sessions": len(collected),
-        "probes": sum(len(s.probes) for s in collected),
-        "timings": {k: round(v, 6) for k, v in timings.items()},
-        "cache": cache,
-        "solver": solver,
-        "saturation": saturation,
-        "extraction": extraction,
-        "backend_wins": wins,
-        "stochastic": stochastic,
-        "cycle_floor": floors,
-        "optimal_by": optimal_by,
-    }
+        merge_totals(totals, _session_totals(stats))
+    return totals
 
 
 @dataclass

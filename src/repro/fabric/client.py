@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.session import aggregate_stats, merge_totals
 from repro.fabric.ring import RingView, ring_from_description
 from repro.service.client import (
     ServiceClient,
@@ -155,31 +156,29 @@ class FabricClient(ServiceClient):
             time.sleep(poll)
 
     def metrics(self) -> Dict[str, Any]:
-        """Fabric-wide metrics: node payloads plus summed counters.
+        """Fabric-wide metrics: node payloads plus merged counters.
 
         Shape-compatible with the single-node ``/v1/metrics`` payload
-        (``throughput``, ``jobs``, ``store``) so the ``repro batch``
-        footer reports whole-fabric numbers, with the raw per-node
-        payloads preserved under ``"nodes"``.
+        (``throughput``, ``jobs``, ``store``, ``totals``) so the
+        ``repro batch`` footer and ``--metrics-json`` report
+        whole-fabric numbers, with the raw per-node payloads preserved
+        under ``"nodes"``.  ``jobs`` and ``totals`` fold with
+        :func:`~repro.core.session.merge_totals`.
         """
         per_node = self.fabric_metrics()
         if not per_node:
             return super().metrics()
         throughput: Dict[str, float] = {"done": 0, "jobs_per_second": 0.0}
-        jobs: Dict[str, int] = {}
         store = {"hits": 0, "misses": 0, "writes": 0}
+        jobs: Dict[str, Any] = {}
+        totals = aggregate_stats([])
         for payload in per_node.values():
-            node_throughput = payload.get("throughput", {})
-            throughput["done"] += node_throughput.get("done", 0)
-            throughput["jobs_per_second"] += node_throughput.get(
-                "jobs_per_second", 0.0
-            )
-            for key, value in payload.get("jobs", {}).items():
-                if isinstance(value, (int, float)):
-                    jobs[key] = jobs.get(key, 0) + value
-            node_store = payload.get("store", {})
-            for key in ("hits", "misses", "writes"):
-                store[key] += node_store.get(key, 0)
+            for key in throughput:
+                throughput[key] += payload["throughput"][key]
+            for key in store:
+                store[key] += payload["store"][key]
+            merge_totals(jobs, payload["jobs"])
+            merge_totals(totals, payload["totals"])
         lookups = store["hits"] + store["misses"]
         store["hit_rate"] = (
             round(store["hits"] / lookups, 4) if lookups else 0.0
@@ -189,6 +188,7 @@ class FabricClient(ServiceClient):
             "throughput": throughput,
             "jobs": jobs,
             "store": store,
+            "totals": totals,
             "nodes": per_node,
         }
 

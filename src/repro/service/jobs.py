@@ -18,6 +18,7 @@ stage statistics for the metrics endpoint.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -26,7 +27,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.session import SOLVER_COUNTERS
+from repro.core.session import aggregate_stats, merge_totals
 from repro.service.pool import WorkerPool
 from repro.service.store import ResultStore
 
@@ -290,8 +291,6 @@ class CompileReport:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        from repro.core.session import aggregate_stats
-
         return {
             "ok": self.ok,
             "kind": "compile",
@@ -474,79 +473,13 @@ class CompilationEngine:
         self._coalesced_total = 0
         self._latencies: List[float] = []
         self._worker_stages: Dict[int, Dict[str, float]] = {}
-        # Matcher counters summed over completed compile jobs (the
-        # "saturation" block of /v1/metrics, incl. budget truncations).
-        self._saturation_totals: Dict[str, int] = {
-            "sessions": 0,
-            "rounds": 0,
-            "quiescent": 0,
-            "instances_asserted": 0,
-            "matches_attempted": 0,
-            "matches_found": 0,
-            "matches_pruned": 0,
-        }
-        self._saturation_budget_hits: Dict[str, int] = {}
+        # Compile totals summed over completed jobs (``aggregate_stats``'
+        # schema; the "totals" block of /v1/metrics).
+        self._totals = aggregate_stats([])
         # Per-target job aggregates over compile jobs (the "targets"
         # block of /v1/metrics).  Keys are canonical target names; a
         # store hit counts under ``cache_hits`` without compiling.
         self._target_totals: Dict[str, Dict[str, int]] = {}
-        # Which engine produced each kept schedule, over completed compile
-        # jobs; ``cache_hit`` counts submissions served straight from the
-        # result store without compiling at all.
-        self._backend_wins: Dict[str, int] = {
-            "sat": 0,
-            "stochastic": 0,
-            "cache_hit": 0,
-        }
-        # Stochastic campaign counters summed over completed compile jobs
-        # (the "stochastic" block of /v1/metrics).
-        self._stochastic_totals: Dict[str, int] = {
-            "campaigns": 0,
-            "chains": 0,
-            "proposals": 0,
-            "accepted": 0,
-            "oracle_calls": 0,
-            "oracle_passes": 0,
-            "counterexamples": 0,
-            "restarts": 0,
-            "unsupported": 0,
-        }
-        # Flat-core counters over completed compile jobs (the
-        # "flat_cores" block of /v1/metrics): the solver arena footprint
-        # is a peak, the rest are cumulative work counts.
-        self._flat_core_totals: Dict[str, int] = {
-            "solver_arena_bytes_peak": 0,
-            "solver_watch_compactions": 0,
-            "solver_arena_compactions": 0,
-            "snapshot_copy_bytes": 0,
-        }
-        # The ladder solver's work over completed compile jobs
-        # (aggregate_stats' "solver" block).
-        self._solver_totals: Dict[str, int] = dict.fromkeys(
-            SOLVER_COUNTERS, 0
-        )
-        # Probe-ladder floors and optimality proofs over completed compile
-        # jobs (aggregate_stats' "cycle_floor" and "optimal_by" blocks).
-        self._cycle_floor_totals: Dict[str, int] = {
-            "sessions": 0,
-            "sum": 0,
-            "at_optimum": 0,
-        }
-        self._optimal_by_totals: Dict[str, int] = {"floor": 0, "unsat": 0}
-        # Exact-extraction counters (aggregate_stats' "extraction" block).
-        self._extraction_totals: Dict[str, int] = {
-            "sessions": 0,
-            "exact_sessions": 0,
-            "improved": 0,
-            "proved": 0,
-            "greedy_cost": 0,
-            "exact_cost": 0,
-            "solves": 0,
-            "pruned": 0,
-            "fallbacks": 0,
-        }
-        self._extraction_floor_by: Dict[str, int] = {"dag": 0, "selection": 0}
-        self._extraction_optimal_by: Dict[str, int] = {"floor": 0, "unsat": 0}
         self._timers: List[threading.Timer] = []
         self._started_monotonic = time.monotonic()
         self._shutdown = False
@@ -620,7 +553,6 @@ class CompilationEngine:
                     record.result = cached
                     record.finished_at = time.time()
                     record.done.set()
-                    self._backend_wins["cache_hit"] += 1
                     self._target_bucket(
                         _canonical_target(spec.arch)
                     )["cache_hits"] += 1
@@ -723,47 +655,12 @@ class CompilationEngine:
         record.worker = worker_id
         record.finished_at = time.time()
         self._latencies.append(record.finished_at - record.submitted_at)
-        stats = payload.get("stats") if isinstance(payload, dict) else None
-        if stats and isinstance(stats.get("timings"), dict):
-            per_worker = self._worker_stages.setdefault(worker_id, {})
-            for stage, seconds in stats["timings"].items():
-                per_worker[stage] = per_worker.get(stage, 0.0) + seconds
-        if stats and isinstance(stats.get("saturation"), dict):
-            for key, count in (
-                stats["saturation"].get("budget_hits") or {}
-            ).items():
-                self._saturation_budget_hits[key] = (
-                    self._saturation_budget_hits.get(key, 0) + int(count)
-                )
-        if stats and isinstance(stats.get("backend_wins"), dict):
-            for name, count in stats["backend_wins"].items():
-                self._backend_wins[name] = (
-                    self._backend_wins.get(name, 0) + int(count or 0)
-                )
-        ext = stats.get("extraction") if stats else None
-        for source, key, totals in (
-            (stats, "saturation", self._saturation_totals),
-            (stats, "stochastic", self._stochastic_totals),
-            (stats, "solver", self._solver_totals),
-            (stats, "cycle_floor", self._cycle_floor_totals),
-            (stats, "optimal_by", self._optimal_by_totals),
-            (stats, "extraction", self._extraction_totals),
-            (ext, "floor_by", self._extraction_floor_by),
-            (ext, "optimal_by", self._extraction_optimal_by),
-        ):
-            if isinstance(source, dict) and isinstance(source.get(key), dict):
-                for name in totals:
-                    totals[name] += int(source[key].get(name, 0) or 0)
-        if stats and isinstance(stats.get("cache"), dict):
-            cache = stats["cache"]
-            flat = self._flat_core_totals
-            arena = int(cache.get("solver_arena_bytes", 0) or 0)
-            if arena > flat["solver_arena_bytes_peak"]:
-                flat["solver_arena_bytes_peak"] = arena
-            for key in ("solver_watch_compactions",
-                        "solver_arena_compactions", "snapshot_copy_bytes"):
-                flat[key] += int(cache.get(key, 0) or 0)
         if record.spec.kind == "compile":  # a CompileReport's wire form
+            stats = payload["stats"]
+            merge_totals(self._totals, stats)
+            merge_totals(
+                self._worker_stages.setdefault(worker_id, {}), stats["timings"]
+            )
             bucket = self._target_bucket(payload["target"])
             bucket["done"] += 1
             bucket["units"] += len(payload["units"])
@@ -872,12 +769,7 @@ class CompilationEngine:
             latencies = list(self._latencies)
             worker_stats = self.pool.stats()
             for entry in worker_stats:
-                entry["stages"] = {
-                    k: round(v, 6)
-                    for k, v in self._worker_stages.get(
-                        entry["id"], {}
-                    ).items()
-                }
+                entry["stages"] = dict(self._worker_stages.get(entry["id"], {}))
             return {
                 "jobs": {
                     "submitted": len(self._jobs),
@@ -904,25 +796,11 @@ class CompilationEngine:
                 "store": self.store.to_dict(),
                 "corpus_warmed_from_store": self.corpus_warmed,
                 "workers": worker_stats,
-                "saturation": dict(
-                    self._saturation_totals,
-                    budget_hits=dict(self._saturation_budget_hits),
-                ),
-                "flat_cores": dict(self._flat_core_totals),
-                "solver": dict(self._solver_totals),
                 "targets": {
                     name: dict(bucket)
                     for name, bucket in sorted(self._target_totals.items())
                 },
-                "backends": dict(self._backend_wins),
-                "stochastic": dict(self._stochastic_totals),
-                "cycle_floor": dict(self._cycle_floor_totals),
-                "optimal_by": dict(self._optimal_by_totals),
-                "extraction": dict(
-                    self._extraction_totals,
-                    floor_by=dict(self._extraction_floor_by),
-                    optimal_by=dict(self._extraction_optimal_by),
-                ),
+                "totals": copy.deepcopy(self._totals),
             }
 
     # -- lifecycle ---------------------------------------------------------

@@ -316,6 +316,10 @@ class TestStatsJson:
     ):
         import json
 
+        from repro.core.cache import global_saturation_cache
+
+        # The totals count matcher runs only: start cold so this one runs.
+        global_saturation_cache().clear()
         path = str(tmp_path / "stats.json")
         status = main([source_file(SIMPLE), "--quiet", "--stats-json", path])
         assert status == 0
@@ -326,6 +330,7 @@ class TestStatsJson:
                 "budget_hits", "per_axiom", "phase_seconds"} <= set(sat)
         totals = report["totals"]["saturation"]
         assert totals["sessions"] == len(report["gmas"])
+        assert totals["sessions"] == report["totals"]["cache"]["saturation_misses"]
         assert "budget_hits" in totals
 
     def test_removed_path_options_are_usage_errors(

@@ -352,6 +352,30 @@ class TestTwoNodes:
         finally:
             client.close()
 
+    def test_fabric_metrics_merge_node_totals(self, pair):
+        a, _ = pair
+        client = FabricClient(a.url)
+        try:
+            specs = [
+                compile_spec(SIMPLE.replace("4", str(multiplier)))
+                for multiplier in (2, 4, 8, 16)
+            ] + [sleep_spec(seed) for seed in range(8)]
+            for job_id in client.submit(specs):
+                client.result(job_id, timeout=60.0)
+            metrics = client.metrics()
+            nodes = metrics["nodes"].values()
+            assert len(nodes) == 2
+            assert metrics["totals"]["sessions"] == sum(
+                node["totals"]["sessions"] for node in nodes
+            ) == 4
+            assert metrics["totals"]["solver"]["propagations"] == sum(
+                node["totals"]["solver"]["propagations"] for node in nodes
+            )
+            assert metrics["jobs"]["by_state"]["done"] == len(specs)
+            assert metrics["jobs"]["submitted"] == len(specs)
+        finally:
+            client.close()
+
     def test_zero_lost_jobs_in_burst(self, pair):
         a, _ = pair
         client = FabricClient(a.url)

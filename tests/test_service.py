@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.cache import global_saturation_cache
 from repro.service import (
     CompilationEngine,
     JobError,
@@ -53,6 +54,9 @@ def compile_spec(source=SIMPLE, **kwargs):
 
 @pytest.fixture
 def engine():
+    # Workers fork from this process: start them with a cold saturation
+    # cache, so a compile's totals count its matcher run.
+    global_saturation_cache().clear()
     eng = CompilationEngine(workers=1, max_retries=1, retry_backoff=0.05)
     yield eng
     eng.shutdown(drain=False)
@@ -322,7 +326,7 @@ class TestEngine:
         assert worker["jobs_done"] == 1
         assert "saturation" in worker["stages"]
         assert 0.0 <= metrics["store"]["hit_rate"] <= 1.0
-        sat = metrics["saturation"]
+        sat = metrics["totals"]["saturation"]
         assert sat["sessions"] >= 1
         assert "incremental_sessions" not in sat
         assert sat["matches_attempted"] > 0
@@ -330,20 +334,20 @@ class TestEngine:
 
     def test_metrics_report_cycle_floor(self, engine):
         engine.result(engine.submit(compile_spec()), timeout=60)
-        metrics = engine.metrics()
+        totals = engine.metrics()["totals"]
         # s4addq: one cycle, and the floor proves it without an UNSAT probe.
-        assert metrics["cycle_floor"] == {
+        assert totals["cycle_floor"] == {
             "sessions": 1, "sum": 1, "at_optimum": 1,
         }
-        assert metrics["optimal_by"] == {"floor": 1, "unsat": 0}
+        assert totals["optimal_by"] == {"floor": 1, "unsat": 0}
 
     def test_metrics_report_solver_work(self, engine):
         payload = engine.result(engine.submit(compile_spec()), timeout=60)
-        metrics = engine.metrics()
-        assert metrics["solver"] == payload["stats"]["solver"]
-        assert metrics["solver"]["propagations"] > 0
+        totals = engine.metrics()["totals"]
+        assert totals["solver"] == payload["stats"]["solver"]
+        assert totals["solver"]["propagations"] > 0
         assert (
-            metrics["flat_cores"]["solver_arena_bytes_peak"]
+            totals["cache"]["solver_arena_bytes"]
             == payload["stats"]["cache"]["solver_arena_bytes"]
         )
 
@@ -352,7 +356,7 @@ class TestEngine:
         engine.result(
             engine.submit(compile_spec(extraction="exact")), timeout=60
         )
-        ext = engine.metrics()["extraction"]
+        ext = engine.metrics()["totals"]["extraction"]
         assert ext["sessions"] == 2 and ext["exact_sessions"] == 1
         assert ext["proved"] == 1
         # s4addq: the dag bound alone meets the greedy cost.
