@@ -114,12 +114,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         "verifier's trials, so a run is byte-reproducible (default: 0)",
     )
     parser.add_argument(
-        "--mcmc-seed",
-        type=int,
-        default=defaults.mcmc_seed,
-        help="stochastic search seed, mixed with --seed per chain",
-    )
-    parser.add_argument(
         "--mcmc-chains",
         type=int,
         default=defaults.mcmc_chains,
@@ -162,14 +156,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_false",
         default=defaults.verify,
         help="skip the differential correctness check",
-    )
-    parser.add_argument(
-        "--axiom-tiers",
-        action="store_true",
-        default=defaults.axiom_tiers,
-        help="tiered axiom scheduling: defer expansive (growing) axioms "
-        "for the first saturation rounds, activating them before "
-        "quiescence so the fixpoint is unchanged (off by default)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="print assembly only"

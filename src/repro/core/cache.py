@@ -87,12 +87,10 @@ def saturation_key(
         (
             config.max_rounds,
             config.max_enodes,
-            config.max_matches_per_trigger,
             config.fold_constants,
             config.synthesize_constants,
             config.synthesize_byte_masks,
             config.synthesize_mask_alternatives,
-            config.axiom_tiers,
         ),
     )
 

@@ -539,11 +539,7 @@ class Denali:
 
         def stochastic_contestant(token) -> RaceEntry:
             t0 = time.perf_counter()
-            throttle = make_throttle(
-                sat_done,
-                token,
-                grace_seconds=cfg.stochastic.race_grace_seconds,
-            )
+            throttle = make_throttle(sat_done, token)
             outcome = probe(token, throttle)
             return RaceEntry(
                 name="stochastic",

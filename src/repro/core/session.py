@@ -33,10 +33,11 @@ from repro.sat.incremental import IncrementalSolver
 class StageStats:
     """Per-stage telemetry of one compilation session.
 
-    ``timings`` maps stage names (``saturation``, ``encode``, ``sat``,
-    ``extract``, ``verify``, ``total``) to wall-clock seconds; ``encode``,
-    ``sat`` and ``extract`` are summed over all probes.  ``cache`` holds
-    the session's own hit/miss events (not the global cache totals).
+    ``timings`` maps stage names (``saturation``, ``encode``, ``feed``,
+    ``sat``, ``extract``, ``verify``, ``total``) to wall-clock seconds;
+    ``encode``, ``feed`` (handing new clauses to the solver), ``sat`` and
+    ``extract`` are summed over all probes.  ``cache`` holds the
+    session's own hit/miss events (not the global cache totals).
     """
 
     label: str = ""
@@ -467,9 +468,10 @@ class CompilationSession:
             p.prefix_cycles_reused = reused
             self.stats.cache["cnf_prefix_cycles_reused"] += reused
             self.stats.cache["cnf_prefix_cycles_built"] += k - reused
+            t1 = time.perf_counter()
             # Feed the solver everything it has not seen yet: the new
             # master (cycle-block) clauses, then this budget's gated
-            # suffix.  Both are root-level adds.
+            # suffix.  Both are root-level adds, timed as "feed".
             solver.ensure_vars(enc.master.num_vars)
             master_clauses = enc.master.clauses
             if self._fed_clauses < len(master_clauses):
@@ -486,9 +488,11 @@ class CompilationSession:
                 solver.push_budget(k, enc.selector(k))
                 self.stats.cache["solver_clauses_fed"] += len(gated)
                 self._fed_budgets.add(k)
+            t2 = time.perf_counter()
             size = enc.budget_stats(k)
-            p.encode_seconds = time.perf_counter() - t0
+            p.encode_seconds = t1 - t0 + time.perf_counter() - t2
             self.stats.add_time("encode", p.encode_seconds)
+            self.stats.add_time("feed", t2 - t1)
             p.vars, p.clauses = size["vars"], size["clauses"]
             res = solver.solve_budget(
                 k,
@@ -507,11 +511,11 @@ class CompilationSession:
             self._note_flat_counters(solver.flat_counters())
             payload = None
             if res.satisfiable:
-                t2 = time.perf_counter()
+                t3 = time.perf_counter()
                 payload = extract_schedule(
                     eg, enc.decode_view(k), res.model, input_registers
                 )
-                p.extract_seconds = time.perf_counter() - t2
+                p.extract_seconds = time.perf_counter() - t3
                 self.stats.add_time("extract", p.extract_seconds)
             if res.satisfiable is not None:
                 # Answered budgets are never probed again; retiring frees

@@ -89,12 +89,6 @@ class EncodingOptions:
     # the encoder's differential tests; the paper's remark that only one
     # direction is needed is validated against this).
     strict_availability: bool = False
-    # Inject ldiq materialisation nodes for out-of-range constants.
-    materialize_constants: bool = True
-    # Require every launched term to be launched at most once.  Off by
-    # default: the EV6 sometimes *wants* duplicated computations (the
-    # "necessary unused instruction" of Figure 4).
-    launch_at_most_once: bool = False
 
 
 @dataclass
@@ -302,7 +296,6 @@ def _analyse(
     eg: EGraph,
     spec: ArchSpec,
     goals: Sequence[int],
-    options: EncodingOptions,
     unsafe_terms: Dict[ENode, int],
     lat_of,
 ):
@@ -317,13 +310,12 @@ def _analyse(
     """
     goal_roots = [eg.find(g) for g in goals]
     support = _support(eg, goal_roots)
-    if options.materialize_constants:
-        _inject_ldiq(eg, support, spec)
-        # Injection merges fresh ldiq nodes into constant classes, which
-        # may elect a new class representative: re-find the roots, or a
-        # bare-constant goal is misjudged uncomputable under its stale id.
-        goal_roots = [eg.find(g) for g in goal_roots]
-        support = _support(eg, goal_roots)
+    _inject_ldiq(eg, support, spec)
+    # Injection merges fresh ldiq nodes into constant classes, which may
+    # elect a new class representative: re-find the roots, or a
+    # bare-constant goal is misjudged uncomputable under its stale id.
+    goal_roots = [eg.find(g) for g in goal_roots]
+    support = _support(eg, goal_roots)
     free = _free_classes(eg, support, spec)
     rows = _term_rows(eg, support, free, spec, unsafe_terms, lat_of)
     soonest: Dict[int, int] = {}  # per class, min over clusters of E
@@ -352,7 +344,6 @@ def cycle_floor(
     eg: EGraph,
     spec: ArchSpec,
     goals: Sequence[int],
-    options: Optional[EncodingOptions] = None,
     unsafe_terms: Optional[Dict[ENode, int]] = None,
     latency_overrides: Optional[Dict[ENode, int]] = None,
 ) -> int:
@@ -363,7 +354,7 @@ def cycle_floor(
     :class:`EncodeError` when some goal cannot be computed at all.
     """
     return _analyse(
-        eg, spec, goals, options or EncodingOptions(), unsafe_terms or {},
+        eg, spec, goals, unsafe_terms or {},
         _latency_of(spec, latency_overrides or {}),
     )[5]
 
@@ -398,7 +389,7 @@ def encode_schedule(
         raise EncodeError("cycle budget must be at least 1")
 
     goal_roots, support, free, rows, computable, _floor, _finish = _analyse(
-        eg, spec, goals, options, unsafe_terms or {}, lat_of
+        eg, spec, goals, unsafe_terms or {}, lat_of
     )
 
     # Machine terms: computable-argument machine-op enodes in the support,
@@ -502,13 +493,6 @@ def encode_schedule(
     for slot_vars in per_slot.values():
         cnf.at_most_one(slot_vars)
 
-    if options.launch_at_most_once:
-        per_term: Dict[ENode, List[int]] = {}
-        for (i, node, u), var in launch_vars.items():
-            per_term.setdefault(node, []).append(var)
-        for term_vars in per_term.values():
-            cnf.at_most_one(term_vars)
-
     # -- family 6: memory anti-dependences ------------------------------------
     # A store superseding memory version m must not launch until every
     # scheduled load of version m has completed: on the real machine the
@@ -600,9 +584,7 @@ class IncrementalEncoder:
             self.computable,
             floor,
             finish,
-        ) = _analyse(
-            eg, spec, goals, self.options, self.unsafe_terms, self.latency
-        )
+        ) = _analyse(eg, spec, goals, self.unsafe_terms, self.latency)
         self.support = support
         # The proved cycle floor (see cycle_floor): every budget below it
         # is UNSAT, so probe schedulers may start their ladder there.
@@ -863,12 +845,6 @@ class IncrementalEncoder:
             m.add_clause(
                 [self._avail_vars[(cycles - 1, g, c)] for c in clusters]
             )
-        if self.options.launch_at_most_once:
-            bases = self._block_base
-            for _node, _units, _lat, f_offs, _l, _a, _deps in self._term_rows:
-                m.at_most_one(
-                    [bases[i] + f for i in range(cycles) for f in f_offs]
-                )
         emitted = m.clauses[start:]
         del m.clauses[start:]
         gated = sanitize_clauses(

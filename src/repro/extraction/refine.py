@@ -210,18 +210,22 @@ def refine_exact(
         counter.add(used_of[t], max(1, cost(node)))
 
     # 3. Dominance pruning over the class DAG, gated and relaxable.
+    operands = restriction["operands"]
     tree_bounds = class_lower_bounds(
         eg,
         cost,
         "tree",
         leaf_classes=free,
         viable=lambda n: n in machine_nodes,
+        operands=operands,
     )
     candidates: Dict[int, List] = {}
     for t, (node, cid) in enumerate(terms):
         candidates.setdefault(eg.find(cid), []).append(node)
     slack = adaptive_slack(eg, saturation)
-    report = prune_dominated(eg, cost, tree_bounds, candidates, slack=slack)
+    report = prune_dominated(
+        eg, cost, tree_bounds, candidates, slack=slack, operands=operands
+    )
     stats["slack"] = slack
     s_prune = master.new_var(("XPRUNE", cycles))
     pruned = 0

@@ -138,21 +138,7 @@ class OracleOptions:
 
     def narrowed_to(self, oracle: str) -> "OracleOptions":
         """A copy that runs only ``oracle`` (the shrinker's predicate)."""
-        return OracleOptions(
-            max_cycles=self.max_cycles,
-            max_rounds=self.max_rounds,
-            max_enodes=self.max_enodes,
-            verify_trials=self.verify_trials,
-            oracles=(oracle,),
-            target=self.target,
-            cross_targets=self.cross_targets,
-            brute_max_ops=self.brute_max_ops,
-            brute_max_inputs=self.brute_max_inputs,
-            brute_max_sequences=self.brute_max_sequences,
-            brute_trials=self.brute_trials,
-            mcmc_chains=self.mcmc_chains,
-            mcmc_moves=self.mcmc_moves,
-        )
+        return dataclasses.replace(self, oracles=(oracle,))
 
 
 @dataclass
@@ -361,8 +347,8 @@ class FullScanEngine(SaturationEngine):
     def _fold_constants(self, since):
         super()._fold_constants(None)
 
-    def _instantiate_axioms(self, since, axioms=None):
-        return super()._instantiate_axioms(None, axioms)
+    def _instantiate_axioms(self, since):
+        return super()._instantiate_axioms(None)
 
 
 def _check_matching(

@@ -57,7 +57,6 @@ class SaturationConfig:
 
     max_rounds: int = 10
     max_enodes: int = 4000
-    max_matches_per_trigger: int = 2000
     fold_constants: bool = True
     synthesize_constants: bool = True
     synthesize_byte_masks: bool = True
@@ -66,18 +65,11 @@ class SaturationConfig:
     # on the Alpha it only floods the graph with worse computations, so it
     # is off unless the pipeline detects such a target.
     synthesize_mask_alternatives: bool = False
-    # Tiered axiom scheduling (Caviar-style): defer *expansive* axioms —
-    # clauses and equalities whose non-trigger side is strictly larger
-    # than the trigger side — for the first ``TIER_CHEAP_ROUNDS`` rounds,
-    # letting the cheap/simplifying tier shrink the frontier before the
-    # growers fire.  The deferred tier is always activated before the
-    # engine may declare quiescence, so a quiescent tiered run reaches
-    # the same fixpoint (identical class partition) as an untiered one.
-    axiom_tiers: bool = False
 
 
-# Rounds the tiered schedule runs the cheap tier alone.
-TIER_CHEAP_ROUNDS = 2
+# Substitutions one trigger may yield per round; reaching it records a
+# ``max_matches`` budget hit.
+MAX_MATCHES_PER_TRIGGER = 2000
 # Largest n for which a 2**n multiplier gets a pow(2, n) alternative.
 MAX_POW2_EXPONENT = 63
 
@@ -102,8 +94,6 @@ class SaturationStats:
     matches_attempted: int = 0  # head candidates handed to the matcher
     matches_found: int = 0  # substitutions produced
     matches_pruned: int = 0  # head candidates skipped by the stamp filter
-    tiered: bool = False  # tiering was on and an expansive tier existed
-    tier_activation_round: int = 0  # round the deferred tier joined (0 = n/a)
     # Which budgets fired: "max_matches" -> {"axiom#trigger": hit count},
     # "max_enodes_round" -> round that tripped it, "max_rounds" -> last round.
     budget_hits: Dict[str, object] = field(default_factory=dict)
@@ -153,31 +143,6 @@ class _ActiveClause:
     literals: List[Tuple[str, int, int]]  # (kind, lhs class, rhs class)
 
 
-def _pattern_size(p) -> int:
-    """Operator applications in a pattern (vars/consts are free)."""
-    if p.is_var or p.is_const:
-        return 0
-    return 1 + sum(_pattern_size(a) for a in p.args)
-
-
-def axiom_tier(axiom: Axiom) -> str:
-    """Static tier of one axiom: ``"cheap"`` or ``"expansive"``.
-
-    Clauses are expansive (they record case splits whose propagation can
-    assert arbitrary facts); an equality is expansive when its non-trigger
-    side is strictly larger than the trigger side, i.e. instantiating it
-    can only add structure to the graph.  Distinctions and size-preserving
-    or size-reducing equalities are cheap.
-    """
-    if isinstance(axiom, AxiomClause):
-        return "expansive"
-    if isinstance(axiom, AxiomDistinction):
-        return "cheap"
-    if _pattern_size(axiom.rhs) > _pattern_size(axiom.lhs):
-        return "expansive"
-    return "cheap"
-
-
 class SaturationEngine:
     """Drives matching over one E-graph.
 
@@ -215,28 +180,11 @@ class SaturationEngine:
         eg = self.eg
         stats = self.stats
         timer = time.perf_counter
-        all_axioms = list(self.axioms)
-        # Tier partition (static, pattern-shape-based).  Tiering is inert
-        # when there is nothing to defer.
-        tiering = bool(cfg.axiom_tiers)
-        cheap = all_axioms
-        expansive: List[Axiom] = []
-        if tiering:
-            cheap = [ax for ax in all_axioms if axiom_tier(ax) == "cheap"]
-            expansive = [ax for ax in all_axioms if axiom_tier(ax) == "expansive"]
-            tiering = bool(expansive)
-        stats.tiered = tiering
-        tier_active = not tiering
-        tier_debut = False  # expansive axioms need one full scan on debut
         # None = full scan (round one); otherwise the version stamp the
         # round's dirty cone is relative to.
         since: Optional[int] = None
         for round_index in range(cfg.max_rounds):
             stats.rounds = round_index + 1
-            if not tier_active and round_index >= TIER_CHEAP_ROUNDS:
-                tier_active = True
-                tier_debut = True
-                stats.tier_activation_round = stats.rounds
             before = eg.version
             t0 = timer()
             if cfg.fold_constants:
@@ -248,17 +196,7 @@ class SaturationEngine:
                 self._synthesize_byte_masks()
             t2 = timer()
             self._recanonicalize_keys()
-            if not tier_active:
-                budget_hit = self._instantiate_axioms(since, cheap)
-            elif tier_debut:
-                # The deferred tier has never matched this graph: the
-                # dirty cone only covers what changed since last round,
-                # so its debut must be a full scan.
-                budget_hit = self._instantiate_axioms(since, cheap)
-                budget_hit = self._instantiate_axioms(None, expansive) or budget_hit
-                tier_debut = False
-            else:
-                budget_hit = self._instantiate_axioms(since, all_axioms)
+            budget_hit = self._instantiate_axioms(since)
             t3 = timer()
             self._propagate_clauses()
             t4 = timer()
@@ -268,15 +206,8 @@ class SaturationEngine:
             phases["match"] += t3 - t2
             phases["propagate"] += t4 - t3
             if eg.version == before and not budget_hit:
-                if tier_active:
-                    stats.quiescent = True
-                    break
-                # The cheap tier quiesced with the expansive tier still
-                # deferred: activate it instead of declaring quiescence,
-                # so the tiered fixpoint equals the untiered one.
-                tier_active = True
-                tier_debut = True
-                stats.tier_activation_round = stats.rounds + 1
+                stats.quiescent = True
+                break
             if eg.enodes_at_least(cfg.max_enodes):
                 stats.budget_hits.setdefault("max_enodes_round", stats.rounds)
                 break
@@ -465,16 +396,13 @@ class SaturationEngine:
 
     # -- axiom instantiation ------------------------------------------------
 
-    def _instantiate_axioms(
-        self, since: Optional[int], axioms: Optional[List[Axiom]] = None
-    ) -> bool:
-        """One pass over ``axioms``; returns True if a budget stopped it.
+    def _instantiate_axioms(self, since: Optional[int]) -> bool:
+        """One pass over every axiom; returns True if a budget stopped it.
 
         With ``since`` set (incremental mode past round one), each trigger
         scans only head candidates inside the dirty cone — refreshed per
         trigger, so matches enabled by assertions earlier in the same
         round are found in the same round, exactly as a full scan would.
-        Tiered runs pass the active tier's axiom list; ``None`` means all.
         """
         cfg = self.config
         eg = self.eg
@@ -483,7 +411,7 @@ class SaturationEngine:
         timer = time.perf_counter
         budget_hit = False
         stop = False
-        for axiom in (self.axioms if axioms is None else axioms):
+        for axiom in self.axioms:
             t0 = timer()
             found_before = stats.matches_found
             asserted_before = stats.instances_asserted + stats.clauses_recorded
@@ -502,18 +430,18 @@ class SaturationEngine:
                         trigger,
                         since,
                         cone=self._cone,
-                        limit=cfg.max_matches_per_trigger,
+                        limit=MAX_MATCHES_PER_TRIGGER,
                     )
                     substs = scan.substs
                     stats.matches_attempted += scan.scanned
                     stats.matches_pruned += scan.pruned
                 else:
                     substs = ematch_all(
-                        eg, trigger, limit=cfg.max_matches_per_trigger
+                        eg, trigger, limit=MAX_MATCHES_PER_TRIGGER
                     )
                     stats.matches_attempted += eg.op_count(compiled.op)
                 stats.matches_found += len(substs)
-                if len(substs) >= cfg.max_matches_per_trigger:
+                if len(substs) >= MAX_MATCHES_PER_TRIGGER:
                     budget_hit = True
                     hits = stats.budget_hits.setdefault("max_matches", {})
                     label = "%s#%d" % (axiom.name, t_index)

@@ -52,19 +52,8 @@ class IncrementalSolver:
     :meth:`solve_budget` and :meth:`retire_budget`.
     """
 
-    def __init__(
-        self,
-        restart_base: int = 100,
-        var_decay: float = 0.95,
-        clause_decay: float = 0.999,
-        max_learnts_factor: float = 3.0,
-    ) -> None:
-        self._core = _SolverCore(
-            restart_base=restart_base,
-            var_decay=var_decay,
-            clause_decay=clause_decay,
-            max_learnts_factor=max_learnts_factor,
-        )
+    def __init__(self) -> None:
+        self._core = _SolverCore()
         self._lock = threading.RLock()
         self._budgets: Dict[int, int] = {}  # budget K -> selector var
         self._retired: Dict[int, int] = {}

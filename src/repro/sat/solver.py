@@ -144,19 +144,12 @@ class _SolverCore:
     # Compact the arena once deleted clauses own more slots than live
     # ones (and enough slots exist for the sweep to matter at all).
     _COMPACT_MIN_GARBAGE = 4096
+    _RESTART_BASE = 100  # Luby restart unit, in conflicts
+    _VAR_DECAY = 0.95  # VSIDS activity decay factor
+    _CLAUSE_DECAY = 0.999  # learnt-clause activity decay factor
+    _MAX_LEARNTS_FACTOR = 3.0  # learnt-clause cap, per original clause
 
-    def __init__(
-        self,
-        restart_base: int = 100,
-        var_decay: float = 0.95,
-        clause_decay: float = 0.999,
-        max_learnts_factor: float = 3.0,
-    ) -> None:
-        self.restart_base = restart_base
-        self.var_decay = var_decay
-        self.clause_decay = clause_decay
-        self.max_learnts_factor = max_learnts_factor
-
+    def __init__(self) -> None:
         self._nvars = 0
         # Per-literal truth values; slots 0/1 are the unused variable 0.
         self._vals = bytearray((_L_UNDEF, _L_UNDEF))
@@ -312,10 +305,10 @@ class _SolverCore:
             return SatResult(False, None, stats)
 
         restarts = 0
-        conflicts_until_restart = self.restart_base * _luby(restarts + 1)
+        conflicts_until_restart = self._RESTART_BASE * _luby(restarts + 1)
         conflicts_at_restart = 0
         max_learnts = max(
-            1000, int(self.max_learnts_factor * len(self._clauses))
+            1000, int(self._MAX_LEARNTS_FACTOR * len(self._clauses))
         )
 
         # A conflict found inside the fused canonical sweep is handed to
@@ -356,7 +349,7 @@ class _SolverCore:
                 restarts += 1
                 stats.restarts += 1
                 conflicts_at_restart = 0
-                conflicts_until_restart = self.restart_base * _luby(restarts + 1)
+                conflicts_until_restart = self._RESTART_BASE * _luby(restarts + 1)
                 self._backtrack(len(self._assumptions_done))
 
             lit = self._next_assumption()
@@ -1046,8 +1039,8 @@ class _SolverCore:
         heapq.heappush(self._heap, (-self._activity[v], v))
 
     def _decay_activities(self) -> None:
-        self._var_inc /= self.var_decay
-        self._cla_inc /= self.clause_decay
+        self._var_inc /= self._VAR_DECAY
+        self._cla_inc /= self._CLAUSE_DECAY
         if self._cla_inc > 1e100:
             act = self._cla_act
             for ref in act:
@@ -1131,8 +1124,6 @@ class CdclSolver:
     Parameters:
         conflict_budget: stop with ``satisfiable=None`` after this many
             conflicts (``None`` = unbounded).
-        restart_base: Luby restart unit, in conflicts.
-        var_decay: VSIDS activity decay factor.
         deadline_seconds: stop with ``satisfiable=None`` once this much
             monotonic-clock time has elapsed (``None`` = unbounded).
             Checked at conflicts, so a run inside a huge conflict-free
@@ -1146,18 +1137,10 @@ class CdclSolver:
     def __init__(
         self,
         conflict_budget: Optional[int] = None,
-        restart_base: int = 100,
-        var_decay: float = 0.95,
-        clause_decay: float = 0.999,
-        max_learnts_factor: float = 3.0,
         deadline_seconds: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.conflict_budget = conflict_budget
-        self.restart_base = restart_base
-        self.var_decay = var_decay
-        self.clause_decay = clause_decay
-        self.max_learnts_factor = max_learnts_factor
         self.deadline_seconds = deadline_seconds
         self.stop_check = stop_check
         # Flat-arena telemetry of the most recent solve (the core itself
@@ -1179,12 +1162,7 @@ class CdclSolver:
         for byte-identical output.  The second run reuses the first run's
         learned clauses; its counters are merged into the result stats.
         """
-        core = _SolverCore(
-            restart_base=self.restart_base,
-            var_decay=self.var_decay,
-            clause_decay=self.clause_decay,
-            max_learnts_factor=self.max_learnts_factor,
-        )
+        core = _SolverCore()
         core.grow(cnf.num_vars)
         for lits in cnf.clauses:
             if not core.add_clause(list(lits)):

@@ -84,11 +84,9 @@ class JobSpec:
     verify: bool = True
     load_latency: int = 3
     miss_latency: int = 12
-    axiom_tiers: bool = False  # tiered (cheap-first) axiom scheduling
     backend: str = "sat"  # "sat" | "stochastic" | "race"
     extraction: str = "greedy"  # "greedy" | "exact" schedule selection
     seed: int = 0  # session seed (stochastic chains + verifier trials)
-    mcmc_seed: int = 0
     mcmc_chains: int = 4
     mcmc_moves: int = 20000
     timeout_seconds: Optional[float] = None
@@ -182,14 +180,10 @@ class JobSpec:
             extraction=self.extraction,
             seed=self.seed,
             stochastic=StochasticConfig(
-                seed=self.mcmc_seed,
-                chains=self.mcmc_chains,
-                moves=self.mcmc_moves,
+                chains=self.mcmc_chains, moves=self.mcmc_moves
             ),
             saturation=SaturationConfig(
-                max_rounds=self.max_rounds,
-                max_enodes=self.max_enodes,
-                axiom_tiers=self.axiom_tiers,
+                max_rounds=self.max_rounds, max_enodes=self.max_enodes
             ),
         )
 

@@ -10,6 +10,7 @@ per-probe stats pipeline needs no special cases.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Dict, Optional
 
@@ -106,42 +107,37 @@ class StochasticProbe:
         )
 
 
+# The race's grace window: for this long the sampler sleeps while the
+# SAT contestant runs, so a healthy solver keeps the GIL to itself.
+RACE_GRACE_SECONDS = 0.25
+# How often a sleeping sampler wakes to check its cancellation token.
+THROTTLE_POLL_SECONDS = 0.05
+
+
 def make_throttle(
-    sat_done,
+    sat_done: threading.Event,
     token: Optional[Callable[[], bool]] = None,
-    grace_seconds: float = 0.25,
-    chunk_seconds: float = 0.05,
 ) -> Callable[[], None]:
     """A politeness hook for racing under the GIL.
 
     Two CPU-bound Python threads only split one core, so interleaving the
     sampler with a healthy solver just slows both down.  Instead, the
-    sampler *waits*: for the first ``grace_seconds`` of the race each
-    move slice blocks while the SAT contestant runs.  A solver that
-    answers inside the grace window — the common case — never shares the
-    GIL at all; past the window the sampler runs at full speed, because a
+    sampler *waits*: for the first ``RACE_GRACE_SECONDS`` of the race
+    each move slice blocks on ``sat_done`` while the SAT contestant runs.
+    A solver that answers inside the grace window — the common case —
+    never shares the GIL at all, and the sampler wakes the instant it
+    finishes; past the window the sampler runs at full speed, because a
     solver that slow may be on an all-UNSAT ladder the sampler can beat.
-
-    ``sat_done`` is ideally a :class:`threading.Event` — the sampler then
-    truly sleeps and wakes the instant the solver finishes, instead of
-    stealing the GIL every few milliseconds to poll.  A zero-arg callable
-    also works (polled every ``chunk_seconds``).
     """
-    wait = getattr(sat_done, "wait", None)
-    done = sat_done.is_set if wait is not None else sat_done
-    deadline = time.perf_counter() + grace_seconds
+    deadline = time.perf_counter() + RACE_GRACE_SECONDS
 
     def throttle() -> None:
-        while not done():
+        while not sat_done.is_set():
             if token is not None and token():
                 return
             remaining = deadline - time.perf_counter()
             if remaining <= 0:
                 return
-            step = min(chunk_seconds, remaining)
-            if wait is not None:
-                wait(step)
-            else:
-                time.sleep(step)
+            sat_done.wait(min(THROTTLE_POLL_SECONDS, remaining))
 
     return throttle

@@ -10,12 +10,11 @@ best verified one.  Failed oracle calls feed their counterexample back
 into the chain's test vectors.
 
 Determinism: chains run sequentially, each with a seed derived by mixing
-the session seed, the search seed and the chain index; no wall-clock value
-influences a search decision, so a fixed-seed run reproduces the same best
-schedule and the same statistics (modulo timing fields).  Cooperative
-cancellation (``stop_check``/deadline, polled once per move slice) only
-truncates the walk — it is how the backend race cancels the losing
-backend.
+the session seed and the chain index; no wall-clock value influences a
+search decision, so a fixed-seed run reproduces the same best schedule
+and the same statistics (modulo timing fields).  Cooperative
+cancellation (``stop_check``, polled once per move slice) only truncates
+the walk — it is how the backend race cancels the losing backend.
 """
 
 from __future__ import annotations
@@ -37,50 +36,34 @@ from repro.terms.values import M64
 from repro.verify.checker import check_schedule, collect_inputs
 
 
+# Test vectors each chain's cost model starts with.
+TEST_VECTORS = 8
+# Trials per full-equivalence oracle call.  The checker's first 13 trials
+# are fixed adversarial values, so only ``trials - 13`` are random — 16
+# would leave just three random vectors, enough for a subtly wrong
+# candidate to slip through.
+VERIFY_TRIALS = 48
+DISTANCE_WEIGHT = 32  # cost units per wrong output bit
+MAX_INSTRS = 24  # candidate length cap (raised to fit long seeds)
+RESTART_INTERVAL = 4000  # proposals without improvement
+# The geometric temperature schedule, first proposal to last.
+T_START = 4.0
+T_END = 0.1
+SLICE_MOVES = 16  # cancellation/throttle poll granularity
+
+
 @dataclass
 class StochasticConfig:
-    """Search parameters; defaults suit goals of a dozen instructions."""
+    """Campaign size; the defaults suit goals of a dozen instructions."""
 
     chains: int = 4
     moves: int = 20000  # proposals per chain
-    seed: int = 0  # mixed with the session seed and the chain index
-    test_vectors: int = 8
-    # Trials per full-equivalence oracle call.  The checker's first 13
-    # trials are fixed adversarial values, so only ``trials - 13`` are
-    # random — 16 would leave just three random vectors, enough for a
-    # subtly wrong candidate to slip through.
-    verify_trials: int = 48
-    distance_weight: int = 32  # cost units per wrong output bit
-    max_instrs: int = 24
-    restart_interval: int = 4000  # proposals without improvement
-    t_start: float = 4.0
-    t_end: float = 0.1
-    slice_moves: int = 16  # cancellation/throttle poll granularity
-    # Race politeness: the sampler sleeps through the first part of a
-    # race so a healthy solver keeps the GIL to itself; only a SAT path
-    # still running past the grace window has to share the interpreter.
-    race_grace_seconds: float = 0.25
-
-    def to_dict(self) -> dict:
-        return {
-            "chains": self.chains,
-            "moves": self.moves,
-            "seed": self.seed,
-            "test_vectors": self.test_vectors,
-            "verify_trials": self.verify_trials,
-            "distance_weight": self.distance_weight,
-            "max_instrs": self.max_instrs,
-            "restart_interval": self.restart_interval,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-        }
 
 
-def chain_seed(session_seed: int, search_seed: int, chain: int) -> int:
+def chain_seed(session_seed: int, chain: int) -> int:
     """Deterministic per-chain seed (splitmix-style integer mixing)."""
     x = (
         (session_seed & M64) * 0x9E3779B97F4A7C15
-        + (search_seed & M64) * 0xBF58476D1CE4E5B9
         + chain * 0x94D049BB133111EB
         + 0xD6E8FEB86659FD93
     ) & M64
@@ -190,7 +173,6 @@ def _run_chain(
     chain_index: int,
     rng_seed: int,
     stop_check: Optional[Callable[[], bool]],
-    deadline_at: Optional[float],
     throttle: Optional[Callable[[], None]],
 ) -> _ChainResult:
     rng = random.Random(rng_seed)
@@ -237,15 +219,12 @@ def _run_chain(
                 cur_cost = model.cost(cur)
 
     span = max(1, cfg.moves - 1)
-    ratio = cfg.t_end / cfg.t_start
+    ratio = T_END / T_START
     since_improve = 0
 
     for step in range(cfg.moves):
-        if step % cfg.slice_moves == 0:
+        if step % SLICE_MOVES == 0:
             if stop_check is not None and stop_check():
-                stats.cancelled = True
-                break
-            if deadline_at is not None and time.perf_counter() > deadline_at:
                 stats.cancelled = True
                 break
             if throttle is not None:
@@ -293,7 +272,7 @@ def _run_chain(
                     cur_cost = model.cost(cur)
 
         delta = cand_cost - cur_cost
-        temperature = cfg.t_start * (ratio ** (step / span))
+        temperature = T_START * (ratio ** (step / span))
         if delta <= 0 or rng.random() < math.exp(
             -delta / max(temperature, 1e-9)
         ):
@@ -307,7 +286,7 @@ def _run_chain(
         else:
             since_improve += 1
 
-        if since_improve >= cfg.restart_interval:
+        if since_improve >= RESTART_INTERVAL:
             cur = seed_candidate
             cur_cost = model.cost(cur)
             stats.restarts += 1
@@ -327,7 +306,6 @@ def stochastic_search(
     config: Optional[StochasticConfig] = None,
     session_seed: int = 0,
     stop_check: Optional[Callable[[], bool]] = None,
-    deadline_seconds: Optional[float] = None,
     throttle: Optional[Callable[[], None]] = None,
 ) -> StochasticOutcome:
     """Run a multi-chain MCMC campaign for one GMA.
@@ -365,10 +343,10 @@ def stochastic_search(
             registry,
             definitions,
             input_registers,
-            vectors=cfg.test_vectors,
-            seed=chain_seed(session_seed, cfg.seed, -1),
-            distance_weight=cfg.distance_weight,
-            verify_trials=cfg.verify_trials,
+            vectors=TEST_VECTORS,
+            seed=chain_seed(session_seed, -1),
+            distance_weight=DISTANCE_WEIGHT,
+            verify_trials=VERIFY_TRIALS,
         )
     except ValueError as exc:
         outcome.unsupported = str(exc)
@@ -382,13 +360,7 @@ def stochastic_search(
         inputs,
         pool,
         hot_literals=hot,
-        max_instrs=max(cfg.max_instrs, len(seed_candidate.instrs) + 4),
-    )
-
-    deadline_at = (
-        time.perf_counter() + deadline_seconds
-        if deadline_seconds is not None
-        else None
+        max_instrs=max(MAX_INSTRS, len(seed_candidate.instrs) + 4),
     )
 
     best: Optional[_ChainResult] = None
@@ -401,9 +373,8 @@ def stochastic_search(
             seed_candidate,
             cfg,
             chain,
-            chain_seed(session_seed, cfg.seed, chain),
+            chain_seed(session_seed, chain),
             stop_check,
-            deadline_at,
             throttle,
         )
         outcome.chains.append(result.stats)
@@ -425,8 +396,8 @@ def stochastic_search(
             gma,
             best.schedule,
             registry,
-            trials=cfg.verify_trials,
-            seed=chain_seed(session_seed, cfg.seed, -2),
+            trials=VERIFY_TRIALS,
+            seed=chain_seed(session_seed, -2),
             definitions=definitions,
         )
         if confirm.passed:

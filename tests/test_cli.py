@@ -339,13 +339,16 @@ class TestStatsJson:
         # One ladder, one solver, one matcher, one stats report: the
         # options that selected the portfolio scheduler, the per-probe
         # scratch solver and the full-rescan matcher are gone, as are
-        # the --arch spelling of --target and --profile-json.
+        # the --arch spelling of --target and --profile-json, the tiered
+        # saturation schedule and the second MCMC seed.
         for argv in (
             ["--strategy", "portfolio"],
             ["--no-incremental"],
             ["--no-incremental-match"],
             ["--arch", "ev6"],
             ["--profile-json", "profile.json"],
+            ["--axiom-tiers"],
+            ["--mcmc-seed", "3"],
         ):
             assert main([source_file(SIMPLE)] + argv) == 2, argv
         # One front end: `repro serve` is always a fabric node.

@@ -122,16 +122,6 @@ class TestConstants:
         _, enc2 = _encode_term(term, simple_risc(), 2)
         assert _solve(enc2).satisfiable is True
 
-    def test_ldiq_disabled_makes_goal_uncomputable(self):
-        term = mk("add64", inp("a"), const(0xDEADBEEF))
-        with pytest.raises(EncodeError):
-            _encode_term(
-                term,
-                simple_risc(),
-                4,
-                options=EncodingOptions(materialize_constants=False),
-            )
-
 
 class TestEncodingShape:
     def test_stats_fields(self):
@@ -159,13 +149,6 @@ class TestEncodingShape:
             assert (
                 _solve(loose).satisfiable == _solve(strict).satisfiable
             ), k
-
-    def test_launch_at_most_once_still_feasible(self):
-        term = mk("add64", mk("and64", inp("a"), inp("b")), inp("c"))
-        _, enc = _encode_term(
-            term, ev6(), 3, options=EncodingOptions(launch_at_most_once=True)
-        )
-        assert _solve(enc).satisfiable is True
 
     def test_named_variables_decode(self):
         _, enc = _encode_term(mk("add64", inp("a"), inp("b")), simple_risc(), 1)

@@ -271,6 +271,39 @@ class TestPruner:
         assert report.survivors[root] == []
         assert report.pruned == len(candidates[root])
 
+    def test_wide_constant_ldiq_survives_refine_pruning(self, monkeypatch):
+        # ldiq's constant is an immediate, not an operand: under the
+        # refinement's tree bounds a wide-constant class (checksum's
+        # 0xFFFF mask) costs one ldiq, and that ldiq is not pruned.
+        import os
+
+        from repro.extraction import refine
+        from repro.service import JobSpec, compile_job
+
+        seen = []
+
+        def recording_prune(eg, cost, bounds, candidates, **kwargs):
+            report = prune_dominated(eg, cost, bounds, candidates, **kwargs)
+            for root, nodes in candidates.items():
+                for node in nodes:
+                    if node.op == "ldiq":
+                        seen.append((
+                            eg.const_of(root),
+                            bounds.get(root),
+                            node in report.survivors[root],
+                        ))
+            return report
+
+        monkeypatch.setattr(refine, "prune_dominated", recording_prune)
+        path = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks", "workloads", "checksum.dn",
+        )
+        with open(path) as handle:
+            source = handle.read()
+        compile_job(JobSpec(source=source, extraction="exact", max_cycles=16))
+        assert (0xFFFF, 1, True) in seen
+
 
 class TestWeightedCounter:
     def test_row_semantics_and_truncation(self):

@@ -127,6 +127,24 @@ class TestSingleNode:
         finally:
             client.close()
 
+    @pytest.mark.parametrize(
+        "field, value", [("axiom_tiers", True), ("mcmc_seed", 3)]
+    )
+    def test_removed_job_field_submit_400(self, node, field, value):
+        # The tiered schedule and the second MCMC seed are gone: a job
+        # that still carries either field is refused, not half-honoured.
+        from repro.service import ServiceError
+
+        client = ServiceClient(node.url)
+        try:
+            spec = compile_spec().to_dict()
+            spec[field] = value
+            with pytest.raises(ServiceError, match="400.*" + field):
+                client._request("/v1/submit", {"jobs": [spec]})
+            assert client.metrics()["jobs"]["submitted"] == 0
+        finally:
+            client.close()
+
     def test_verbose_node_logs_each_request(self, capsys):
         node = boot(verbose=True)
         client = ServiceClient(node.url)

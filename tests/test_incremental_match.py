@@ -275,14 +275,13 @@ class TestBudgetHits:
         )
         assert "max_enodes_round" in stats.budget_hits
 
-    def test_max_matches_recorded_per_trigger(self):
+    def test_max_matches_recorded_per_trigger(self, monkeypatch):
+        from repro.matching import saturation
+
+        monkeypatch.setattr(saturation, "MAX_MATCHES_PER_TRIGGER", 1)
         eg = EGraph()
         self._chain(eg, n=4)
-        stats = saturate(
-            eg,
-            _axioms(COMM),
-            config=SaturationConfig(max_matches_per_trigger=1),
-        )
+        stats = saturate(eg, _axioms(COMM))
         hits = stats.budget_hits.get("max_matches")
         assert hits and sum(hits.values()) >= 1
 

@@ -171,7 +171,7 @@ class TestFingerprint:
             seed=7,
             timeout_seconds=3.0,
         )
-        assert job_fingerprint(spec) == "a3d7dad66e28f45b4f9796bb5467d3d2"
+        assert job_fingerprint(spec) == "a51823eed0074faf9b8d2ed812a3abc0"
 
     def test_includes_package_version(self, monkeypatch):
         import repro

@@ -196,10 +196,12 @@ class TestDeterminism:
         )
 
     def test_chain_seeds_are_distinct_and_stable(self):
-        seeds = {chain_seed(42, 0, c) for c in range(16)}
+        seeds = {chain_seed(42, c) for c in range(16)}
         assert len(seeds) == 16
-        assert chain_seed(42, 0, 3) == chain_seed(42, 0, 3)
-        assert chain_seed(42, 0, 3) != chain_seed(43, 0, 3)
+        assert chain_seed(42, 3) == chain_seed(42, 3)
+        assert chain_seed(42, 3) != chain_seed(43, 3)
+        # Pinned: a fixed --seed must keep reproducing the same campaign.
+        assert chain_seed(42, 3) == 5305262081780164746
 
     def test_verified_winner_passes_an_independent_check(self):
         gma, registry = _gma(FIG2)

@@ -273,13 +273,6 @@ class TestStoreIsolation:
 
         assert default_corpus_key("ev6") != default_corpus_key("rv64")
 
-    def test_axiom_tiers_changes_fingerprint(self):
-        from repro.service import JobSpec, job_fingerprint
-
-        a = JobSpec(kind="compile", source="x")
-        b = JobSpec(kind="compile", source="x", axiom_tiers=True)
-        assert job_fingerprint(a) != job_fingerprint(b)
-
 
 # -- the cross-target oracle ---------------------------------------------------
 
@@ -306,59 +299,3 @@ class TestCrossTargetOracle:
         narrowed = options.narrowed_to(ORACLE_ASM)
         assert narrowed.target == "rv64"
         assert narrowed.cross_targets == ("rv64",)
-
-
-# -- tiered axiom scheduling ---------------------------------------------------
-
-
-class TestAxiomTiers:
-    GOALS = (
-        FIG2,
-        mk("and64", mk("bis", inp("a"), inp("b")), const(255)),
-        mk("extbl", inp("w"), const(2)),
-        mk("sub64", mk("sll", inp("a"), const(3)), inp("a")),
-    )
-
-    def test_same_fixpoint_and_bytes(self):
-        from repro.egraph.analysis import partition_signature
-
-        for goal in self.GOALS:
-            plain = Denali(ev6(), config=_config()).compile_term(goal)
-            tiered = Denali(
-                ev6(),
-                config=_config(
-                    saturation=SaturationConfig(
-                        max_rounds=10, max_enodes=2500, axiom_tiers=True
-                    )
-                ),
-            ).compile_term(goal)
-            assert partition_signature(plain.egraph) == (
-                partition_signature(tiered.egraph)
-            )
-            assert plain.egraph.num_enodes() == tiered.egraph.num_enodes()
-            assert (plain.cycles, plain.schedule.render()) == (
-                tiered.cycles, tiered.schedule.render()
-            )
-
-    def test_tier_classifier(self):
-        from repro.matching.saturation import axiom_tier
-        from repro.terms.ops import default_registry
-        from repro.axioms import default_axiom_corpus
-
-        corpus = default_axiom_corpus(default_registry(), "ev6")
-        tiers = {axiom_tier(ax) for ax in corpus}
-        assert tiers == {"cheap", "expansive"}  # both tiers are populated
-
-    def test_stats_record_activation(self):
-        den = Denali(
-            ev6(),
-            config=_config(
-                saturation=SaturationConfig(
-                    max_rounds=10, max_enodes=2500, axiom_tiers=True
-                )
-            ),
-        )
-        res = den.compile_term(FIG2)
-        assert res.saturation.tiered is True
-        assert res.saturation.tier_activation_round >= 1
-

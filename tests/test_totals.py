@@ -7,12 +7,14 @@ folding two runs' totals with ``merge_totals`` gives the totals of both.
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.core.cache import global_saturation_cache
 from repro.core.session import aggregate_stats, merge_totals
+from repro.sat.incremental import IncrementalSolver
 from repro.service import CompilationEngine, JobSpec, compile_job
 
 SIMPLE = r"""
@@ -150,3 +152,27 @@ class TestCachedWork:
         assert ext["proved"] == 2 * int(first.stats.extraction["proved"])
         assert ext["exact_cost"] == 2 * first.stats.extraction["exact_cost"]
 
+
+class TestStageTimings:
+    def test_solver_feeding_is_timed_as_feed_not_encode(self, monkeypatch):
+        # Handing clauses to the solver is SAT work: a slow add_clauses
+        # shows up under "feed", and neither the "encode" stage nor any
+        # probe's encode_seconds carries it.
+        delay = 0.2
+        calls = []
+        add_clauses = IncrementalSolver.add_clauses
+
+        def slow_add_clauses(self, *args, **kwargs):
+            calls.append(None)
+            time.sleep(delay)
+            return add_clauses(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalSolver, "add_clauses", slow_add_clauses)
+        ((_, result),) = compile_job(spec()).results
+        stats = result.stats
+        assert calls and stats.probes
+        assert stats.timings["feed"] >= delay * len(calls)
+        assert stats.timings["encode"] < delay
+        assert sum(p.encode_seconds for p in stats.probes) == pytest.approx(
+            stats.timings["encode"]
+        )
