@@ -18,11 +18,7 @@ from repro.core.emit import Schedule
 from repro.core.probes import SearchOutcome, SearchStrategy
 from repro.core.session import CompilationSession, StageStats
 from repro.egraph.egraph import EGraph, ENode
-from repro.encode.constraints import (
-    Encoding,
-    EncodingOptions,
-    IncrementalEncoder,
-)
+from repro.encode.constraints import Encoding, IncrementalEncoder
 from repro.isa.spec import ArchSpec
 from repro.lang.gma import GMA
 from repro.matching.saturation import SaturationConfig, SaturationStats
@@ -52,7 +48,6 @@ class DenaliConfig:
     max_cycles: int = 12
     strategy: SearchStrategy = SearchStrategy.BINARY
     saturation: SaturationConfig = field(default_factory=SaturationConfig)
-    encoding: EncodingOptions = field(default_factory=EncodingOptions)
     verify: bool = True
     verify_trials: int = 16
     # Latency assumed for loads annotated as likely misses (section 6's
@@ -135,7 +130,7 @@ class Denali:
             core + the target's instruction sublayer).
         registry: the operator registry (programs with ``\\opdecl``
             operators pass their extended registry).
-        config: search/saturation/encoding parameters.
+        config: search/saturation/extraction parameters.
     """
 
     def __init__(
@@ -173,11 +168,6 @@ class Denali:
                 self.registry, self.target
             )
         self.axioms = axioms
-        # Exact-extraction memo: the refinement is deterministic given
-        # the same goals/budget/knobs (like saturation, its answer is a
-        # pure function of the inputs), so repeat compiles through this
-        # instance reuse the refined schedule instead of re-proving it.
-        self._extraction_memo: Dict = {}
 
     # -- public -------------------------------------------------------------
 
@@ -362,12 +352,12 @@ class Denali:
         """Rebuild, standalone, the formula a probe of ``result`` solved.
 
         A fresh encoder on the result's saturated E-graph and goal
-        classes, with this compiler's encoding options, guard-safety
-        terms and latency overrides, builds the cycle blocks of budget
-        ``cycles`` and its gated goal suffix; the budget's selector is
-        asserted as a unit clause where the ladder assumed it.  The
-        variable order is the ladder's, so a fresh solver's canonical
-        model decodes to the same bytes.  Only ``--dimacs`` and the
+        classes, with this compiler's guard-safety terms and latency
+        overrides, builds the cycle blocks of budget ``cycles`` and its
+        gated goal suffix; the budget's selector is asserted as a unit
+        clause where the ladder assumed it.  The variable order is the
+        ladder's, so a fresh solver's canonical model decodes to the
+        same bytes.  Only ``--dimacs`` and the
         differential oracles call this; compilation never does.
         """
         eg, goals = result.egraph, result.goal_classes
@@ -375,7 +365,6 @@ class Denali:
             eg,
             self.spec,
             goals,
-            self.config.encoding,
             self._unsafe_terms(eg, result.gma, goals),
             self._latency_overrides(eg, result.gma),
         )

@@ -278,10 +278,9 @@ def _session_totals(stats: "StageStats") -> dict:
                 greedy_cost=ext.get("greedy_cost") or 0,
                 exact_cost=ext.get("exact_cost") or 0,
                 fallbacks=int(bool(ext.get("fallback"))),
+                solves=ext.get("solves", 0),
+                pruned=ext.get("pruned", 0),
             )
-            if not ext.get("cached"):
-                block["solves"] = ext.get("solves", 0)
-                block["pruned"] = ext.get("pruned", 0)
             if ext.get("floor_by") is not None:
                 block["floor_by"] = {ext["floor_by"]: 1}
             if ext.get("optimal_by") is not None:
@@ -330,20 +329,16 @@ class SaturationHandle:
     ``egraph`` is the session's private, mutable graph (the pipeline
     injects ldiq constants and latency-override terms into it);
     ``goal_ids`` are the goal classes inside it.  ``snapshot`` is the
-    pristine saturated master the working graph was restored from — the
-    same handle the saturation LRU holds, so callers can re-seed further
-    sessions without re-saturating; it is ``None`` when the saturation
-    cache is disabled (nothing froze the graph).
+    pristine saturated master: the graph this session's saturation froze
+    on a cache miss, or the one its working graph was restored from on a
+    hit.  It is the same handle the saturation LRU holds, so callers can
+    re-seed further sessions without re-saturating.
     """
 
     egraph: EGraph
     goal_ids: List[int]
     stats: SaturationStats
-    snapshot: Optional[EGraphSnapshot] = None
-
-    def __iter__(self):
-        # Unpacks like the historical (eg, goal_ids) pair.
-        return iter((self.egraph, self.goal_ids))
+    snapshot: EGraphSnapshot
 
 
 class _StageTimer:
@@ -392,11 +387,11 @@ class CompilationSession:
     def saturate(self) -> SaturationHandle:
         """Build (or fetch) the saturated E-graph.
 
-        Returns a :class:`SaturationHandle` — unpackable as the historical
-        ``(eg, goal_ids)`` pair — whose ``snapshot`` field is the pristine
-        saturated master held by the cross-compilation LRU: on a hit the
-        working graph is restored from it without re-running the matcher,
-        on a miss the freshly saturated graph is frozen into it.
+        Returns a :class:`SaturationHandle` whose ``snapshot`` field is
+        the pristine saturated master held by the cross-compilation LRU:
+        on a hit the working graph is restored from it without re-running
+        the matcher, on a miss the freshly saturated graph is frozen into
+        it.
         """
         cfg = self.config
         goals = self.gma.goal_terms()
@@ -452,9 +447,8 @@ class CompilationSession:
         """
         from repro.core.emit import extract_schedule
 
-        cfg = self.config
         enc = self._encoder = IncrementalEncoder(
-            eg, self.spec, goal_ids, cfg.encoding, unsafe, overrides
+            eg, self.spec, goal_ids, unsafe, overrides
         )
         solver = self._solver = IncrementalSolver()
         self._fed_clauses = 0
@@ -494,11 +488,7 @@ class CompilationSession:
             self.stats.add_time("encode", p.encode_seconds)
             self.stats.add_time("feed", t2 - t1)
             p.vars, p.clauses = size["vars"], size["clauses"]
-            res = solver.solve_budget(
-                k,
-                stop_check=self.external_stop,
-                canonical_model=True,
-            )
+            res = solver.solve_budget(k, stop_check=self.external_stop)
             p.satisfiable = res.satisfiable
             p.conflicts = res.stats.conflicts
             p.propagations = res.stats.propagations
@@ -578,9 +568,8 @@ class CompilationSession:
         from repro.extraction.costs import latency_cost
         from repro.extraction.refine import greedy_stats, refine_exact
 
-        cfg = self.config
-        cost = latency_cost(self.spec, overrides)
-        if cfg.extraction != "exact":
+        if self.config.extraction != "exact":
+            cost = latency_cost(self.spec, overrides)
             self.stats.extraction = greedy_stats(schedule, cost)
             return schedule
         if schedule is None or cycles is None:
@@ -590,31 +579,6 @@ class CompilationSession:
                 "fallback": "no-schedule",
             }
             return schedule
-        # The refinement is a pure function of (goals, axioms, budget,
-        # registers, overrides): repeat compiles through the same
-        # Denali reuse the proved answer instead of re-entering the
-        # solver (mirrors the saturation snapshot cache).
-        memo = getattr(self.denali, "_extraction_memo", None)
-        key = None
-        if memo is not None:
-            key = (
-                _cache.saturation_key(
-                    self.gma.goal_terms(), self.axioms, self.registry,
-                    cfg.saturation,
-                ),
-                cycles,
-                tuple(sorted(input_registers.items())),
-                tuple(
-                    sorted((repr(n), lat) for n, lat in (overrides or {}).items())
-                ),
-            )
-            hit = memo.get(key)
-            if hit is not None:
-                best, record = hit
-                record = dict(record)
-                record["cached"] = True
-                self.stats.extraction = record
-                return best
         with _StageTimer(self.stats, "extraction"):
             best, record = refine_exact(
                 eg,
@@ -628,8 +592,6 @@ class CompilationSession:
                 stop_check=self.external_stop,
             )
         self.stats.extraction = record
-        if memo is not None and key is not None:
-            memo[key] = (best, dict(record))
         return best
 
     # -- stage 5: verification -------------------------------------------------

@@ -566,13 +566,11 @@ class IncrementalEncoder:
         eg: EGraph,
         spec: ArchSpec,
         goals: Sequence[int],
-        options: Optional[EncodingOptions] = None,
         unsafe_terms: Optional[Dict[ENode, int]] = None,
         latency_overrides: Optional[Dict[ENode, int]] = None,
     ) -> None:
         self.eg = eg
         self.spec = spec
-        self.options = options or EncodingOptions()
         self.unsafe_terms = unsafe_terms or {}
         self.latency_overrides = latency_overrides or {}
 
@@ -765,7 +763,6 @@ class IncrementalEncoder:
                             app([-fvar, prev_base + boff])
 
         # family 3: availability definition B(i,Q,c) => some launch.
-        strict = self.options.strict_availability
         for boff, spans in self._avail_rows:
             bvar = base + boff
             supports = [-bvar]
@@ -774,9 +771,6 @@ class IncrementalEncoder:
                 for j in range(i - span + 1):
                     sup_append(bases[j] + foff)
             app(supports)
-            if strict:
-                for s in supports[1:]:
-                    app([-s, bvar])
 
         # family 4: issue rules (one launch per unit per cycle).
         for offs in self._slot_offs:

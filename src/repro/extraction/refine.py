@@ -267,7 +267,6 @@ def refine_exact(
             assumptions,
             conflict_budget=CONFLICT_BUDGET,
             stop_check=stop_check,
-            canonical_model=True,
         )
         stats["solves"] += 1
         if res.satisfiable is None:

@@ -553,11 +553,7 @@ def exact_select(
         geq = counter.geq(bound + 1)
         if geq is not None:
             assumptions.append(-geq)
-        res = solver.solve(
-            assumptions,
-            conflict_budget=conflict_budget,
-            canonical_model=True,
-        )
+        res = solver.solve(assumptions, conflict_budget=conflict_budget)
         best.solves += 1
         best.conflicts += res.stats.conflicts
         if res.satisfiable is None:

@@ -243,7 +243,7 @@ def _reference_decode(den: Denali, result: CompilationResult):
     """
     encoding = den.reference_encoding(result, result.cycles)
     answer = CdclSolver(conflict_budget=_REFERENCE_CONFLICTS).solve(
-        encoding.cnf, canonical_model=True
+        encoding.cnf
     )
     if not answer.satisfiable:
         return answer.satisfiable
@@ -266,9 +266,9 @@ def _reference_is_sat(den: Denali, result: CompilationResult,
     """
     eg, goals = result.egraph, result.goal_classes
     encoding = encode_schedule(
-        eg, den.spec, goals, cycles, den.config.encoding,
-        den._unsafe_terms(eg, result.gma, goals),
-        den._latency_overrides(eg, result.gma),
+        eg, den.spec, goals, cycles,
+        unsafe_terms=den._unsafe_terms(eg, result.gma, goals),
+        latency_overrides=den._latency_overrides(eg, result.gma),
     )
     answer = CdclSolver(conflict_budget=_REFERENCE_CONFLICTS).solve(
         encoding.cnf

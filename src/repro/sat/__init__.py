@@ -3,8 +3,9 @@
 The paper uses the CHAFF solver behind a narrow interface and emphasises
 that "we can easily substitute the current champion satisfiability solver".
 This package provides that interface (:class:`SatSolver`), a from-scratch
-CDCL implementation (two-watched literals, VSIDS, first-UIP learning, Luby
-restarts, clause-database reduction), and DIMACS import/export so that any
+CDCL implementation (two-watched literals, index-order decisions that
+yield the lex-least model, first-UIP learning, Luby restarts,
+clause-database reduction), and DIMACS import/export so that any
 external solver can be slotted in.
 """
 

@@ -3,9 +3,9 @@
 Denali's outer loop asks "is there a program in <= K cycles?" for a
 ladder of budgets K.  The CNF for neighbouring budgets shares almost
 every clause (see :class:`repro.encode.constraints.IncrementalEncoder`),
-so rebuilding the solver per probe throws away watched-literal lists,
-VSIDS activities, saved phases and — most importantly — learned clauses
-that remain valid for every later probe.
+so rebuilding the solver per probe throws away watched-literal lists
+and — most importantly — learned clauses that remain valid for every
+later probe.
 
 :class:`IncrementalSolver` keeps one :class:`~repro.sat.solver._SolverCore`
 alive for a whole ladder, MiniSat-style:
@@ -30,6 +30,12 @@ an UNSAT answer under ``s_K`` is exactly "no K-cycle program", never an
 artifact of the gating (a positive ``s_K`` can only be forced when the
 formula plus the probe's own assumptions is already unsatisfiable).
 
+Every solve is one canonical run (see :meth:`_SolverCore.run
+<repro.sat.solver._SolverCore.run>`): a satisfiable answer is the
+lex-least model under the assumptions, whatever this solver learned on
+earlier probes, so the decoded assembly matches a fresh
+:class:`~repro.sat.solver.CdclSolver`'s byte for byte.
+
 The instance is thread-safe: a reentrant lock serialises mutation and
 solving, and a solve abandoned through ``stop_check`` leaves the solver
 usable.
@@ -40,7 +46,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.sat.solver import SatResult, _SolverCore, merge_stats
+from repro.sat.solver import SatResult, _SolverCore
 
 
 class IncrementalSolver:
@@ -167,57 +173,24 @@ class IncrementalSolver:
         conflict_budget: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
-        canonical_model: bool = False,
     ) -> SatResult:
-        """One run under ``assumptions``, retaining everything learned.
+        """One canonical run under ``assumptions``, retaining everything learned.
 
-        ``result.stats.learned_kept`` reports how many learned clauses
-        from earlier runs were live when this run began — the ladder's
-        clause-reuse signal.
-
-        ``canonical_model=True`` answers with the unique lex-least model
-        of the formula under the assumptions, unaffected by the heuristic
-        state this solver carried in from earlier probes.  That is what
-        makes the decoded assembly byte-identical to the from-scratch
-        path's.  The canonical (lexicographic) decision mode runs
-        *first*: a satisfiable canonical run already is the answer, and
-        an unsatisfiable one is a proof like any other — either way the
-        heuristic search that used to precede the canonical rerun is
-        skipped entirely.  Only an inconclusive canonical run (conflict
-        budget, deadline or cancellation) falls back to the historical
-        heuristic-then-canonical sequence.
+        A satisfiable answer carries the unique lex-least model of the
+        formula under the assumptions; an exhausted conflict budget,
+        deadline or ``stop_check`` ends the run with
+        ``satisfiable=None``.  ``result.stats.learned_kept`` reports how
+        many learned clauses from earlier runs were live when this run
+        began — the ladder's clause-reuse signal.
         """
         with self._lock:
             self.solves += 1
-            if canonical_model:
-                canon = self._core.run(
-                    assumptions,
-                    conflict_budget=conflict_budget,
-                    deadline_seconds=deadline_seconds,
-                    stop_check=stop_check,
-                    canonical=True,
-                )
-                if canon.satisfiable is not None:
-                    return canon
-            res = self._core.run(
+            return self._core.run(
                 assumptions,
                 conflict_budget=conflict_budget,
                 deadline_seconds=deadline_seconds,
                 stop_check=stop_check,
             )
-            if canonical_model and res.satisfiable:
-                canon = self._core.run(
-                    assumptions,
-                    conflict_budget=conflict_budget,
-                    deadline_seconds=deadline_seconds,
-                    stop_check=stop_check,
-                    canonical=True,
-                )
-                if canon.satisfiable:
-                    res = SatResult(
-                        True, canon.model, merge_stats(res.stats, canon.stats)
-                    )
-            return res
 
     def solve_budget(
         self,
@@ -226,7 +199,6 @@ class IncrementalSolver:
         conflict_budget: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
-        canonical_model: bool = False,
     ) -> SatResult:
         """Probe one registered budget.
 
@@ -249,5 +221,4 @@ class IncrementalSolver:
                 conflict_budget=conflict_budget,
                 deadline_seconds=deadline_seconds,
                 stop_check=stop_check,
-                canonical_model=canonical_model,
             )

@@ -4,19 +4,25 @@ Implements the standard conflict-driven clause-learning loop:
 
 * unit propagation with two-watched literals,
 * first-UIP conflict analysis with learned-clause minimisation,
-* VSIDS decision heuristic with phase saving,
+* canonical decisions: the lowest unassigned variable, false first,
 * Luby-sequence restarts,
-* activity-based learned-clause database reduction.
+* activity- and LBD-ranked learned-clause database reduction.
 
 The solver plays the role CHAFF plays in the paper.  It is deliberately
 independent of the Denali encoder: it consumes any :class:`repro.sat.cnf.CNF`
 and returns a :class:`SatResult`.
 
+Canonical order is the only decision policy, and it is what makes the
+answer unique: a run that reaches SAT returns the lexicographically
+least model (see :meth:`_SolverCore.run`), whatever clauses earlier
+runs learned.  The decoded assembly is byte-identical across solver
+paths and probe schedules because of that property alone.
+
 The inference engine lives in :class:`_SolverCore`, whose state (watched
-literals, learned clauses, VSIDS activities, saved phases) survives across
-``run`` calls.  :class:`CdclSolver` is the historical one-shot facade — a
-fresh core per ``solve`` — while :class:`repro.sat.incremental.IncrementalSolver`
-keeps one core alive across a whole cycle-budget probe ladder.
+literals, learned clauses and their activities) survives across ``run``
+calls.  :class:`CdclSolver` is the one-shot facade — a fresh core per
+``solve`` — while :class:`repro.sat.incremental.IncrementalSolver` keeps
+one core alive across a whole cycle-budget probe ladder.
 
 Memory layout (see DESIGN.md §2.6): clauses live in a single flat int
 arena rather than per-clause objects.  A clause is referenced by the
@@ -24,15 +30,14 @@ arena offset of its header word ``size << 1 | learnt``; its literals
 occupy the following ``size`` slots.  Watch lists hold arena refs,
 literal assignments live in a per-literal ``bytearray`` (one indexed
 load answers "value of literal l" with no sign branch on the stored
-side), and trail/level/reason/activity/phase are parallel columns
-indexed by variable.  Deleted clauses leave garbage slots behind;
+side), and trail/level/reason are parallel columns indexed by
+variable.  Deleted clauses leave garbage slots behind;
 :meth:`_SolverCore._compact_arena` squeezes them out and remaps every
 live ref once garbage dominates.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Sequence
@@ -76,8 +81,8 @@ class Stats:
 class SatResult:
     """Outcome of a solve call.
 
-    ``satisfiable`` is ``None`` when the solver hit its conflict budget
-    before reaching an answer.
+    ``satisfiable`` is ``None`` when the run's conflict budget, deadline
+    or stop check ended it before it reached an answer.
     """
 
     satisfiable: Optional[bool]
@@ -88,20 +93,6 @@ class SatResult:
         if self.model is None:
             raise ValueError("no model available")
         return self.model.get(var, False)
-
-
-def merge_stats(a: Stats, b: Stats) -> Stats:
-    """Combine the counters of two runs (verdict solve + canonical decode)."""
-    return Stats(
-        decisions=a.decisions + b.decisions,
-        propagations=a.propagations + b.propagations,
-        conflicts=a.conflicts + b.conflicts,
-        restarts=a.restarts + b.restarts,
-        learned=a.learned + b.learned,
-        deleted=a.deleted + b.deleted,
-        learned_kept=a.learned_kept,
-        time_seconds=a.time_seconds + b.time_seconds,
-    )
 
 
 class SatSolver(Protocol):
@@ -129,9 +120,9 @@ class _SolverCore:
     """Persistent CDCL state plus the inference engine.
 
     The core is reusable: after every :meth:`run` it backtracks to the
-    root level, keeping learned clauses, variable activities and saved
-    phases, so a subsequent ``run`` (possibly after :meth:`grow` and more
-    :meth:`add_clause` calls) starts from everything earlier runs proved.
+    root level, keeping learned clauses, so a subsequent ``run``
+    (possibly after :meth:`grow` and more :meth:`add_clause` calls)
+    starts from everything earlier runs proved.
     Clauses may only be added at the root level, which :meth:`run`
     guarantees on exit.
 
@@ -145,7 +136,6 @@ class _SolverCore:
     # ones (and enough slots exist for the sweep to matter at all).
     _COMPACT_MIN_GARBAGE = 4096
     _RESTART_BASE = 100  # Luby restart unit, in conflicts
-    _VAR_DECAY = 0.95  # VSIDS activity decay factor
     _CLAUSE_DECAY = 0.999  # learnt-clause activity decay factor
     _MAX_LEARNTS_FACTOR = 3.0  # learnt-clause cap, per original clause
 
@@ -170,24 +160,14 @@ class _SolverCore:
         # Flat-core telemetry (cumulative over the core's lifetime).
         self.watch_compactions = 0  # watcher entries squeezed out in place
         self.arena_compactions = 0  # full arena sweeps performed
-        self._activity: List[float] = [0.0]
-        self._var_inc = 1.0
         self._cla_inc = 1.0
-        self._phase = bytearray(1)
-        # Lazy max-heap over (-activity, var); stale entries are skipped.
-        self._heap: List[tuple] = []
-        # Canonical backtracks skip heap maintenance; the next heuristic
-        # decision rebuilds the heap wholesale when this is set.
-        self._heap_stale = False
         self._stats = Stats()
         self._assumptions: List[int] = []
         self._assumptions_done: List[int] = []
         # Latched when the formula itself (no assumptions) is refuted.
         self._root_unsat = False
-        # Canonical (lexicographic) decision mode: decide the lowest
-        # unassigned variable, always false first.  ``_rover`` is the scan
-        # frontier, rewound on backtracking.
-        self._canonical = False
+        # Decisions take the lowest unassigned variable, false first;
+        # ``_rover`` is the scan frontier, rewound on backtracking.
         self._rover = 1
 
     @property
@@ -202,22 +182,11 @@ class _SolverCore:
         """Extend the variable space to ``num_vars`` (no-op if smaller)."""
         if num_vars <= self._nvars:
             return
-        fresh = range(self._nvars + 1, num_vars + 1)
         pad = num_vars - self._nvars
         grow(self._vals, 2 * pad, _L_UNDEF)
         grow(self._level, pad, 0)
         grow(self._reason, pad, _NO_REASON)
-        grow(self._activity, pad, 0.0)
-        grow(self._phase, pad, 0)
         self._watches.extend([[] for _ in range(2 * pad)])
-        # Ascending (-0.0, v) entries form a valid heap on their own; a
-        # non-empty heap needs one O(n) re-heapify rather than per-var
-        # pushes.  Pop order is unaffected either way: entries are unique,
-        # so the (activity, var) total order fixes the pop sequence.
-        had = bool(self._heap)
-        self._heap.extend([(-0.0, v) for v in fresh])
-        if had:
-            heapq.heapify(self._heap)
         self._nvars = num_vars
 
     def arena_bytes(self) -> int:
@@ -241,7 +210,6 @@ class _SolverCore:
         conflict_budget: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
-        canonical: bool = False,
     ) -> SatResult:
         """Decide satisfiability under the given assumption literals.
 
@@ -249,9 +217,9 @@ class _SolverCore:
         measured on the monotonic clock, so wall-clock jumps (NTP steps,
         suspend/resume) can neither fire nor starve them.
 
-        With ``canonical=True`` the run decides variables in index order,
-        always trying false first.  A CDCL run under that policy returns
-        the *lexicographically least* model (false < true, ``v1`` most
+        The run decides variables in index order, always trying false
+        first.  A CDCL run under that policy returns the
+        *lexicographically least* model (false < true, ``v1`` most
         significant): whenever the found model sets ``v_i`` true, the
         literal was propagated from the formula plus lower-index false
         decisions, so every model agreeing on ``v_1..v_{i-1}`` also sets
@@ -264,7 +232,6 @@ class _SolverCore:
         self._stats = stats
         self._assumptions = list(assumptions)
         self._assumptions_done = []
-        self._canonical = canonical
         self._rover = 1
         try:
             result = self._run(conflict_budget, deadline_seconds, stop_check, start)
@@ -272,7 +239,6 @@ class _SolverCore:
             self._backtrack(0)
             self._assumptions = []
             del self._assumptions_done[:]
-            self._canonical = False
             stats.time_seconds = time.monotonic() - start
         return result
 
@@ -311,7 +277,7 @@ class _SolverCore:
             1000, int(self._MAX_LEARNTS_FACTOR * len(self._clauses))
         )
 
-        # A conflict found inside the fused canonical sweep is handed to
+        # A conflict found inside the fused decision sweep is handed to
         # the generic conflict handler through this slot.
         pending = None
         while True:
@@ -328,7 +294,7 @@ class _SolverCore:
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 self._learn(learnt)
-                self._decay_activities()
+                self._decay_clause_activity()
                 if (
                     conflict_budget is not None
                     and stats.conflicts >= conflict_budget
@@ -353,34 +319,21 @@ class _SolverCore:
                 self._backtrack(len(self._assumptions_done))
 
             lit = self._next_assumption()
-            if lit is None:
-                if self._canonical:
-                    sweep = self._canonical_sweep(
-                        start, deadline_seconds, stop_check
-                    )
-                    if sweep == -1:
-                        return SatResult(None, None, stats)
-                    if sweep is not None:
-                        pending = sweep
-                        continue
-                else:
-                    if (
-                        stats.decisions % self._STOP_CHECK_INTERVAL == 0
-                        and self._should_stop(
-                            start, deadline_seconds, stop_check
-                        )
-                    ):
-                        return SatResult(None, None, stats)
-                    lit = self._decide()
-            if lit is None:
+            if lit is False:  # conflicting assumptions
+                return SatResult(False, None, stats)
+            if lit is not None:
+                continue
+            sweep = self._canonical_sweep(start, deadline_seconds, stop_check)
+            if sweep is None:
                 vals = self._vals
                 model = {
                     v: vals[2 * v] == _L_TRUE
                     for v in range(1, self._nvars + 1)
                 }
                 return SatResult(True, model, stats)
-            if lit is False:  # conflicting assumptions
-                return SatResult(False, None, stats)
+            if sweep == -1:
+                return SatResult(None, None, stats)
+            pending = sweep
 
     def _canonical_sweep(
         self,
@@ -388,17 +341,18 @@ class _SolverCore:
         deadline_seconds: Optional[float],
         stop_check: Optional[Callable[[], bool]],
     ) -> Optional[int]:
-        """Fused decide/propagate loop for canonical (lex-least) runs.
+        """Fused decide/propagate loop: the solver's only decision maker.
 
-        A canonical run decides *every* unassigned variable in index
-        order (false first) and is conflict-free in the common case, so
-        the generic loop's per-decision overhead — assumption lookup,
-        restart and clause-DB bookkeeping, two method calls — dominates
-        its runtime.  This loop inlines the rover decision and calls
-        straight into ``_propagate``, exiting back to the generic loop
-        on the first conflict (returns the clause ref), when every
-        variable is assigned (returns None — the model is complete), or
-        when a stop/deadline fires (returns -1, never a valid ref).
+        A run decides *every* unassigned variable in index order (false
+        first) and is conflict-free in the common case, so a generic
+        loop's per-decision overhead — assumption lookup, restart and
+        clause-DB bookkeeping, method calls — would dominate its runtime.
+        This loop inlines the rover decision and the unit propagation,
+        exiting back to the generic loop on the first conflict (returns
+        the clause ref), when every variable is assigned (returns None —
+        the model is complete), or when a stop/deadline fires (returns
+        -1, never a valid ref).  The stop hooks are polled before the
+        first decision and every ``_STOP_CHECK_INTERVAL`` decisions after.
         """
         vals = self._vals
         arena = self._arena
@@ -421,6 +375,10 @@ class _SolverCore:
                     v += 1
                 if v > nvars:
                     return None
+                if decisions % interval == 0 and self._should_stop(
+                    start, deadline_seconds, stop_check
+                ):
+                    return -1
                 decisions += 1
                 trail_lim.append(len(trail))
                 dl = len(trail_lim)
@@ -497,21 +455,12 @@ class _SolverCore:
                         trail.append(l0)
                     del watchers[j:]
                     compacted += n - j
-                if decisions % interval == 0 and self._should_stop(
-                    start, deadline_seconds, stop_check
-                ):
-                    return -1
         finally:
             self._rover = v
             self._qhead = qhead
             stats.decisions += decisions
             stats.propagations += props
             self.watch_compactions += compacted
-
-    @staticmethod
-    def _widx(lit: int) -> int:
-        """Slot of literal ``lit`` in the per-literal columns."""
-        return 2 * lit if lit > 0 else 1 - 2 * lit
 
     def _value(self, lit: int) -> int:
         """1 true, 0 false, -1 unassigned — of a literal."""
@@ -520,12 +469,6 @@ class _SolverCore:
 
     def _decision_level(self) -> int:
         return len(self._trail_lim)
-
-    def clause_lits(self, ref: int) -> List[int]:
-        """The literal list of the clause at arena ref ``ref`` (a copy)."""
-        arena = self._arena
-        size = arena[ref] >> 1
-        return arena[ref + 1:ref + 1 + size]
 
     def _alloc(self, lits: Sequence[int], learnt: bool) -> int:
         """Append a clause to the arena; returns its ref."""
@@ -800,43 +743,17 @@ class _SolverCore:
         limit = self._trail_lim[level]
         trail = self._trail
         vals = self._vals
-        phase = self._phase
         reason = self._reason
         rover = self._rover
-        if self._canonical:
-            # Canonical runs never consult the heap (decisions come from
-            # the index rover), so re-inserting every unwound variable is
-            # pure overhead — including the full-trail unwind when the
-            # run ends.  Mark the heap stale instead; the next heuristic
-            # decision rebuilds it from the live assignment, which yields
-            # the same accepted-pop order as incremental pushes would
-            # (each unassigned variable present at its current activity).
-            self._heap_stale = True
-            for idx in range(len(trail) - 1, limit - 1, -1):
-                lit = trail[idx]
-                v = lit if lit > 0 else -lit
-                p = 2 * v
-                phase[v] = vals[p] == _L_TRUE
-                vals[p] = _L_UNDEF
-                vals[p + 1] = _L_UNDEF
-                reason[v] = _NO_REASON
-                if v < rover:
-                    rover = v
-        else:
-            activity = self._activity
-            heap = self._heap
-            push = heapq.heappush
-            for idx in range(len(trail) - 1, limit - 1, -1):
-                lit = trail[idx]
-                v = lit if lit > 0 else -lit
-                p = 2 * v
-                phase[v] = vals[p] == _L_TRUE
-                vals[p] = _L_UNDEF
-                vals[p + 1] = _L_UNDEF
-                reason[v] = _NO_REASON
-                if v < rover:
-                    rover = v
-                push(heap, (-activity[v], v))
+        for idx in range(len(trail) - 1, limit - 1, -1):
+            lit = trail[idx]
+            v = lit if lit > 0 else -lit
+            p = 2 * v
+            vals[p] = _L_UNDEF
+            vals[p + 1] = _L_UNDEF
+            reason[v] = _NO_REASON
+            if v < rover:
+                rover = v
         self._rover = rover
         del trail[limit:]
         del self._trail_lim[level:]
@@ -967,7 +884,6 @@ class _SolverCore:
                 v = q if q > 0 else -q
                 if not seen[v] and levels[v] > 0:
                     seen[v] = 1
-                    self._bump(v)
                     if levels[v] >= level:
                         counter += 1
                     else:
@@ -1019,27 +935,9 @@ class _SolverCore:
                 break
         return learnt, back
 
-    # -- heuristics ------------------------------------------------------------
+    # -- clause activity ---------------------------------------------------
 
-    def _bump(self, v: int) -> None:
-        self._activity[v] += self._var_inc
-        if self._activity[v] > 1e100:
-            for i in range(1, self._nvars + 1):
-                self._activity[i] *= 1e-100
-            self._var_inc *= 1e-100
-            vals = self._vals
-            self._heap = [
-                (-self._activity[v], v)
-                for v in range(1, self._nvars + 1)
-                if vals[2 * v] == _L_UNDEF
-            ]
-            heapq.heapify(self._heap)
-            self._heap_stale = False
-            return
-        heapq.heappush(self._heap, (-self._activity[v], v))
-
-    def _decay_activities(self) -> None:
-        self._var_inc /= self._VAR_DECAY
+    def _decay_clause_activity(self) -> None:
         self._cla_inc /= self._CLAUSE_DECAY
         if self._cla_inc > 1e100:
             act = self._cla_act
@@ -1064,70 +962,22 @@ class _SolverCore:
             return lit
         return None
 
-    def _decide(self) -> Optional[int]:
-        """Pick the next decision variable.
-
-        VSIDS (highest activity, saved phase) normally; in canonical mode
-        the lowest-index unassigned variable, always false."""
-        vals = self._vals
-        if self._canonical:
-            v = self._rover
-            n = self._nvars
-            while v <= n and vals[2 * v] != _L_UNDEF:
-                v += 1
-            self._rover = v
-            if v > n:
-                return None
-            self._stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(-v, _NO_REASON)
-            return -v
-        if self._heap_stale:
-            self._heap = [
-                (-self._activity[u], u)
-                for u in range(1, self._nvars + 1)
-                if vals[2 * u] == _L_UNDEF
-            ]
-            heapq.heapify(self._heap)
-            self._heap_stale = False
-        best = None
-        activity = self._activity
-        heap = self._heap
-        while heap:
-            neg_act, v = heapq.heappop(heap)
-            if vals[2 * v] == _L_UNDEF and -neg_act == activity[v]:
-                best = v
-                break
-        if best is None:
-            # Heap may have gone stale; fall back to a scan.
-            for v in range(1, self._nvars + 1):
-                if vals[2 * v] == _L_UNDEF:
-                    best = v
-                    break
-        if best is None:
-            return None
-        self._stats.decisions += 1
-        self._trail_lim.append(len(self._trail))
-        lit = best if self._phase[best] else -best
-        self._enqueue(lit, _NO_REASON)
-        return lit
-
 
 class CdclSolver:
     """Conflict-driven clause learning solver (one-shot facade).
 
     Every :meth:`solve` builds a fresh :class:`_SolverCore` from the CNF,
-    so nothing carries over between calls — the behaviour the probe
-    schedulers relied on before the incremental solver existed, and the
-    reference the differential tests compare against.
+    so nothing carries over between calls: the reference the fuzz
+    oracles and the differential tests compare the incremental ladder
+    against.
 
     Parameters:
         conflict_budget: stop with ``satisfiable=None`` after this many
             conflicts (``None`` = unbounded).
         deadline_seconds: stop with ``satisfiable=None`` once this much
             monotonic-clock time has elapsed (``None`` = unbounded).
-            Checked at conflicts, so a run inside a huge conflict-free
-            propagation can overshoot slightly.
+            Checked at conflicts and decisions, so a run inside a huge
+            conflict-free propagation can overshoot slightly.
         stop_check: zero-argument callable polled periodically at
             conflicts and decisions; returning True abandons the run with
             ``satisfiable=None``.  This is how a backend race cancels
@@ -1143,47 +993,22 @@ class CdclSolver:
         self.conflict_budget = conflict_budget
         self.deadline_seconds = deadline_seconds
         self.stop_check = stop_check
-        # Flat-arena telemetry of the most recent solve (the core itself
-        # is discarded per call).
-        self.last_flat_counters: Optional[Dict[str, int]] = None
 
-    def solve(
-        self,
-        cnf: CNF,
-        assumptions: Sequence[int] = (),
-        canonical_model: bool = False,
-    ) -> SatResult:
+    def solve(self, cnf: CNF, assumptions: Sequence[int] = ()) -> SatResult:
         """Decide satisfiability of ``cnf`` under optional assumption literals.
 
-        ``canonical_model=True`` re-runs a satisfiable instance in the
-        core's canonical (lexicographic) decision mode and returns that
-        model instead: the unique lex-least model, independent of solver
-        heuristics — the property the incremental probe path relies on
-        for byte-identical output.  The second run reuses the first run's
-        learned clauses; its counters are merged into the result stats.
+        One run on a fresh core; a satisfiable answer carries the
+        lex-least model (see :meth:`_SolverCore.run`), the one the
+        incremental probe ladder decodes.
         """
         core = _SolverCore()
         core.grow(cnf.num_vars)
         for lits in cnf.clauses:
             if not core.add_clause(list(lits)):
                 break  # root contradiction is latched; run() reports it
-        res = core.run(
+        return core.run(
             assumptions,
             conflict_budget=self.conflict_budget,
             deadline_seconds=self.deadline_seconds,
             stop_check=self.stop_check,
         )
-        if canonical_model and res.satisfiable:
-            canon = core.run(
-                assumptions,
-                conflict_budget=self.conflict_budget,
-                deadline_seconds=self.deadline_seconds,
-                stop_check=self.stop_check,
-                canonical=True,
-            )
-            if canon.satisfiable:
-                res = SatResult(
-                    True, canon.model, merge_stats(res.stats, canon.stats)
-                )
-        self.last_flat_counters = core.flat_counters()
-        return res

@@ -14,9 +14,9 @@ Two deliberate layout choices, measured on CPython:
   re-boxes every element on read, which makes it *slower* than a list
   on read-heavy paths; a list pays 8 bytes per slot but indexes at
   native C speed and its ints stay interned/shared;
-* byte-range columns (literal assignments, saved phases, sort tags,
-  liveness flags) are ``bytearray`` — one byte per slot, C-speed
-  indexing, and ``bytearray(col)`` copies are flat memcpy.
+* byte-range columns (literal assignments, sort tags, liveness flags)
+  are ``bytearray`` — one byte per slot, C-speed indexing, and
+  ``bytearray(col)`` copies are flat memcpy.
 
 The hottest inner loops (unit propagation, congruence repair) inline
 these operations rather than calling through this module — a Python

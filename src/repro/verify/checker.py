@@ -122,10 +122,6 @@ def collect_inputs(gma: GMA) -> Dict[str, Sort]:
     return names
 
 
-# Backwards-compatible private alias (pre-1.5 internal name).
-_collect_inputs = collect_inputs
-
-
 def _memory_addresses(
     gma: GMA,
     env: Dict[str, object],

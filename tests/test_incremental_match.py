@@ -495,13 +495,6 @@ class TestSaturationHandle:
         goal = mk("add64", mk("mul64", inp("reg6"), const(4)), const(1))
         return CompilationSession(den, GMA(("\\res",), (goal,)))
 
-    def test_handle_unpacks_like_a_pair(self):
-        handle = self._session().saturate()
-        eg, goal_ids = handle
-        assert eg is handle.egraph
-        assert goal_ids == handle.goal_ids
-        assert len(goal_ids) == 1
-
     def test_miss_freezes_snapshot_and_hit_restores_it(self):
         from repro.core.cache import global_saturation_cache
 

@@ -15,10 +15,12 @@ assembly.
 import itertools
 import os
 import random
+import tracemalloc
 
 import pytest
 
 from repro.sat import CNF, CdclSolver, IncrementalSolver
+from repro.sat.solver import _SolverCore
 
 WORKLOAD_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -31,18 +33,20 @@ def _pigeonhole(solver, holes, sel, base):
     """Gate PHP(holes+1, holes) behind ``sel``: UNSAT, learns clauses.
 
     Variables ``base + p * holes + h`` mean "pigeon p sits in hole h".
+    ``sel=None`` adds the clauses ungated.
     """
     pigeons = holes + 1
+    gate = [] if sel is None else [-sel]
     def var(p, h):
         return base + p * holes + h
 
     solver.ensure_vars(var(pigeons - 1, holes - 1))
     for p in range(pigeons):
-        solver.add_clause([-sel] + [var(p, h) for h in range(holes)])
+        solver.add_clause(gate + [var(p, h) for h in range(holes)])
     for h in range(holes):
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
-                solver.add_clause([-sel, -var(p1, h), -var(p2, h)])
+                solver.add_clause(gate + [-var(p1, h), -var(p2, h)])
 
 
 class TestIncrementalSolver:
@@ -141,8 +145,8 @@ class TestIncrementalSolver:
         a.add_clauses(clauses, trusted=True)
         for c in clauses:
             b.add_clause(c)
-        ra = a.solve(canonical_model=True)
-        rb = b.solve(canonical_model=True)
+        ra = a.solve()
+        rb = b.solve()
         assert ra.satisfiable is rb.satisfiable is True
         assert ra.model == rb.model
 
@@ -163,13 +167,13 @@ class TestCanonicalModel:
         s = IncrementalSolver()
         s.ensure_vars(n)
         s.add_clauses(clauses)
-        res = s.solve(canonical_model=True)
+        res = s.solve()
         assert res.satisfiable is True
         assert res.model == self._lex_min_model(clauses, n)
 
     def test_unaffected_by_solver_history(self):
-        # The canonical model must not depend on activities, phases or
-        # learnt clauses accumulated by unrelated earlier solves.
+        # The canonical model must not depend on learnt clauses
+        # accumulated by unrelated earlier solves.
         clauses = [[1, 2], [-1, 3, 4], [2, -4, 5], [-3, -5], [4, 5, 6]]
         fresh = IncrementalSolver()
         fresh.ensure_vars(6)
@@ -179,10 +183,7 @@ class TestCanonicalModel:
         warm.add_clauses(clauses)
         for assumption in ([6], [-6], [5, 6], [-2]):
             warm.solve(assumption)
-        assert (
-            warm.solve(canonical_model=True).model
-            == fresh.solve(canonical_model=True).model
-        )
+        assert warm.solve().model == fresh.solve().model
 
     def test_cdcl_facade_canonical_model(self):
         cnf = CNF()
@@ -191,10 +192,53 @@ class TestCanonicalModel:
         cnf.add(1, 2)
         cnf.add(-2, 3)
         cnf.add(-1, 4)
-        res = CdclSolver().solve(cnf, canonical_model=True)
+        res = CdclSolver().solve(cnf)
         assert res.satisfiable is True
         # x1=False forces nothing false-ward beyond x2=True, x3=True.
         assert res.model == {1: False, 2: True, 3: True, 4: False}
+
+
+class TestOneCanonicalRun:
+    """Every solve is exactly one canonical run of the core."""
+
+    def test_exhausted_conflict_budget_is_one_run(self, monkeypatch):
+        runs = []
+        run = _SolverCore.run
+
+        def counted_run(self, *args, **kwargs):
+            runs.append(None)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(_SolverCore, "run", counted_run)
+        s = IncrementalSolver()
+        s.ensure_vars(1)
+        _pigeonhole(s, holes=7, sel=1, base=1)
+        res = s.solve([1], conflict_budget=10)
+        assert res.satisfiable is None
+        assert len(runs) == 1
+
+    def test_stop_check_polled_before_the_first_decision(self):
+        s = IncrementalSolver()
+        s.ensure_vars(2)
+        s.add_clause([1, 2])
+        res = s.solve(stop_check=lambda: True)
+        assert res.satisfiable is None
+        assert res.model is None
+        assert res.stats.decisions == 0
+
+    def test_traced_peak_stays_small_over_many_conflicts(self):
+        # 8 pigeons in 7 holes: hundreds of conflicts.  The solve's
+        # traced peak is its learnt clauses, not per-conflict state.
+        s = IncrementalSolver()
+        _pigeonhole(s, holes=7, sel=None, base=1)
+        tracemalloc.start()
+        try:
+            res = s.solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.satisfiable is False
+        assert peak < 300 * 1024
 
 
 # -- differential: the ladder vs a fresh solver on the reference formula -------
@@ -255,10 +299,11 @@ def _assert_agree(name, strategy="linear"):
             verdicts.setdefault(result.cycles - 1, False)
         for k, verdict in verdicts.items():
             reference = den.reference_encoding(result, k)
-            answer = CdclSolver().solve(reference.cnf, canonical_model=True)
+            answer = CdclSolver().solve(reference.cnf)
             assert answer.satisfiable == verdict, (gma, k)
             one_shot = encode_schedule(
-                eg, den.spec, goals, k, den.config.encoding, unsafe, overrides
+                eg, den.spec, goals, k,
+                unsafe_terms=unsafe, latency_overrides=overrides,
             )
             assert CdclSolver().solve(one_shot.cnf).satisfiable == verdict
             if k == result.cycles:
@@ -319,7 +364,7 @@ class TestRetireDifferential:
             cnf.new_var()
         for cl in clauses:
             cnf.add_clause(cl)
-        return CdclSolver().solve(cnf, canonical_model=True)
+        return CdclSolver().solve(cnf)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_later_budgets_unaffected_by_retirement(self, seed):
@@ -341,7 +386,7 @@ class TestRetireDifferential:
         for k in sorted(budgets):
             if k > 1:
                 inc.retire_budget(k - 1)
-            got = inc.solve_budget(k, canonical_model=True)
+            got = inc.solve_budget(k)
             want = self._fresh_answer(base + budgets[k])
             assert got.satisfiable == want.satisfiable, "budget %d" % k
             if want.satisfiable:
@@ -376,7 +421,7 @@ class TestRetireDifferential:
         with pytest.raises(KeyError):
             inc.solve_budget(1)
 
-        got = inc.solve_budget(2, canonical_model=True)
+        got = inc.solve_budget(2)
         want = self._fresh_answer(base + group)
         assert got.satisfiable == want.satisfiable
         if want.satisfiable:

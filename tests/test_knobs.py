@@ -27,7 +27,6 @@ def test_denali_config_fields():
         "max_cycles",
         "strategy",
         "saturation",
-        "encoding",
         "verify",
         "verify_trials",
         "miss_latency",

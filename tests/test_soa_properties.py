@@ -11,7 +11,7 @@ through end-to-end decode identity:
 * union-find: partition equivalence against a naive parent-dict model,
   plus ``find_many`` / ``find`` agreement;
 * solver trail: decide/enqueue/backtrack sequences against a frame
-  stack of assignment dicts, including phase saving;
+  stack of assignment dicts;
 * watch lists: every permanent clause is watched by exactly the two
   literals in its watch slots, before and after solving;
 * hashcons + congruence: interning and merge closure against a naive
@@ -19,8 +19,6 @@ through end-to-end decode identity:
 * the ``repro.util.soa`` primitives against their list-slice
   equivalents.
 """
-
-import heapq
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,9 +127,8 @@ class TestTrailDifferential:
         core = _SolverCore()
         core.grow(num_vars)
         # Reference: a stack of per-level assignment dicts (frame 0 is
-        # the root level) plus a phase dict mirroring save-on-unwind.
+        # the root level).
         frames = [{}]
-        phases = {v: False for v in range(1, num_vars + 1)}
 
         def ref_assigned():
             merged = {}
@@ -160,63 +157,13 @@ class TestTrailDifferential:
                 if level >= len(frames) - 1:
                     continue
                 core._backtrack(level)
-                while len(frames) - 1 > level:
-                    dropped = frames.pop()
-                    for v, val in dropped.items():
-                        phases[v] = val
+                del frames[level + 1:]
             assigned = ref_assigned()
             assert core._decision_level() == len(frames) - 1
             for v in range(1, num_vars + 1):
                 want = assigned.get(v)
                 got = core._value(v)
                 assert got == (-1 if want is None else int(want))
-        # Phase saving: every unwound variable remembered its last value.
-        for v in range(1, num_vars + 1):
-            if v not in ref_assigned():
-                assert core._phase[v] == phases[v]
-
-    @given(_trail_ops())
-    @settings(max_examples=40, deadline=None)
-    def test_backtrack_keeps_heap_usable(self, ops):
-        """After any unwind sequence the VSIDS heap still yields every
-        unassigned variable (the lazy canonical-mode rebuild included)."""
-        num_vars = 8
-        core = _SolverCore()
-        core.grow(num_vars)
-        level_vars = []
-        for op in ops:
-            if op[0] == "decide":
-                v = abs(op[1])
-                if core._value(v) != -1:
-                    continue
-                core._trail_lim.append(len(core._trail))
-                core._enqueue(op[1], _NO_REASON)
-                level_vars.append(v)
-            elif op[0] == "backtrack":
-                level = op[1]
-                if level < core._decision_level():
-                    core._backtrack(level)
-                    del level_vars[level:]
-        # Drain the heap the way _decide does.
-        seen = set()
-        heap = list(core._heap)
-        heapq.heapify(heap)
-        while heap:
-            neg_act, v = heapq.heappop(heap)
-            if core._value(v) == -1 and -neg_act == core._activity[v]:
-                seen.add(v)
-        unassigned = {
-            v for v in range(1, num_vars + 1) if core._value(v) == -1
-        }
-        if core._heap_stale:
-            # Canonical-mode unwinds defer maintenance; the rebuild in
-            # _decide must cover exactly the unassigned variables.
-            rebuilt = {
-                u for u in range(1, num_vars + 1) if core._value(u) == -1
-            }
-            assert rebuilt == unassigned
-        else:
-            assert unassigned <= seen
 
 
 # -- watch lists ---------------------------------------------------------------
@@ -282,10 +229,7 @@ class TestWatchListDifferential:
         checked.grow(6)
         for c in clauses:
             checked.add_clause(list(c))
-        assert (
-            trusted.run(canonical=True).satisfiable
-            == checked.run(canonical=True).satisfiable
-        )
+        assert trusted.run().satisfiable == checked.run().satisfiable
 
 
 # -- hashcons + congruence -----------------------------------------------------

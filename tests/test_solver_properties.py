@@ -7,7 +7,7 @@ directly with hypothesis-generated inputs:
   (it preserves the satisfying-assignment set) that is idempotent,
   removes tautologies/duplicate literals, and rejects literals outside
   the declared variable space;
-* :class:`repro.sat.solver.CdclSolver` with ``canonical_model=True``
+* :class:`repro.sat.solver.CdclSolver` (canonical decisions only)
   returns the lexicographically least satisfying assignment, so the
   model — and everything decoded from it — is independent of clause
   order, literal order, and solver history.
@@ -99,7 +99,7 @@ class TestCanonicalModel:
     def test_model_is_lexicographically_least(self, clauses):
         num_vars = 5
         cnf = _build_cnf(clauses, num_vars)
-        res = CdclSolver().solve(cnf, canonical_model=True)
+        res = CdclSolver().solve(cnf)
         models = _models(clauses, num_vars)
         if not models:
             assert res.satisfiable is False
@@ -113,17 +113,13 @@ class TestCanonicalModel:
     def test_invariant_under_permutation(self, clauses, seed):
         """Permuting clause and literal order never changes the model."""
         num_vars = 6
-        baseline = CdclSolver().solve(
-            _build_cnf(clauses, num_vars), canonical_model=True
-        )
+        baseline = CdclSolver().solve(_build_cnf(clauses, num_vars))
         rng = random.Random(seed)
         shuffled = [list(cl) for cl in clauses]
         rng.shuffle(shuffled)
         for cl in shuffled:
             rng.shuffle(cl)
-        permuted = CdclSolver().solve(
-            _build_cnf(shuffled, num_vars), canonical_model=True
-        )
+        permuted = CdclSolver().solve(_build_cnf(shuffled, num_vars))
         assert permuted.satisfiable == baseline.satisfiable
         if baseline.satisfiable:
             assert permuted.model == baseline.model
