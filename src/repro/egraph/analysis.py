@@ -81,43 +81,37 @@ def min_depth(
     ``None`` for uncomputable classes.  This ignores resource conflicts, so
     it is a true lower bound on any schedule — tests compare it against
     what the SAT search finds.
+
+    The answer is the least fixpoint of "a class is ready once its
+    fastest computable enode's arguments are", found Bellman-Ford style:
+    every sweep re-derives each class from the current values, which only
+    ever decrease, until a sweep changes nothing.  Cyclic classes cost
+    one sweep per improvement, not one walk per path.
     """
-    free = free or set()
-    memo: Dict[int, Optional[int]] = {}
-
-    def depth(root: int, active: frozenset) -> Optional[int]:
-        root = eg.find(root)
-        if root in free:
-            return 0
-        if root in memo:
-            return memo[root]
-        if root in active:
-            return None
-        active = active | {root}
-        best: Optional[int] = None
-        for node in eg.enodes(root):
-            if node.op in ("const", "input"):
-                best = 0 if best is None else min(best, 0)
+    free = {eg.find(c) for c in free or ()}
+    index = eg.class_index()
+    depth: Dict[int, int] = dict.fromkeys(free, 0)
+    changed = True
+    while changed:
+        changed = False
+        for root, nodes in index.items():
+            if root in free:
                 continue
-            lat = latency(node.op)
-            if lat is None:
-                continue
-            worst_arg = 0
-            feasible = True
-            for arg in node.args:
-                d = depth(arg, active)
-                if d is None:
-                    feasible = False
-                    break
-                worst_arg = max(worst_arg, d)
-            if feasible:
-                cand = worst_arg + lat
-                best = cand if best is None else min(best, cand)
-        if not active - {root}:  # only memoise top-level results
-            memo[root] = best
-        return best
-
-    return depth(cid, frozenset())
+            best = depth.get(root)
+            for node in nodes:
+                if node.op in ("const", "input"):
+                    cand = 0
+                else:
+                    lat = latency(node.op)
+                    args = [depth.get(eg.find(arg)) for arg in node.args]
+                    if lat is None or None in args:
+                        continue
+                    cand = max(args, default=0) + lat
+                if best is None or cand < best:
+                    best = cand
+                    depth[root] = cand
+                    changed = True
+    return depth.get(eg.find(cid))
 
 
 def partition_signature(eg: EGraph) -> Tuple:

@@ -30,6 +30,13 @@ Read-only routes (health, metrics, ring, job status) bypass the
 admission queue on purpose: they must keep answering *while* the node is
 shedding, or operators and health checks would go blind exactly when
 they matter.
+
+``GET /v1/jobs/<id>/result?wait=S`` is a **long poll**: while the job is
+pending or running, the connection's coroutine awaits a future that the
+engine's settle callback resolves (:meth:`CompilationEngine.on_settle`),
+for at most S seconds, and then answers as an immediate request would.
+A hold costs no thread and no timer poll.  A finished result is spliced
+into the response as the JSON text the engine keeps, never re-encoded.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ import math
 import socket
 import sys
 import threading
-from typing import Any, Dict, Optional, Tuple
+import urllib.parse
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.service.jobs import JobState
 
@@ -292,11 +300,15 @@ class AsyncFrontend:
         self,
         writer,
         status: int,
-        payload: Dict[str, Any],
+        payload: Union[Dict[str, Any], bytes],
         extra: Optional[Dict[str, str]] = None,
         close: bool = False,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Send one response; a ``bytes`` payload is an encoded body."""
+        if isinstance(payload, bytes):
+            body = payload
+        else:
+            body = json.dumps(payload).encode("utf-8")
         lines = [
             "HTTP/1.1 %d %s" % (status, _REASONS.get(status, "OK")),
             "Content-Type: application/json",
@@ -343,17 +355,14 @@ class AsyncFrontend:
             return 200, node.registry.describe(), None
         if path == "/v1/fabric/corpus":
             self.metrics.count("/v1/fabric/corpus")
-            key = ""
-            for part in query.split("&"):
-                if part.startswith("key="):
-                    key = part[4:]
+            key = _query_param(query, "key") or ""
             payload = await self._in_executor(node.corpus_payload, key)
             if payload is None:
                 return 404, {"error": "no corpus under %r" % key}, None
             return 200, payload, None
         job_route = self._job_route(path)
         if job_route is not None:
-            return await self._route_job(*job_route)
+            return await self._route_job(*job_route, query)
         self.metrics.count("(unknown)")
         return 404, {"error": "no such route %r" % path}, None
 
@@ -400,7 +409,7 @@ class AsyncFrontend:
             return parts[3], True
         return None
 
-    async def _route_job(self, job_id: str, want_result: bool):
+    async def _route_job(self, job_id: str, want_result: bool, query: str):
         node = self.node
         endpoint = "/v1/jobs"
         self.metrics.count(endpoint)
@@ -412,35 +421,69 @@ class AsyncFrontend:
             if url is None:
                 return 404, {"error": "unknown node %r" % owner}, None
             suffix = "/result" if want_result else ""
+            if query:  # the owner must see the same ?wait=
+                suffix += "?" + query
             return (
                 307,
                 {"redirect": url},
                 {"Location": "%s/v1/jobs/%s%s" % (url, job_id, suffix)},
             )
+        wait = 0.0
+        if want_result:
+            try:
+                wait = float(_query_param(query, "wait") or 0)
+            except ValueError:
+                wait = math.nan
+            if not 0 <= wait < math.inf:
+                return 400, {"error": "'wait' must be seconds >= 0"}, None
         # Status/result reads are a lock acquisition plus dict lookups;
         # running them inline beats an executor round-trip per poll
         # (the hot path of a store-hit soak).
         status = node.engine.status(local_id)
         if status is None:
             return 404, {"error": "unknown job %r" % job_id}, None
-        status["id"] = node.qualify_job_id(local_id)
         if not want_result:
+            status["id"] = node.qualify_job_id(local_id)
             return 200, status, None
         state = status["state"]
+        if wait and state in (JobState.PENDING, JobState.RUNNING):
+            await self._hold(local_id, wait)
+            status = node.engine.status(local_id)
+            state = status["state"]
         if state in (JobState.PENDING, JobState.RUNNING):
             return 202, {"state": state}, None
         if state != JobState.DONE:
             return 500, {"state": state, "error": status.get("error")}, None
-        result = node.engine.result(local_id, wait=False)
-        return (
-            200,
-            {
-                "state": state,
-                "from_store": status["from_store"],
-                "result": result,
-            },
-            None,
+        body = '{"state": "done", "from_store": %s, "result": %s}' % (
+            "true" if status["from_store"] else "false",
+            node.engine.result_text(local_id),
         )
+        return 200, body.encode("utf-8"), None
+
+    async def _hold(self, local_id: str, seconds: float) -> None:
+        """Return once the job settles or ``seconds`` pass, whichever is first.
+
+        The engine fires the settle callback on whatever thread finishes
+        the job; it only schedules the future's resolution on this loop.
+        The callback is withdrawn on every exit (timeout, cancellation
+        by :meth:`stop`), so an expired hold leaves nothing behind.
+        """
+        loop = asyncio.get_running_loop()
+        settled = loop.create_future()
+
+        def wake() -> None:
+            try:
+                loop.call_soon_threadsafe(_resolve, settled)
+            except RuntimeError:  # the loop closed: nobody is waiting
+                pass
+
+        engine = self.node.engine
+        if not engine.on_settle(local_id, wake):
+            return  # settled since the status read
+        try:
+            await asyncio.wait((settled,), timeout=seconds)
+        finally:
+            engine.discard_on_settle(local_id, wake)
 
     # -- admission control --------------------------------------------------
 
@@ -508,6 +551,17 @@ class AsyncFrontend:
         out["node"] = self.node.node_id
         out["ring"] = self.node.registry.describe()
         return out
+
+
+def _query_param(query: str, name: str) -> Optional[str]:
+    """The first value of ``name`` in a URL query string, or None."""
+    values = urllib.parse.parse_qs(query).get(name)
+    return values[0] if values else None
+
+
+def _resolve(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
 
 
 __all__ = ["AsyncFrontend", "FrontendMetrics"]

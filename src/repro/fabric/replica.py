@@ -78,12 +78,12 @@ class ReplicatedStore:
     def path(self):
         return self.local.path
 
-    def get(self, fingerprint: str) -> Optional[dict]:
-        return self.local.get(fingerprint)
+    def get_text(self, fingerprint: str) -> Optional[str]:
+        return self.local.get_text(fingerprint)
 
-    def put(self, fingerprint: str, payload: dict) -> None:
+    def put(self, fingerprint: str, payload: dict) -> str:
         """Store a locally computed result and queue it for gossip."""
-        self.local.put(fingerprint, payload)
+        text = self.local.put(fingerprint, payload)
         with self.stats._lock:
             self.stats.queued += 1
         try:
@@ -99,6 +99,7 @@ class ReplicatedStore:
                 self.outbox.put_nowait((fingerprint, payload))
             except queue.Full:
                 pass
+        return text
 
     def put_replica(self, fingerprint: str, payload: dict) -> None:
         """Store a result gossiped by a peer (no re-gossip)."""

@@ -217,25 +217,42 @@ class ServiceClient:
         body = {"jobs": [spec.to_dict() for spec in specs]}
         return self._request("/v1/submit", body)["ids"]
 
+    def _job_request(self, job_id: str, path: str) -> Dict[str, Any]:
+        """GET ``path``, a route of job ``job_id`` (subclasses route it)."""
+        return self._request(path)
+
     def status(self, job_id: str) -> Dict[str, Any]:
-        return self._request("/v1/jobs/%s" % job_id)
+        return self._job_request(job_id, "/v1/jobs/%s" % job_id)
 
     def result(
         self,
         job_id: str,
         wait: bool = True,
-        poll: float = 0.1,
+        poll: Optional[float] = None,
         timeout: Optional[float] = 120.0,
     ) -> Dict[str, Any]:
-        """The job's result wrapper; polls until done when ``wait``.
+        """The job's result wrapper; long-polls until done when ``wait``.
+
+        Each request asks the node to hold it until the job settles
+        (``?wait=``), for at most half the socket timeout and never past
+        ``timeout``, so the client never sleeps between requests.
+        ``poll`` is accepted and ignored: there is no interval left to
+        set, and existing callers still pass it.
 
         Returns the server's ``/result`` payload: ``{"state": "done",
         "from_store": ..., "result": {...}}``.  Raises ServiceError if
         the job failed or the wait timed out.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        path = "/v1/jobs/%s/result" % job_id
         while True:
-            payload = self._request("/v1/jobs/%s/result" % job_id)
+            query = ""
+            if wait:
+                hold = self.timeout / 2
+                if deadline is not None:
+                    hold = min(hold, max(0.0, deadline - time.monotonic()))
+                query = "?wait=%.3f" % hold
+            payload = self._job_request(job_id, path + query)
             if payload.get("_http_status") != 202:
                 if payload.get("state") != "done":
                     raise ServiceError(
@@ -245,9 +262,8 @@ class ServiceClient:
                 return payload
             if not wait:
                 return payload
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError("timed out waiting for job %s" % job_id)
-            time.sleep(poll)
 
     def shutdown(self) -> None:
         self._request("/v1/shutdown", body={})
@@ -255,13 +271,8 @@ class ServiceClient:
     # -- convenience -------------------------------------------------------
 
     def run_batch(
-        self,
-        specs: Sequence[JobSpec],
-        poll: float = 0.1,
-        timeout: Optional[float] = 300.0,
+        self, specs: Sequence[JobSpec], timeout: Optional[float] = 300.0
     ) -> List[Dict[str, Any]]:
         """Submit a batch and wait for every result (in submit order)."""
         ids = self.submit(specs)
-        return [
-            self.result(job_id, poll=poll, timeout=timeout) for job_id in ids
-        ]
+        return [self.result(job_id, timeout=timeout) for job_id in ids]

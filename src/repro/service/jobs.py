@@ -25,7 +25,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.session import aggregate_stats, merge_totals
 from repro.service.pool import WorkerPool
@@ -395,8 +395,12 @@ class _JobRecord:
     finished_at: Optional[float] = None
     worker: Optional[int] = None
     error: Optional[str] = None
-    result: Optional[Dict[str, Any]] = None
+    # The result payload as JSON text, kept once: a compile's is the
+    # store's own text (the same ``str`` for an in-memory store).
+    result_text: Optional[str] = None
     done: threading.Event = field(default_factory=threading.Event)
+    # Callbacks fired once when the job settles (see ``on_settle``).
+    waiters: Optional[List[Callable[[], None]]] = None
 
     def status(self) -> Dict[str, Any]:
         return {
@@ -540,13 +544,13 @@ class CompilationEngine:
                     return live_id
             record = self._new_record(spec, fingerprint)
             if spec.kind == "compile":
-                cached = self.store.get(fingerprint)
+                cached = self.store.get_text(fingerprint)
                 if cached is not None:
                     record.state = JobState.DONE
                     record.from_store = True
-                    record.result = cached
+                    record.result_text = cached
                     record.finished_at = time.time()
-                    record.done.set()
+                    self._settle(record)
                     self._target_bucket(
                         _canonical_target(spec.arch)
                     )["cache_hits"] += 1
@@ -645,11 +649,11 @@ class CompilationEngine:
         self, record: _JobRecord, payload: Dict[str, Any], worker_id: int
     ) -> None:
         record.state = JobState.DONE
-        record.result = payload
         record.worker = worker_id
         record.finished_at = time.time()
         self._latencies.append(record.finished_at - record.submitted_at)
-        if record.spec.kind == "compile":  # a CompileReport's wire form
+        compiled = record.spec.kind == "compile"
+        if compiled:  # a CompileReport's wire form
             stats = payload["stats"]
             merge_totals(self._totals, stats)
             merge_totals(
@@ -658,10 +662,12 @@ class CompilationEngine:
             bucket = self._target_bucket(payload["target"])
             bucket["done"] += 1
             bucket["units"] += len(payload["units"])
-            if payload["ok"]:
-                self.store.put(record.fingerprint, payload)
+        if compiled and payload["ok"]:
+            record.result_text = self.store.put(record.fingerprint, payload)
+        else:
+            record.result_text = json.dumps(payload, sort_keys=True)
         self._inflight.pop(record.fingerprint, None)
-        record.done.set()
+        self._settle(record)
 
     def _finish_failed(self, record: _JobRecord, error: str) -> None:
         record.state = JobState.FAILED
@@ -672,7 +678,14 @@ class CompilationEngine:
             )["failed"] += 1
         record.finished_at = time.time()
         self._inflight.pop(record.fingerprint, None)
+        self._settle(record)
+
+    def _settle(self, record: _JobRecord) -> None:
+        """Mark ``record`` terminal and wake whoever waits on it."""
         record.done.set()
+        waiters, record.waiters = record.waiters, None
+        for callback in waiters or ():
+            callback()
 
     # -- inspection / waiting ----------------------------------------------
 
@@ -687,14 +700,54 @@ class CompilationEngine:
         wait: bool = True,
         timeout: Optional[float] = None,
     ) -> Optional[Dict[str, Any]]:
-        """The job's result payload; waits for completion by default."""
+        """The job's result payload; waits for completion by default.
+
+        Parsed from the kept JSON text on each call, so callers may
+        mutate what they get.
+        """
         with self._lock:
             record = self._jobs.get(job_id)
         if record is None:
             raise JobError("unknown job %r" % job_id)
         if wait and not record.done.wait(timeout):
             return None
-        return record.result
+        text = record.result_text
+        return None if text is None else json.loads(text)
+
+    def result_text(self, job_id: str) -> Optional[str]:
+        """A finished job's result payload as JSON text (no wait, no copy)."""
+        with self._lock:
+            record = self._jobs.get(job_id)
+            return None if record is None else record.result_text
+
+    def on_settle(self, job_id: str, callback: Callable[[], None]) -> bool:
+        """Call ``callback()`` once when the job reaches a terminal state.
+
+        Returns False, registering nothing, when the job is unknown or
+        already terminal.  The callback runs on the thread that settles
+        the job, under the engine lock: it must only hand off (e.g.
+        ``loop.call_soon_threadsafe``), never block.
+        """
+        with self._lock:
+            record = self._jobs.get(job_id)
+            if record is None or record.done.is_set():
+                return False
+            if record.waiters is None:
+                record.waiters = []
+            record.waiters.append(callback)
+            return True
+
+    def discard_on_settle(
+        self, job_id: str, callback: Callable[[], None]
+    ) -> None:
+        """Withdraw a callback :meth:`on_settle` registered (if unfired)."""
+        with self._lock:
+            record = self._jobs.get(job_id)
+            waiters = record.waiters if record is not None else None
+            if waiters and callback in waiters:
+                waiters.remove(callback)
+                if not waiters:
+                    record.waiters = None
 
     def wait(
         self, job_ids: Sequence[str], timeout: Optional[float] = None
@@ -726,7 +779,7 @@ class CompilationEngine:
             record.state = JobState.CANCELLED
             record.finished_at = time.time()
             self._inflight.pop(record.fingerprint, None)
-            record.done.set()
+            self._settle(record)
         self.pool.cancel(job_id, kill_running=kill_running)
         return True
 

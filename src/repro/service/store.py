@@ -97,6 +97,15 @@ class ResultStore:
 
     def get(self, fingerprint: str) -> Optional[dict]:
         """The stored payload for ``fingerprint``, or None (counted)."""
+        text = self.get_text(fingerprint)
+        return None if text is None else json.loads(text)
+
+    def get_text(self, fingerprint: str) -> Optional[str]:
+        """The stored payload's JSON text, or None (counted).
+
+        The in-memory store answers with the very ``str`` that
+        :meth:`put` wrote, so a caller keeping it holds no copy.
+        """
         with self._lock:
             if self._mem is not None:
                 text = self._mem.get(fingerprint)
@@ -115,23 +124,25 @@ class ResultStore:
                     self._db.commit()
             if text is None:
                 self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            return json.loads(text)
+            else:
+                self.stats.hits += 1
+            return text
 
-    def put(self, fingerprint: str, payload: dict) -> None:
+    def put(self, fingerprint: str, payload: dict) -> str:
+        """Store ``payload``; returns the JSON text written."""
         text = json.dumps(payload, sort_keys=True)
         with self._lock:
             self.stats.writes += 1
             if self._mem is not None:
                 self._mem[fingerprint] = text
-                return
+                return text
             self._db.execute(
                 "INSERT OR REPLACE INTO results "
                 "(fingerprint, payload, created_at, hits) VALUES (?, ?, ?, 0)",
                 (fingerprint, text, time.time()),
             )
             self._db.commit()
+        return text
 
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:

@@ -273,3 +273,58 @@ class TestEGraphProperties:
                     t1,
                     t2,
                 )
+
+
+class TestMinDepthOnCyclicClasses:
+    """``min_depth`` on e-graphs whose classes reach themselves."""
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            mk("sub64", mk("and64", inp("a"), inp("a")), inp("a")),
+            mk("sextl", mk("sub64", inp("b"), inp("b"))),
+        ],
+        ids=["sub-and", "sextl-sub"],
+    )
+    def test_zero_class_answers_in_time(self, term):
+        # Saturation folds both terms into the zero class, whose enodes
+        # loop back on it; a path-walking min_depth ran past 20 s here.
+        import signal
+        import time
+
+        from repro import Denali, DenaliConfig, simple_risc
+        from repro.egraph.analysis import min_depth
+        from repro.matching import SaturationConfig
+
+        spec = simple_risc()
+        config = DenaliConfig(
+            min_cycles=1,
+            max_cycles=8,
+            verify=False,
+            saturation=SaturationConfig(max_rounds=6, max_enodes=800),
+        )
+        result = Denali(spec, config=config).compile_term(term)
+        assert result.optimal and result.cycles == 1
+        eg = result.egraph
+        free = {eg.find(eg.add_term(inp(name))) for name in ("a", "b")}
+
+        def expired(*_args):
+            raise TimeoutError("min_depth ran past its time bound")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            start = time.perf_counter()
+            lower = min_depth(
+                eg,
+                result.goal_classes[0],
+                lambda op: spec.latency(op) if spec.is_machine_op(op) else None,
+                free=free,
+            )
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 1.0
+        assert lower == 0
+        assert result.cycles >= lower

@@ -10,9 +10,12 @@ with a usable ``Retry-After``.  The one real-compile test (warm-corpus
 shipping) runs the smallest workload once.
 """
 
+import http.client
 import json
 import socket
+import threading
 import time
+import urllib.parse
 
 import pytest
 
@@ -240,6 +243,183 @@ class TestFraming:
         )
         assert reply.startswith(b"HTTP/1.1 400 "), reply
         assert b"malformed JSON body" in reply
+
+
+# -- long-poll results ---------------------------------------------------------
+
+
+def http_get(url, path, timeout=10.0):
+    """One GET that follows no redirect: ``(status, headers, body)``."""
+    conn = http.client.HTTPConnection(
+        urllib.parse.urlsplit(url).netloc, timeout=timeout
+    )
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        headers = {k.lower(): v for k, v in resp.getheaders()}
+        return resp.status, headers, resp.read()
+    finally:
+        conn.close()
+
+
+def record_of(node, job_id):
+    return node.engine._jobs[node.split_job_id(job_id)[0]]
+
+
+class TestLongPoll:
+    """``/result?wait=S`` holds the request until the job settles."""
+
+    def submit(self, node, spec):
+        client = ServiceClient(node.url)
+        try:
+            (job_id,) = client.submit([spec])
+        finally:
+            client.close()
+        return job_id
+
+    def test_held_result_returns_when_the_job_finishes(self, node):
+        job_id = self.submit(node, sleep_spec(1, seconds=0.4))
+        status, _, body = http_get(
+            node.url, "/v1/jobs/%s/result?wait=5" % job_id
+        )
+        returned = time.time()
+        assert status == 200
+        assert json.loads(body)["result"]["ok"] is True
+        finished = record_of(node, job_id).finished_at
+        assert 0 <= returned - finished < 0.05
+
+    def test_expired_hold_is_202_and_leaves_no_callback(self, node):
+        job_id = self.submit(node, sleep_spec(2, seconds=3.0))
+        start = time.monotonic()
+        status, _, body = http_get(
+            node.url, "/v1/jobs/%s/result?wait=0.3" % job_id
+        )
+        elapsed = time.monotonic() - start
+        assert status == 202 and json.loads(body)["state"] in (
+            "pending",
+            "running",
+        )
+        assert 0.25 <= elapsed < 1.5
+        assert record_of(node, job_id).waiters is None
+
+    def test_failed_job_wakes_its_held_request(self):
+        node = boot(max_retries=0)
+        try:
+            job_id = self.submit(node, JobSpec(kind="crash"))
+            status, _, body = http_get(
+                node.url, "/v1/jobs/%s/result?wait=10" % job_id
+            )
+            assert status == 500
+            assert json.loads(body)["state"] == "failed"
+        finally:
+            node.stop(drain=False)
+
+    def test_cancelled_job_wakes_its_held_request(self, node):
+        blocker = self.submit(node, sleep_spec(3, seconds=1.0))
+        victim = self.submit(node, sleep_spec(4))
+        replies = []
+
+        def hold():
+            replies.append(
+                http_get(node.url, "/v1/jobs/%s/result?wait=10" % victim)
+            )
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        assert wait_until(lambda: record_of(node, victim).waiters)
+        start = time.monotonic()
+        assert node.engine.cancel(node.split_job_id(victim)[0])
+        thread.join(5.0)
+        assert time.monotonic() - start < 0.5
+        (status, _, body), = replies
+        assert status == 500
+        assert json.loads(body)["state"] == "cancelled"
+        client = ServiceClient(node.url)
+        try:
+            client.result(blocker, timeout=10.0)
+        finally:
+            client.close()
+
+    def test_stop_with_a_request_on_hold_is_clean(self):
+        node = boot()
+        job_id = self.submit(node, sleep_spec(5, seconds=30.0))
+        ended = []
+
+        def hold():
+            try:
+                http_get(node.url, "/v1/jobs/%s/result?wait=60" % job_id)
+            except (OSError, http.client.HTTPException):
+                pass  # the node closed the connection
+            ended.append(time.monotonic())
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        assert wait_until(lambda: record_of(node, job_id).waiters)
+        start = time.monotonic()
+        # The front end stops first; reaping the busy worker then takes
+        # the pool's own shutdown grace.
+        node.stop(drain=False)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert ended[0] - start < 1.0
+        assert record_of(node, job_id).waiters is None
+
+    def test_store_hit_and_miss_results_agree(self, node):
+        spec = compile_spec()
+        miss = self.submit(node, spec)
+        status, _, miss_body = http_get(
+            node.url, "/v1/jobs/%s/result?wait=60" % miss
+        )
+        assert status == 200
+        hit = self.submit(node, spec)
+        status, _, hit_body = http_get(node.url, "/v1/jobs/%s/result" % hit)
+        assert status == 200
+        miss_reply, hit_reply = json.loads(miss_body), json.loads(hit_body)
+        assert (miss_reply["from_store"], hit_reply["from_store"]) == (
+            False,
+            True,
+        )
+        assert miss_reply["result"] == hit_reply["result"]
+        assert "s4addq" in hit_reply["result"]["units"][0]["assembly"]
+
+    @pytest.mark.parametrize("wait", ["-1", "abc", "nan", "inf"])
+    def test_bad_wait_is_400(self, node, wait):
+        job_id = self.submit(node, sleep_spec(6))
+        status, _, body = http_get(
+            node.url, "/v1/jobs/%s/result?wait=%s" % (job_id, wait)
+        )
+        assert status == 400 and "wait" in json.loads(body)["error"]
+
+    def test_client_waits_in_one_request(self, node):
+        client = FabricClient(node.url)
+        requests = []
+        route = client._job_request
+        client._job_request = lambda job_id, path: (
+            requests.append(path) or route(job_id, path)
+        )
+        try:
+            (job_id,) = client.submit([sleep_spec(7, seconds=0.3)])
+            assert client.result(job_id, timeout=10.0)["state"] == "done"
+        finally:
+            client.close()
+        assert requests == ["/v1/jobs/%s/result?wait=5.000" % job_id]
+
+    def test_redirect_keeps_the_query(self, pair):
+        a, b = pair
+        client = ServiceClient(b.url)
+        try:
+            (job_id,) = client.submit([sleep_spec(8, seconds=0.3)])
+        finally:
+            client.close()
+        owner = job_id.rsplit("@", 1)[1]
+        other = a if owner == b.node_id else b
+        status, headers, _ = http_get(
+            other.url, "/v1/jobs/%s/result?wait=5" % job_id
+        )
+        assert status == 307
+        assert headers["location"].endswith(
+            "/v1/jobs/%s/result?wait=5" % job_id
+        )
 
 
 # -- load shedding -------------------------------------------------------------

@@ -6,10 +6,13 @@ workloads end-to-end (batch throughput vs the one-shot CLI, warm-store
 reruns).
 """
 
+import gc
+import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -194,6 +197,14 @@ class TestResultStore:
         assert store.stats.hits == 1 and store.stats.misses == 1
         assert store.stats.hit_rate == 0.5
 
+    def test_memory_get_text_is_the_written_text(self):
+        store = ResultStore(None)
+        text = store.put("fp", {"b": 2, "a": 1})
+        assert text == '{"a": 1, "b": 2}'
+        assert store.get_text("fp") is text  # kept once, never copied
+        assert store.get_text("missing") is None
+        assert store.stats.hits == 1 and store.stats.misses == 1
+
     def test_sqlite_survives_reopen(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         store = ResultStore(path)
@@ -315,6 +326,74 @@ class TestEngine:
         assert engine.cancel(victim) is True
         assert engine.status(victim)["state"] == JobState.CANCELLED
         engine.result(blocker, timeout=10)
+
+    def test_store_hit_keeps_the_store_text(self, engine):
+        spec = compile_spec()
+        engine.result(engine.submit(spec), timeout=60)
+        hit = engine.submit(spec)
+        text = engine.store.get_text(job_fingerprint(spec))
+        assert engine.result_text(hit) is text
+        assert engine.result(hit, wait=False) == json.loads(text)
+        # Each call parses afresh: a caller's edit cannot reach the record.
+        engine.result(hit, wait=False)["units"].clear()
+        assert engine.result(hit, wait=False)["units"]
+
+    def test_store_hits_retain_under_4kb_each(self, engine):
+        with open(os.path.join(WORKLOAD_DIR, "fig2.dn")) as handle:
+            spec = compile_spec(source=handle.read(), name="fig2.dn")
+        engine.result(engine.submit(spec), timeout=120)
+        wire = spec.to_dict()  # each hit parses its own spec, as over HTTP
+        engine.submit(JobSpec.from_dict(wire))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                engine.submit(JobSpec.from_dict(wire))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert engine.store.stats.hits == 1001
+        assert retained / 1000 < 4096, retained / 1000
+
+    def test_settle_callback_fires_once(self, engine):
+        job_id = engine.submit(JobSpec(kind="sleep", seconds=0.2))
+        fired = []
+        assert engine.on_settle(job_id, lambda: fired.append(1)) is True
+        engine.result(job_id, timeout=10)
+        assert fired == [1]
+        assert engine._jobs[job_id].waiters is None
+        # A settled job registers nothing: the caller reads it directly.
+        assert engine.on_settle(job_id, lambda: fired.append(2)) is False
+        assert engine.on_settle("job-9999", lambda: None) is False
+        assert fired == [1]
+
+    def test_discarded_settle_callback_never_fires(self, engine):
+        job_id = engine.submit(JobSpec(kind="sleep", seconds=0.2))
+        fired = []
+
+        def callback():
+            fired.append(1)
+
+        assert engine.on_settle(job_id, callback) is True
+        engine.discard_on_settle(job_id, callback)
+        assert engine._jobs[job_id].waiters is None
+        engine.result(job_id, timeout=10)
+        assert fired == []
+
+    def test_failed_and_cancelled_jobs_fire_settle(self, engine):
+        fired = []
+        crash = engine.submit(JobSpec(kind="crash"))
+        engine.on_settle(crash, lambda: fired.append("crash"))
+        blocker = engine.submit(JobSpec(kind="sleep", seconds=0.6))
+        victim = engine.submit(JobSpec(kind="sleep", seconds=0.01, seed=1))
+        engine.on_settle(victim, lambda: fired.append("victim"))
+        assert engine.cancel(victim) is True
+        assert fired == ["victim"]
+        engine.result(crash, timeout=30)
+        engine.result(blocker, timeout=10)
+        assert fired == ["victim", "crash"]
 
     def test_metrics_shape(self, engine):
         engine.result(engine.submit(compile_spec()), timeout=60)
