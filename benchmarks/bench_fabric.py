@@ -24,13 +24,10 @@ Also measured:
 * **shed behaviour** — a tiny ``--max-queue`` node under a sleep-job
   burst must shed (429) with ``Retry-After`` in [1, 30] while every
   *admitted* job completes (zero lost) with bounded p99;
-* **cold vs warm first compile** — time from node boot to first
-  compile result, for an isolated cold node vs one that joined a
-  warmed fabric and had the corpus shipped;
 * **byte-identical assembly** across all topologies.
 
-Gated on every run: zero lost or failed jobs, identical assembly, the
-shed behaviour and corpus shipping.  Env knobs (CI smoke):
+Gated on every run: zero lost or failed jobs, identical assembly and
+the shed behaviour.  Env knobs (CI smoke):
 ``BENCH_FABRIC_JOBS`` (soak submissions per topology, default 3000),
 ``BENCH_FABRIC_THREADS`` (default 16), ``BENCH_FABRIC_PROFILES`` (csv
 subset of fabric1,fabric3).  Results land in
@@ -272,66 +269,6 @@ def _run_shed_phase(burst=120, threads=4):
     }
 
 
-# -- cold vs warm first compile ------------------------------------------------
-
-
-def _first_compile(peers, spec):
-    from repro.fabric import FabricClient, FabricNode
-
-    start = time.perf_counter()
-    node = FabricNode(workers=1, peers=peers)
-    node.start()
-    client = FabricClient(node.url, timeout=30.0)
-    try:
-        (job_id,) = client.submit([spec])
-        payload = client.result(job_id, timeout=300.0)
-        assert _units(payload)
-        elapsed = time.perf_counter() - start
-        return elapsed, node.corpus_source
-    finally:
-        client.close()
-        node.stop(drain=False)
-
-
-def _run_cold_vs_warm():
-    from repro.fabric import FabricClient, FabricNode
-
-    # A probe compile nobody has cached (fresh seed): both nodes do the
-    # same real compile; the delta is corpus compilation vs shipping.
-    probe = _specs(seeds=(7001,))[:1]
-    cold_seconds, cold_source = _first_compile(None, probe[0])
-
-    donor = FabricNode(workers=1)
-    donor.start()
-    try:
-        client = FabricClient(donor.url, timeout=30.0)
-        (job_id,) = client.submit(_specs(seeds=(7002,))[:1])
-        client.result(job_id, timeout=300.0)  # donor now has the corpus
-        client.close()
-        warm_probe = _specs(seeds=(7003,))[:1]
-        warm_seconds, warm_source = _first_compile(
-            [donor.url], warm_probe[0]
-        )
-    finally:
-        donor.stop(drain=False)
-    return {
-        "cold_first_compile_seconds": round(cold_seconds, 3),
-        "cold_corpus_source": cold_source,
-        "warm_first_compile_seconds": round(warm_seconds, 3),
-        "warm_corpus_source": warm_source,
-        "speedup": round(cold_seconds / warm_seconds, 2)
-        if warm_seconds
-        else None,
-        "note": (
-            "the default axiom corpus currently compiles in ~10ms, so "
-            "the boot+first-compile delta is within noise; the gated "
-            "claim is the shipping mechanism (corpus_source=shipped), "
-            "and the latency pair is recorded to catch it regressing "
-            "as the corpus grows"
-        ),
-    }
-
-
 # -- the benchmark -------------------------------------------------------------
 
 
@@ -353,7 +290,6 @@ def test_fabric_soak(report):
     identical = all(a == reference for a in assemblies.values())
 
     shed = _run_shed_phase()
-    cold_warm = _run_cold_vs_warm()
 
     fabric_ratio = None
     if "fabric1" in runs and "fabric3" in runs:
@@ -372,7 +308,6 @@ def test_fabric_soak(report):
         "soak": runs,
         "assembly_identical_across_topologies": identical,
         "shed_phase": shed,
-        "cold_vs_warm": cold_warm,
         "fabric3_vs_fabric1_ratio_ungated": fabric_ratio,
     }
     with open(os.path.join(output_dir(), "bench_fabric.json"), "w") as handle:
@@ -409,14 +344,6 @@ def test_fabric_soak(report):
             shed["retry_after_max"],
         )
     )
-    lines.append(
-        "first compile: cold %.1fs vs warm(shipped) %.1fs (%.2fx)"
-        % (
-            cold_warm["cold_first_compile_seconds"],
-            cold_warm["warm_first_compile_seconds"],
-            cold_warm["speedup"] or 0.0,
-        )
-    )
     if fabric_ratio is not None:
         lines.append(
             "fabric 3-node vs 1-node: %.2fx on %d CPU(s) (ungated)"
@@ -436,8 +363,6 @@ def test_fabric_soak(report):
     assert shed["admitted"] + shed["shed"] == shed["burst"]
     assert 1 <= shed["retry_after_min"] <= shed["retry_after_max"] <= 30
     assert shed["admitted_p99_ms"] <= 10_000
-    assert cold_warm["warm_corpus_source"] == "shipped"
-    assert cold_warm["cold_corpus_source"] == "cold"
 
 
 def _write_summary(result):
@@ -463,15 +388,6 @@ def _write_summary(result):
             "fabric3_vs_fabric1_ratio_ungated"
         ],
         "shed_rate": result["shed_phase"]["shed_rate"],
-        "cold_vs_warm_first_compile": {
-            "cold_seconds": result["cold_vs_warm"][
-                "cold_first_compile_seconds"
-            ],
-            "warm_seconds": result["cold_vs_warm"][
-                "warm_first_compile_seconds"
-            ],
-            "speedup": result["cold_vs_warm"]["speedup"],
-        },
         "assembly_identical": result[
             "assembly_identical_across_topologies"
         ],

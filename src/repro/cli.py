@@ -617,7 +617,7 @@ def _serve_main(argv: List[str]) -> int:
     url = node.start()
     print(
         "repro fabric node %s listening on %s (%d workers, store=%s, "
-        "max-queue=%d, %d peer(s), corpus=%s)"
+        "max-queue=%d, %d peer(s))"
         % (
             node.node_id,
             url,
@@ -625,7 +625,6 @@ def _serve_main(argv: List[str]) -> int:
             args.store or "memory",
             args.max_queue,
             len(peers),
-            node.corpus_source,
         ),
         file=sys.stderr,
     )

@@ -198,23 +198,6 @@ class AxiomCorpusCache:
             self._entries.clear()
             self.stats = CacheStats()
 
-    def preload(
-        self,
-        registry: OperatorRegistry,
-        corpus: AxiomSet,
-        target: str = "ev6",
-    ) -> None:
-        """Seed the cache with an externally compiled corpus.
-
-        The compilation service persists the compiled corpus to its result
-        store and preloads it here on startup, so a restarted process (and
-        every worker forked from it) skips re-parsing the built-in axiom
-        files.  Counted as neither hit nor miss.
-        """
-        key = (registry_fingerprint(registry), target)
-        with self._lock:
-            self._entries.setdefault(key, corpus)
-
     def default_corpus(
         self, registry: OperatorRegistry, target: str = "ev6"
     ) -> AxiomSet:

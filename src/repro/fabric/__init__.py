@@ -11,8 +11,8 @@ cooperating nodes (ISSUE 8):
   process-stable hashes) sharding job fingerprints across members, plus
   the registry/health view that routes around dead nodes;
 * :mod:`repro.fabric.replica` — replicated result store: completed
-  results gossip to peers, and the compiled axiom corpus ships to newly
-  joined nodes so they start warm;
+  results gossip to peers (each node compiles its own axiom corpus,
+  ~15 ms per target, so corpora are never shipped);
 * :mod:`repro.fabric.node` — one fabric member tying those together
   around the PR-2 engine;
 * :mod:`repro.fabric.client` — ring-aware client that routes each job
@@ -27,14 +27,7 @@ ring.  Soak numbers live in ``benchmarks/bench_fabric.py`` /
 from repro.fabric.client import FabricClient
 from repro.fabric.frontend import AsyncFrontend, FrontendMetrics
 from repro.fabric.node import FabricNode
-from repro.fabric.replica import (
-    GossipPump,
-    ReplicatedStore,
-    ReplicationStats,
-    corpus_payload,
-    fetch_corpus,
-    install_corpus,
-)
+from repro.fabric.replica import GossipPump, ReplicatedStore, ReplicationStats
 from repro.fabric.ring import (
     HashRing,
     NodeRegistry,
@@ -58,9 +51,6 @@ __all__ = [
     "ReplicatedStore",
     "ReplicationStats",
     "RingView",
-    "corpus_payload",
-    "fetch_corpus",
-    "install_corpus",
     "node_id_for_url",
     "placement",
     "ring_from_description",

@@ -5,7 +5,7 @@ asyncio accept/parse loop in front of the (threaded,
 multiprocessing-backed) compilation engine.  It serves the service API
 (``/healthz``, ``/v1/submit``, ``/v1/jobs/<id>[/result]``,
 ``/v1/metrics``, ``/v1/shutdown``) plus the fabric's own routes
-(``/v1/fabric/ring``, ``/join``, ``/replicate``, ``/corpus``):
+(``/v1/fabric/ring``, ``/join``, ``/replicate``):
 
 * **non-blocking accept/parse** — every connection is a coroutine;
   thousands of keep-alive clients cost no threads.  ``TCP_NODELAY`` is
@@ -353,13 +353,6 @@ class AsyncFrontend:
         if path == "/v1/fabric/ring":
             self.metrics.count("/v1/fabric/ring")
             return 200, node.registry.describe(), None
-        if path == "/v1/fabric/corpus":
-            self.metrics.count("/v1/fabric/corpus")
-            key = _query_param(query, "key") or ""
-            payload = await self._in_executor(node.corpus_payload, key)
-            if payload is None:
-                return 404, {"error": "no corpus under %r" % key}, None
-            return 200, payload, None
         job_route = self._job_route(path)
         if job_route is not None:
             return await self._route_job(*job_route, query)

@@ -25,9 +25,9 @@ job — locally, or with a 307 redirect to the owning node.
 
 Startup of a joining node, in order: bind the front end, announce
 itself to its peers (``/v1/fabric/join``, adopting their membership
-views in return), fetch the compiled axiom corpus from the first peer
-that has one (the warm-start handshake), and only then fork the worker
-pool so every worker inherits the warm corpus.
+views in return), then build the engine, which compiles every target's
+axiom corpus before forking the worker pool so every worker inherits
+it.  Nodes never exchange corpora: compiling one takes ~15 ms.
 """
 
 from __future__ import annotations
@@ -37,13 +37,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fabric.frontend import AsyncFrontend
-from repro.fabric.replica import (
-    GossipPump,
-    ReplicatedStore,
-    corpus_payload,
-    fetch_corpus,
-    install_corpus,
-)
+from repro.fabric.replica import GossipPump, ReplicatedStore
 from repro.fabric.ring import NodeRegistry
 from repro.service.client import (
     ServiceClient,
@@ -54,7 +48,6 @@ from repro.service.jobs import (
     CompilationEngine,
     JobError,
     JobSpec,
-    default_corpus_key,
     job_fingerprint,
 )
 from repro.service.store import ResultStore
@@ -103,7 +96,6 @@ class FabricNode:
         self.node_id: Optional[str] = None
         self.registry: Optional[NodeRegistry] = None
         self.engine: Optional[CompilationEngine] = None
-        self.corpus_source = "cold"  # "local" | "shipped" | "cold"
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
@@ -116,7 +108,7 @@ class FabricNode:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> str:
-        """Bind, join, warm up, fork workers; returns the node URL."""
+        """Bind, join, fork workers; returns the node URL."""
         self._loop = asyncio.new_event_loop()
         self._loop_thread = threading.Thread(
             target=self._loop.run_forever,
@@ -136,18 +128,13 @@ class FabricNode:
         for peer_url in self.configured_peers:
             self.registry.add_peer(peer_url)
         self._announce_join()
-        self.corpus_source = self._warm_corpus_from_peers()
 
-        # Workers fork *after* the corpus is (possibly) shipped, so they
-        # inherit it compiled.
         self.engine = CompilationEngine(
             workers=self.workers,
             store=self.store,
             max_retries=self.max_retries,
             default_timeout=self.default_timeout,
         )
-        if self.corpus_source == "cold" and self.engine.corpus_warmed:
-            self.corpus_source = "local"
 
         self._gossip = GossipPump(self.store, self.registry, self.peer_client)
         self._gossip.start()
@@ -194,7 +181,7 @@ class FabricNode:
     def __exit__(self, *exc_info) -> None:
         self.stop(drain=False)
 
-    # -- join / warm start -------------------------------------------------
+    # -- join --------------------------------------------------------------
 
     def _announce_join(self) -> None:
         """Tell each configured peer about us; adopt their membership."""
@@ -210,37 +197,6 @@ class FabricNode:
                 url = entry.get("url")
                 if url and url != self.url:
                     self.registry.add_peer(url)
-
-    def _warm_corpus_from_peers(self) -> str:
-        """Ship every registered target's compiled corpus from a peer.
-
-        "local" when all per-target blobs were already in the store,
-        "shipped" when at least one arrived from a peer, "cold" when any
-        target's corpus still has to be compiled here.
-        """
-        from repro.isa.targets import target_names
-
-        shipped = False
-        cold = False
-        for target in target_names():
-            key = default_corpus_key(target)
-            if self.store.corpus_blob_get(key) is not None:
-                continue
-            for peer in self.registry.peers():
-                payload = fetch_corpus(self.peer_client, peer.url, key)
-                if payload is not None and install_corpus(
-                    self.store, payload
-                ):
-                    shipped = True
-                    break
-            else:
-                cold = True
-        if cold:
-            return "cold"
-        return "shipped" if shipped else "local"
-
-    def corpus_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        return corpus_payload(self.store, key)
 
     # -- job id qualification ----------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Replicated result store: gossip completed work, ship warm corpora.
+"""Replicated result store: gossip completed work to peers.
 
 Layered on :class:`repro.service.store.ResultStore` — the engine talks
 to a :class:`ReplicatedStore` exactly as it would to the local store,
@@ -12,19 +12,13 @@ which deliberately does **not** re-enqueue gossip — that is what keeps a
 full-mesh gossip fan-out from becoming a storm (every result travels at
 most one hop from the node that computed it).
 
-The second replication channel is the **compiled axiom corpus**: the
-single biggest cold-start cost of a new node.  A joining node calls
-:func:`fetch_corpus` against any healthy peer before constructing its
-engine; the peer ships the pickled corpus blob, the joiner drops it into
-its store under the version-fingerprinted key, and the engine's usual
-warm-start path (`CompilationEngine._warm_corpus`) finds it there — so a
-freshly joined node serves its first compile at warm-node latency
-(measured in ``benchmarks/bench_fabric.py``).
+Only results replicate.  The compiled axiom corpus does not: every node
+compiles its own before its workers fork (~15 ms per target, see
+:class:`~repro.service.jobs.CompilationEngine`).
 """
 
 from __future__ import annotations
 
-import base64
 import queue
 import threading
 from typing import Any, Dict, Optional, Tuple
@@ -108,18 +102,6 @@ class ReplicatedStore:
         with self.stats._lock:
             self.stats.received += 1
 
-    def corpus_get(self, key: str):
-        return self.local.corpus_get(key)
-
-    def corpus_put(self, key: str, corpus) -> None:
-        self.local.corpus_put(key, corpus)
-
-    def corpus_blob_get(self, key: str) -> Optional[bytes]:
-        return self.local.corpus_blob_get(key)
-
-    def corpus_blob_put(self, key: str, blob: bytes) -> None:
-        self.local.corpus_blob_put(key, blob)
-
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self.local
 
@@ -194,44 +176,3 @@ class GossipPump:
             time.sleep(0.02)
         return False
 
-
-# -- corpus shipping -----------------------------------------------------------
-
-
-def corpus_payload(store: ReplicatedStore, key: str) -> Optional[Dict[str, Any]]:
-    """The ``/v1/fabric/corpus`` response body, or None if not compiled."""
-    blob = store.corpus_blob_get(key)
-    if blob is None:
-        return None
-    return {
-        "key": key,
-        "blob": base64.b64encode(blob).decode("ascii"),
-        "bytes": len(blob),
-    }
-
-
-def install_corpus(store: ReplicatedStore, payload: Dict[str, Any]) -> bool:
-    """Install a peer-shipped corpus blob into the local store."""
-    key = payload.get("key")
-    blob64 = payload.get("blob")
-    if not key or not blob64:
-        return False
-    try:
-        blob = base64.b64decode(blob64)
-    except (ValueError, TypeError):
-        return False
-    store.corpus_blob_put(key, blob)
-    return True
-
-
-def fetch_corpus(client, peer_url: str, key: str) -> Optional[Dict[str, Any]]:
-    """Ask ``peer_url`` for its compiled corpus blob under ``key``."""
-    try:
-        payload = client._request(
-            "/v1/fabric/corpus?key=%s" % key, base=peer_url
-        )
-    except Exception:
-        return None
-    if payload.get("_http_status") != 200 or payload.get("key") != key:
-        return None
-    return payload

@@ -12,9 +12,8 @@ subsystem with three layers:
   drain/cancellation;
 * **persistent result store** (:mod:`repro.service.store`) — extends the
   in-process fingerprint caches of ``repro.core.cache`` to an on-disk
-  sqlite store, so warm results and compiled axiom corpora survive
-  process restarts; identical in-flight requests are coalesced so each
-  distinct goal compiles once;
+  sqlite store, so warm results survive process restarts; identical
+  in-flight requests are coalesced so each distinct goal compiles once;
 * **client** (:mod:`repro.service.client`) — the stdlib-only
   JSON-over-HTTP client for the submit/status/result/metrics endpoints.
 
@@ -31,7 +30,6 @@ from repro.service.jobs import (
     JobSpec,
     JobState,
     compile_job,
-    default_corpus_key,
     job_fingerprint,
     run_job,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "compile_job",
-    "default_corpus_key",
     "job_fingerprint",
     "run_job",
     "WorkerPool",

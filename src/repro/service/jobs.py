@@ -212,23 +212,6 @@ def job_fingerprint(spec: JobSpec) -> str:
     return digest[:32]
 
 
-def default_corpus_key(target: str = "ev6") -> str:
-    """Store key of the compiled built-in axiom corpus for ``target``.
-
-    Version-, registry- and target-fingerprinted, so a fabric node never
-    preloads a corpus compiled by an incompatible peer, and an rv64
-    corpus never shadows an ev6 one.
-    """
-    from repro import __version__
-    from repro.core.cache import registry_fingerprint
-    from repro.terms.ops import default_registry
-
-    digest = hashlib.sha256(
-        repr(registry_fingerprint(default_registry())).encode("utf-8")
-    ).hexdigest()
-    return "default:%s:%s:%s" % (__version__, target, digest[:16])
-
-
 # -- one compile request, one report --------------------------------------------
 
 
@@ -481,46 +464,21 @@ class CompilationEngine:
         self._timers: List[threading.Timer] = []
         self._started_monotonic = time.monotonic()
         self._shutdown = False
-        # Warm the compiled axiom corpus from the store *before* the pool
-        # forks, so every worker inherits it.
-        self._warm_corpus()
+        # Compile every target's axiom corpus *before* the pool forks,
+        # so every worker inherits them.
+        from repro.core.cache import global_axiom_cache
+        from repro.isa.targets import target_names
+        from repro.terms.ops import default_registry
+
+        registry = default_registry()
+        for target in target_names():
+            global_axiom_cache().default_corpus(registry, target)
         self.pool = WorkerPool(
             workers,
             on_result=self._on_pool_result,
             on_start=self._on_pool_start,
             context=mp_context,
         )
-
-    # -- warm start --------------------------------------------------------
-
-    def _corpus_key(self, target: str = "ev6") -> str:
-        return default_corpus_key(target)
-
-    def _warm_corpus(self) -> None:
-        """Warm the per-target axiom corpora from the store.
-
-        ``corpus_warmed`` is True only when *every* registered target's
-        corpus came out of the store; any target compiled locally is
-        written back so peers (and the next restart) can skip the work.
-        """
-        from repro.core import cache as _cache
-        from repro.isa.targets import target_names
-        from repro.terms.ops import default_registry
-
-        registry = default_registry()
-        warmed = True
-        for target in target_names():
-            key = self._corpus_key(target)
-            corpus = self.store.corpus_get(key)
-            if corpus is not None:
-                _cache.global_axiom_cache().preload(registry, corpus, target)
-                continue
-            warmed = False
-            corpus = _cache.global_axiom_cache().default_corpus(
-                registry, target
-            )
-            self.store.corpus_put(key, corpus)
-        self.corpus_warmed = warmed
 
     # -- submission --------------------------------------------------------
 
@@ -841,7 +799,6 @@ class CompilationEngine:
                     else 0.0,
                 },
                 "store": self.store.to_dict(),
-                "corpus_warmed_from_store": self.corpus_warmed,
                 "workers": worker_stats,
                 "targets": {
                     name: dict(bucket)
@@ -864,5 +821,5 @@ class CompilationEngine:
         self._shutdown = True
         for timer in self._timers:
             timer.cancel()
-        self.pool.shutdown()
+        self.pool.shutdown(drain=drain)
         self.store.close()

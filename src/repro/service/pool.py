@@ -303,12 +303,20 @@ class WorkerPool:
                 handle.current_job is None for handle in self._workers
             )
 
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop accepting work, send sentinels, reap every worker."""
+    def shutdown(self, drain: bool = True, timeout: float = 5.0) -> None:
+        """Stop accepting work, send sentinels, reap every worker.
+
+        A worker still running a job gets ``timeout`` seconds to finish
+        it; with ``drain=False`` it is terminated at once instead.
+        """
         with self._lock:
             self._closing = True
             self._pending.clear()
             workers = list(self._workers)
+            busy = [h for h in workers if h.current_job is not None]
+        if not drain:
+            for handle in busy:
+                handle.process.terminate()
         for handle in workers:
             try:
                 handle.inbox.put(None)

@@ -2,9 +2,11 @@
 
 The in-process caches of :mod:`repro.core.cache` die with the process;
 this module extends their fingerprint keys to an on-disk sqlite store so
-warm compilation results — and the compiled built-in axiom corpus —
-survive restarts.  Payloads are JSON (results) and pickle (axiom
-corpora: plain frozen dataclasses of patterns, no interned terms).
+warm compilation results survive restarts.  Payloads are JSON text.
+The compiled axiom corpus is not stored: it is a pure function of the
+version, registry and target, and compiles in ~15 ms per target, so
+each process builds it (see ``CompilationEngine``).  Files written by
+older versions may still hold a ``corpora`` table; it is never read.
 
 A store created with ``path=None`` keeps everything in a dict: same
 interface, process lifetime only.  All methods are thread-safe; only the
@@ -15,7 +17,6 @@ queues), so no cross-process locking is needed beyond sqlite's own.
 from __future__ import annotations
 
 import json
-import pickle
 import sqlite3
 import threading
 import time
@@ -27,11 +28,6 @@ CREATE TABLE IF NOT EXISTS results (
     payload     TEXT NOT NULL,
     created_at  REAL NOT NULL,
     hits        INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS corpora (
-    key        TEXT PRIMARY KEY,
-    blob       BLOB NOT NULL,
-    created_at REAL NOT NULL
 );
 """
 
@@ -71,19 +67,17 @@ class ResultStore:
         self.stats = StoreStats()
         self._lock = threading.Lock()
         self._mem: Optional[Dict[str, str]] = None
-        self._mem_corpora: Optional[Dict[str, bytes]] = None
         self._db: Optional[sqlite3.Connection] = None
         if path is None:
             self._mem = {}
-            self._mem_corpora = {}
         else:
             # One shared connection, serialized by our lock (handlers may
             # call from several server threads).
             self._db = sqlite3.connect(path, check_same_thread=False)
-            # WAL lets node-local readers (metrics, warm-start probes,
-            # fabric soak load) proceed during writes instead of hitting
-            # "database is locked"; busy_timeout covers the rest.  Some
-            # filesystems refuse WAL — fall back to the default journal.
+            # WAL lets node-local readers (metrics, fabric soak load)
+            # proceed during writes instead of hitting "database is
+            # locked"; busy_timeout covers the rest.  Some filesystems
+            # refuse WAL — fall back to the default journal.
             try:
                 self._db.execute("PRAGMA busy_timeout = 5000")
                 self._db.execute("PRAGMA journal_mode = WAL")
@@ -158,52 +152,6 @@ class ResultStore:
             if self._mem is not None:
                 return len(self._mem)
             return self._db.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-
-    # -- compiled axiom corpora --------------------------------------------
-
-    def corpus_get(self, key: str):
-        """Unpickle a persisted compiled axiom corpus, or None."""
-        with self._lock:
-            if self._mem_corpora is not None:
-                blob = self._mem_corpora.get(key)
-            else:
-                row = self._db.execute(
-                    "SELECT blob FROM corpora WHERE key = ?", (key,)
-                ).fetchone()
-                blob = row[0] if row else None
-        if blob is None:
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception:
-            return None  # stale/incompatible blob: recompile instead
-
-    def corpus_put(self, key: str, corpus) -> None:
-        self.corpus_blob_put(
-            key, pickle.dumps(corpus, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def corpus_blob_get(self, key: str) -> Optional[bytes]:
-        """The raw pickled corpus blob (for shipping to fabric peers)."""
-        with self._lock:
-            if self._mem_corpora is not None:
-                return self._mem_corpora.get(key)
-            row = self._db.execute(
-                "SELECT blob FROM corpora WHERE key = ?", (key,)
-            ).fetchone()
-            return bytes(row[0]) if row else None
-
-    def corpus_blob_put(self, key: str, blob: bytes) -> None:
-        with self._lock:
-            if self._mem_corpora is not None:
-                self._mem_corpora[key] = blob
-                return
-            self._db.execute(
-                "INSERT OR REPLACE INTO corpora (key, blob, created_at) "
-                "VALUES (?, ?, ?)",
-                (key, blob, time.time()),
-            )
-            self._db.commit()
 
     # -- lifecycle ---------------------------------------------------------
 

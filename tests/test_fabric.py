@@ -24,7 +24,6 @@ from repro.service import (
     JobSpec,
     ServiceClient,
     ServiceOverloadError,
-    default_corpus_key,
     job_fingerprint,
 )
 
@@ -356,13 +355,21 @@ class TestLongPoll:
         thread.start()
         assert wait_until(lambda: record_of(node, job_id).waiters)
         start = time.monotonic()
-        # The front end stops first; reaping the busy worker then takes
-        # the pool's own shutdown grace.
         node.stop(drain=False)
         thread.join(5.0)
         assert not thread.is_alive()
         assert ended[0] - start < 1.0
         assert record_of(node, job_id).waiters is None
+
+    def test_stop_without_drain_kills_a_busy_worker_at_once(self):
+        node = boot()
+        job_id = self.submit(node, sleep_spec(6, seconds=30.0))
+        assert wait_until(
+            lambda: record_of(node, job_id).state == "running"
+        )
+        start = time.monotonic()
+        node.stop(drain=False)
+        assert time.monotonic() - start < 2.0
 
     def test_store_hit_and_miss_results_agree(self, node):
         spec = compile_spec()
@@ -605,40 +612,3 @@ class TestTwoNodes:
                 )
         finally:
             client.close()
-
-
-# -- corpus shipping -----------------------------------------------------------
-
-
-class TestCorpusShipping:
-    def test_joining_node_starts_warm(self):
-        a = boot()
-        b = None
-        client = FabricClient(a.url)
-        try:
-            spec = JobSpec(
-                kind="compile",
-                source=SIMPLE,
-                name="warm.dn",
-                strategy="linear",
-                min_cycles=1,
-                max_cycles=10,
-                max_rounds=8,
-                max_enodes=2500,
-            )
-            (job_id,) = client.submit([spec])
-            assert client.result(job_id, timeout=60.0)["state"] == "done"
-            key = default_corpus_key()
-            assert wait_until(
-                lambda: a.store.corpus_blob_get(key) is not None,
-                timeout=10.0,
-            ), "compile did not persist the corpus blob"
-            b = boot(peers=[a.url])
-            assert b.corpus_source == "shipped"
-            assert b.engine.corpus_warmed is True
-            assert b.store.corpus_blob_get(key) is not None
-        finally:
-            client.close()
-            if b is not None:
-                b.stop(drain=False)
-            a.stop(drain=False)

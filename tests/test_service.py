@@ -9,6 +9,7 @@ reruns).
 import gc
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import time
@@ -16,7 +17,8 @@ import tracemalloc
 
 import pytest
 
-from repro.core.cache import global_saturation_cache
+from repro.core.cache import global_axiom_cache, global_saturation_cache
+from repro.isa.targets import target_names
 from repro.service import (
     CompilationEngine,
     JobError,
@@ -27,6 +29,7 @@ from repro.service import (
     job_fingerprint,
     run_job,
 )
+from repro.terms.ops import default_registry
 
 SIMPLE = r"""
 (\procdecl scale ((a long)) long
@@ -209,23 +212,65 @@ class TestResultStore:
         path = str(tmp_path / "store.sqlite")
         store = ResultStore(path)
         store.put("fp", {"units": ["a"]})
-        store.corpus_put("ck", {"some": "corpus"})
         store.close()
         reopened = ResultStore(path)
         assert reopened.get("fp") == {"units": ["a"]}
-        assert reopened.corpus_get("ck") == {"some": "corpus"}
         reopened.close()
 
-    def test_corrupt_corpus_blob_returns_none(self, tmp_path):
-        path = str(tmp_path / "store.sqlite")
-        store = ResultStore(path)
-        store._db.execute(
-            "INSERT INTO corpora (key, blob, created_at) VALUES (?, ?, 0)",
-            ("bad", b"not a pickle"),
+    def test_opens_a_store_with_a_corpora_table(self, tmp_path, monkeypatch):
+        # Older stores also kept pickled axiom corpora in a ``corpora``
+        # table.  Such a file must still serve its results, and nothing
+        # may read that table (its blob here is not even a pickle).
+        path = str(tmp_path / "old.sqlite")
+        db = sqlite3.connect(path)
+        db.executescript(
+            """
+            CREATE TABLE results (
+                fingerprint TEXT PRIMARY KEY,
+                payload     TEXT NOT NULL,
+                created_at  REAL NOT NULL,
+                hits        INTEGER NOT NULL DEFAULT 0
+            );
+            CREATE TABLE corpora (
+                key        TEXT PRIMARY KEY,
+                blob       BLOB NOT NULL,
+                created_at REAL NOT NULL
+            );
+            """
         )
-        store._db.commit()
-        assert store.corpus_get("bad") is None
-        store.close()
+        db.execute(
+            "INSERT INTO results VALUES (?, ?, 0, 0)",
+            ("fp", '{"units": ["a"]}'),
+        )
+        db.execute(
+            "INSERT INTO corpora VALUES (?, ?, 0)", ("ev6", b"not a pickle")
+        )
+        db.commit()
+        db.close()
+
+        touched = []
+        connect = sqlite3.connect
+
+        def guarded_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+
+            def authorize(action, arg1, *rest):
+                if arg1 == "corpora":
+                    touched.append(action)
+                    return sqlite3.SQLITE_DENY
+                return sqlite3.SQLITE_OK
+
+            conn.set_authorizer(authorize)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", guarded_connect)
+        store = ResultStore(path)
+        try:
+            assert store.get_text("fp") == '{"units": ["a"]}'
+            assert len(store) == 1
+        finally:
+            store.close()
+        assert touched == []
 
     def test_to_dict_reports_rates(self, tmp_path):
         store = ResultStore(str(tmp_path / "s.sqlite"))
@@ -442,18 +487,19 @@ class TestEngine:
         assert ext["floor_by"] == {"dag": 1, "selection": 0}
         assert ext["optimal_by"] == {"floor": 1, "unsat": 0}
 
-    def test_warm_corpus_round_trip(self, tmp_path):
-        path = str(tmp_path / "store.sqlite")
-        first = CompilationEngine(workers=1, store=ResultStore(path))
+    def test_every_target_corpus_is_compiled_before_the_pool_forks(self):
+        # Forked workers inherit the parent's axiom cache as it stands
+        # when the pool starts; the engine fills it first.
+        cache = global_axiom_cache()
+        cache.clear()
+        eng = CompilationEngine(workers=1)
         try:
-            assert first.corpus_warmed is False  # cold store: compiled fresh
+            assert cache.stats.misses == len(target_names())
+            for target in target_names():
+                cache.default_corpus(default_registry(), target)
+            assert cache.stats.misses == len(target_names())
         finally:
-            first.shutdown(drain=False)
-        second = CompilationEngine(workers=1, store=ResultStore(path))
-        try:
-            assert second.corpus_warmed is True  # preloaded from the store
-        finally:
-            second.shutdown(drain=False)
+            eng.shutdown(drain=False)
 
 
 # -- HTTP API (served by a one-node fabric) -----------------------------------

@@ -268,11 +268,6 @@ class TestStoreIsolation:
         finally:
             rerun.shutdown(drain=False)
 
-    def test_corpus_keys_are_per_target(self):
-        from repro.service import default_corpus_key
-
-        assert default_corpus_key("ev6") != default_corpus_key("rv64")
-
 
 # -- the cross-target oracle ---------------------------------------------------
 
