@@ -40,7 +40,7 @@ from repro.axioms import (
     parse_axiom_file,
 )
 from repro.matching import SaturationConfig, saturate
-from repro.isa import ArchSpec, ev6, itanium_like, simple_risc
+from repro.isa import ArchSpec, ev6
 from repro.lang import GMA, parse_program, software_pipeline, translate_procedure
 from repro.core import (
     CompilationResult,
@@ -57,7 +57,7 @@ from repro.core import (
 from repro.sim import execute_schedule, simulate_timing
 from repro.verify import check_schedule
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "Memory",
@@ -79,8 +79,6 @@ __all__ = [
     "saturate",
     "ArchSpec",
     "ev6",
-    "itanium_like",
-    "simple_risc",
     "GMA",
     "parse_program",
     "software_pipeline",

@@ -445,7 +445,7 @@ def riscv_axioms(registry: OperatorRegistry = None) -> AxiomSet:
 
 
 # Per-target instruction sublayers, keyed by target registry name.
-# Targets without an entry (ev6, itanium, simple) are served by the
+# Targets without an entry (ev6, and unregistered specs) are served by the
 # universal files alone.
 _TARGET_SUBLAYERS = {
     "rv64": riscv_axioms,

@@ -711,7 +711,7 @@ def _batch_remote(args, specs) -> int:
 
 
 def _batch_local(args, specs) -> int:
-    from repro.service import CompilationEngine, ResultStore
+    from repro.service import CompilationEngine, ResultStore, jobs
 
     engine = CompilationEngine(
         workers=args.workers,
@@ -720,15 +720,21 @@ def _batch_local(args, specs) -> int:
     )
     status = EXIT_OK
     try:
-        ids = engine.submit_batch(specs)
-        engine.drain()
-        for spec, job_id in zip(specs, ids):
-            status = max(
-                status,
-                _print_batch_result(
-                    spec.name, engine.result(job_id, wait=False), args.quiet
-                ),
-            )
+        # The engine keeps SETTLED_JOBS_KEPT settled records, so read each
+        # run of that many results before submitting the next.
+        for start in range(0, len(specs), jobs.SETTLED_JOBS_KEPT):
+            run = specs[start : start + jobs.SETTLED_JOBS_KEPT]
+            ids = engine.submit_batch(run)
+            engine.drain()
+            for spec, job_id in zip(run, ids):
+                status = max(
+                    status,
+                    _print_batch_result(
+                        spec.name,
+                        engine.result(job_id, wait=False),
+                        args.quiet,
+                    ),
+                )
         metrics = engine.metrics()
     finally:
         engine.shutdown(drain=False)

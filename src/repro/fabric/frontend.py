@@ -15,7 +15,7 @@ multiprocessing-backed) compilation engine.  It serves the service API
   400 or 413 and ``Connection: close``: its unread body must never be
   parsed as the next request.
 * **bounded admission queue** — mutating requests (submissions,
-  replication) pass through an ``asyncio.Queue`` drained by a small,
+  replication, joins) pass through an ``asyncio.Queue`` drained by a small,
   fixed pool of dispatcher tasks that run the blocking engine calls in
   the default executor.  The queue bound plus an engine-backlog bound
   make overload a first-class state: requests beyond either bound are
@@ -372,13 +372,9 @@ class AsyncFrontend:
             node.request_shutdown()
             return 200, {"ok": True}, None
         if path == "/v1/fabric/join":
-            self.metrics.count("/v1/fabric/join")
-            url = data.get("url")
-            if not isinstance(url, str) or not url:
-                return 400, {"error": "'url' required"}, None
-            node_id = node.registry.add_peer(url)
-            node.registry.mark_ok(node_id)
-            return 200, node.registry.describe(), None
+            return await self._admit(
+                "/v1/fabric/join", node.handle_join, data
+            )
         if path == "/v1/submit":
             return await self._admit(
                 "/v1/submit", node.handle_submit, data
@@ -432,9 +428,10 @@ class AsyncFrontend:
         # Status/result reads are a lock acquisition plus dict lookups;
         # running them inline beats an executor round-trip per poll
         # (the hot path of a store-hit soak).
+        unknown = 404, {"error": "unknown job %r" % job_id}, None
         status = node.engine.status(local_id)
         if status is None:
-            return 404, {"error": "unknown job %r" % job_id}, None
+            return unknown
         if not want_result:
             status["id"] = node.qualify_job_id(local_id)
             return 200, status, None
@@ -442,14 +439,19 @@ class AsyncFrontend:
         if wait and state in (JobState.PENDING, JobState.RUNNING):
             await self._hold(local_id, wait)
             status = node.engine.status(local_id)
+            if status is None:  # settled and evicted during the hold
+                return unknown
             state = status["state"]
         if state in (JobState.PENDING, JobState.RUNNING):
             return 202, {"state": state}, None
         if state != JobState.DONE:
             return 500, {"state": state, "error": status.get("error")}, None
+        text = node.engine.result_text(local_id)
+        if text is None:  # evicted since the status read
+            return unknown
         body = '{"state": "done", "from_store": %s, "result": %s}' % (
             "true" if status["from_store"] else "false",
-            node.engine.result_text(local_id),
+            text,
         )
         return 200, body.encode("utf-8"), None
 
@@ -483,7 +485,9 @@ class AsyncFrontend:
     async def _admit(self, endpoint: str, handler, data: Dict[str, Any]):
         self.metrics.count(endpoint)
         node = self.node
-        if not node.ready:
+        # A starting node already answers joins: its peers announce
+        # themselves while it forks its workers.
+        if not node.ready and endpoint != "/v1/fabric/join":
             return 503, {"error": "node still starting"}, None
         if endpoint == "/v1/submit":
             jobs = data.get("jobs")

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fabric.frontend import AsyncFrontend
 from repro.fabric.replica import GossipPump, ReplicatedStore
-from repro.fabric.ring import NodeRegistry
+from repro.fabric.ring import NodeRegistry, node_id_for_url
 from repro.service.client import (
     ServiceClient,
     ServiceError,
@@ -228,6 +228,22 @@ class FabricNode:
         except JobError as exc:
             return 400, {"error": str(exc)}, None
         return 200, {"ids": ids, "node": self.node_id}, None
+
+    def handle_join(self, data: Dict[str, Any]):
+        """Admit ``data["url"]`` as an alive member once a fabric node
+        answers ``/healthz`` there under the node id that URL derives
+        (the health client: 2 s timeout, no retry)."""
+        url = data.get("url")
+        if not isinstance(url, str) or not url:
+            return 400, {"error": "'url' required"}, None
+        try:
+            health = self.health_client._request("/healthz", base=url)
+        except (ServiceError, ValueError):
+            health = {}
+        if health.get("node") != node_id_for_url(url):
+            return 400, {"error": "no fabric node answers at %r" % url}, None
+        self.registry.mark_ok(self.registry.add_peer(url))
+        return 200, self.registry.describe(), None
 
     def handle_replicate(self, data: Dict[str, Any]):
         fingerprint = data.get("fingerprint")

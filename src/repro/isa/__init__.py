@@ -4,14 +4,13 @@ The paper's constraint generator consumes "an architectural description,
 which includes tables specifying which functional units can execute which
 instructions, and a table of latencies" (section 3).  :class:`ArchSpec` is
 that description; :func:`ev6` instantiates it for the Alpha EV6 (quad
-issue, two clusters with a cross-cluster delay), :func:`rv64` for a
-dual-issue RISC-V RV64 core, and :func:`simple_risc` gives the
-single-issue machine of the paper's section 6 exposition.  Targets are
-resolved by name through :mod:`repro.isa.targets`.
+issue, two clusters with a cross-cluster delay) and :func:`rv64` for a
+dual-issue RISC-V RV64 core.  Targets are resolved by name through
+:mod:`repro.isa.targets`.
 """
 
 from repro.isa.spec import ArchSpec, InstructionInfo
-from repro.isa.alpha import ev6, itanium_like, simple_risc, toy_tuple_machine
+from repro.isa.alpha import ev6
 from repro.isa.riscv import rv64
 from repro.isa.registers import RegisterConventions, RegisterFile
 from repro.isa.targets import (
@@ -28,10 +27,7 @@ __all__ = [
     "ArchSpec",
     "InstructionInfo",
     "ev6",
-    "itanium_like",
     "rv64",
-    "simple_risc",
-    "toy_tuple_machine",
     "RegisterConventions",
     "RegisterFile",
     "Target",

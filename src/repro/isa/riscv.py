@@ -12,7 +12,7 @@ contrasts with the EV6 model that exercise the retargeting layer:
 * **no byte-manipulation instructions** — ``extbl``/``insbl``/``mskbl``/
   ``zapnot`` are not machine operations, so byte goals compile to
   shift-and-mask sequences (the pipeline auto-enables
-  ``synthesize_mask_alternatives`` exactly as for the Itanium spec);
+  ``synthesize_mask_alternatives`` for any spec without ``mskbl``);
 * **no conditional moves and no ``cmpeq``/``cmple``/``cmpule``** — the
   base ISA only has ``slt``/``sltu``; the rv64 axiom sublayer
   (:func:`repro.axioms.builtin.riscv_axioms`) lowers the remaining

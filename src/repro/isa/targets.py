@@ -11,11 +11,10 @@ one :func:`register_target` call plus its spec and axiom sublayer.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.isa.alpha import ev6, itanium_like, simple_risc
+from repro.isa.alpha import ev6
 from repro.isa.riscv import rv64
 from repro.isa.spec import ArchSpec
 
@@ -29,8 +28,8 @@ class Target:
             axioms declare in their ``targets`` applicability field and
             the component cache/store fingerprints include.
         description: one line for ``repro targets``.
-        spec_factory: builds the :class:`ArchSpec`; factories that model
-            a data cache accept a ``load_latency`` keyword.
+        spec_factory: builds the :class:`ArchSpec`; it takes the assumed
+            D-cache latency as a ``load_latency`` keyword.
         aliases: alternative names accepted by :func:`get_target`.
     """
 
@@ -40,16 +39,11 @@ class Target:
     aliases: Tuple[str, ...] = ()
 
     def spec(self, load_latency: Optional[int] = None) -> ArchSpec:
-        """Instantiate the architectural description.
-
-        ``load_latency`` is forwarded when the factory models it and
-        silently ignored otherwise (the single-latency test machines).
-        """
-        if load_latency is not None:
-            params = inspect.signature(self.spec_factory).parameters
-            if "load_latency" in params:
-                return self.spec_factory(load_latency=load_latency)
-        return self.spec_factory()
+        """Instantiate the architectural description (``None``: the
+        factory's default load latency)."""
+        if load_latency is None:
+            return self.spec_factory()
+        return self.spec_factory(load_latency=load_latency)
 
 
 _REGISTRY: Dict[str, Target] = {}
@@ -119,18 +113,4 @@ register_target(Target(
                 "cluster, 12-bit immediates, no byte ops or cmovs",
     spec_factory=rv64,
     aliases=("riscv", "riscv-rv64"),
-))
-register_target(Target(
-    name="itanium",
-    description="IA-64-flavoured test machine: four units, one cluster, "
-                "no byte ops (the paper's porting claim)",
-    spec_factory=itanium_like,
-    aliases=("itanium-like",),
-))
-register_target(Target(
-    name="simple",
-    description="single-issue, single-cluster RISC (the paper's "
-                "section 6 exposition machine)",
-    spec_factory=simple_risc,
-    aliases=("simple-risc",),
 ))

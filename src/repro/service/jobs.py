@@ -18,6 +18,7 @@ stage statistics for the metrics endpoint.
 
 from __future__ import annotations
 
+import collections
 import copy
 import hashlib
 import json
@@ -25,7 +26,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.session import aggregate_stats, merge_totals
 from repro.service.pool import WorkerPool
@@ -413,6 +414,14 @@ def _canonical_target(arch: str) -> str:
         return arch
 
 
+# A settled job's record (status, result text) outlives it by this many
+# later settlements; then it is evicted, oldest first, and its id
+# answers "unknown job".  Live records are never evicted.
+SETTLED_JOBS_KEPT = 4096
+# The /v1/metrics latency percentiles cover this many most recent jobs.
+LATENCY_WINDOW = 1024
+
+
 def _percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (q in [0, 1])."""
     if not values:
@@ -449,10 +458,11 @@ class CompilationEngine:
         self._lock = threading.RLock()
         self._jobs: Dict[str, _JobRecord] = {}
         self._inflight: Dict[str, str] = {}  # fingerprint -> job id
-        self._order: List[str] = []
-        self._counter = 0
+        self._settled: Deque[str] = collections.deque()  # oldest first
+        self._counter = 0  # records ever made: the "submitted" count
+        self._by_state: Dict[str, int] = {}
         self._coalesced_total = 0
-        self._latencies: List[float] = []
+        self._latencies: Deque[float] = collections.deque(maxlen=LATENCY_WINDOW)
         self._worker_stages: Dict[int, Dict[str, float]] = {}
         # Compile totals summed over completed jobs (``aggregate_stats``'
         # schema; the "totals" block of /v1/metrics).
@@ -504,7 +514,7 @@ class CompilationEngine:
             if spec.kind == "compile":
                 cached = self.store.get_text(fingerprint)
                 if cached is not None:
-                    record.state = JobState.DONE
+                    self._set_state(record, JobState.DONE)
                     record.from_store = True
                     record.result_text = cached
                     record.finished_at = time.time()
@@ -534,8 +544,16 @@ class CompilationEngine:
             submitted_at=time.time(),
         )
         self._jobs[record.id] = record
-        self._order.append(record.id)
+        self._by_state[record.state] = self._by_state.get(record.state, 0) + 1
         return record
+
+    def _set_state(self, record: _JobRecord, state: str) -> None:
+        counts = self._by_state
+        counts[record.state] -= 1
+        if not counts[record.state]:
+            del counts[record.state]
+        counts[state] = counts.get(state, 0) + 1
+        record.state = state
 
     # -- pool callbacks ----------------------------------------------------
 
@@ -544,7 +562,7 @@ class CompilationEngine:
             record = self._jobs.get(job_id)
             if record is None or record.state not in (JobState.PENDING,):
                 return
-            record.state = JobState.RUNNING
+            self._set_state(record, JobState.RUNNING)
             record.worker = worker_id
             if record.started_at is None:
                 record.started_at = time.time()
@@ -568,7 +586,7 @@ class CompilationEngine:
                 if record.attempts <= self.max_retries:
                     delay = self.retry_backoff * (2 ** (record.attempts - 1))
                     record.attempts += 1
-                    record.state = JobState.PENDING
+                    self._set_state(record, JobState.PENDING)
                     record.worker = None
                     timer = threading.Timer(delay, self._resubmit, (job_id,))
                     timer.daemon = True
@@ -606,7 +624,7 @@ class CompilationEngine:
     def _finish_ok(
         self, record: _JobRecord, payload: Dict[str, Any], worker_id: int
     ) -> None:
-        record.state = JobState.DONE
+        self._set_state(record, JobState.DONE)
         record.worker = worker_id
         record.finished_at = time.time()
         self._latencies.append(record.finished_at - record.submitted_at)
@@ -628,7 +646,7 @@ class CompilationEngine:
         self._settle(record)
 
     def _finish_failed(self, record: _JobRecord, error: str) -> None:
-        record.state = JobState.FAILED
+        self._set_state(record, JobState.FAILED)
         record.error = error
         if record.spec.kind == "compile":
             self._target_bucket(
@@ -639,11 +657,15 @@ class CompilationEngine:
         self._settle(record)
 
     def _settle(self, record: _JobRecord) -> None:
-        """Mark ``record`` terminal and wake whoever waits on it."""
+        """Mark ``record`` terminal, wake whoever waits on it, and evict
+        the oldest settled record beyond ``SETTLED_JOBS_KEPT``."""
         record.done.set()
         waiters, record.waiters = record.waiters, None
         for callback in waiters or ():
             callback()
+        self._settled.append(record.id)
+        while len(self._settled) > SETTLED_JOBS_KEPT:
+            del self._jobs[self._settled.popleft()]
 
     # -- inspection / waiting ----------------------------------------------
 
@@ -711,12 +733,21 @@ class CompilationEngine:
         self, job_ids: Sequence[str], timeout: Optional[float] = None
     ) -> bool:
         """Block until every job finished; False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for job_id in job_ids:
-            with self._lock:
+        records = []
+        with self._lock:
+            for job_id in job_ids:
                 record = self._jobs.get(job_id)
-            if record is None:
-                raise JobError("unknown job %r" % job_id)
+                if record is None:
+                    raise JobError("unknown job %r" % job_id)
+                records.append(record)
+        return self._wait_records(records, timeout)
+
+    @staticmethod
+    def _wait_records(
+        records: Sequence[_JobRecord], timeout: Optional[float]
+    ) -> bool:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for record in records:
             remaining = (
                 None if deadline is None else deadline - time.monotonic()
             )
@@ -734,7 +765,7 @@ class CompilationEngine:
                 return False
             if record.state == JobState.RUNNING and not kill_running:
                 return False
-            record.state = JobState.CANCELLED
+            self._set_state(record, JobState.CANCELLED)
             record.finished_at = time.time()
             self._inflight.pop(record.fingerprint, None)
             self._settle(record)
@@ -746,7 +777,7 @@ class CompilationEngine:
 
         O(1) — the fabric front end calls this on *every* submission
         when deciding whether to shed load, so it must not scale with
-        the (ever-growing) job-record table.  Coalesced duplicates
+        the job-record table.  Coalesced duplicates
         share one in-flight entry and count once: shedding is about
         outstanding work, not outstanding ids.
         """
@@ -756,7 +787,7 @@ class CompilationEngine:
     def queue_stats(self) -> Dict[str, Any]:
         """Lightweight backlog/latency snapshot for admission control."""
         with self._lock:
-            recent = self._latencies[-64:]
+            recent = list(self._latencies)[-64:]
             return {
                 "backlog": len(self._inflight),
                 "p50_seconds": round(_percentile(recent, 0.50), 6),
@@ -766,10 +797,7 @@ class CompilationEngine:
     def metrics(self) -> Dict[str, Any]:
         """Aggregate service metrics (the ``/v1/metrics`` payload)."""
         with self._lock:
-            states: Dict[str, int] = {}
-            for record in self._jobs.values():
-                states[record.state] = states.get(record.state, 0) + 1
-            done = states.get(JobState.DONE, 0)
+            done = self._by_state.get(JobState.DONE, 0)
             elapsed = time.monotonic() - self._started_monotonic
             latencies = list(self._latencies)
             worker_stats = self.pool.stats()
@@ -777,9 +805,9 @@ class CompilationEngine:
                 entry["stages"] = dict(self._worker_stages.get(entry["id"], {}))
             return {
                 "jobs": {
-                    "submitted": len(self._jobs),
+                    "submitted": self._counter,
                     "coalesced": self._coalesced_total,
-                    "by_state": states,
+                    "by_state": dict(self._by_state),
                 },
                 "throughput": {
                     "done": done,
@@ -812,8 +840,8 @@ class CompilationEngine:
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait for every submitted job to reach a terminal state."""
         with self._lock:
-            ids = list(self._order)
-        return self.wait(ids, timeout=timeout)
+            live = [r for r in self._jobs.values() if not r.done.is_set()]
+        return self._wait_records(live, timeout)
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = 30.0) -> None:
         if drain:

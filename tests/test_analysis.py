@@ -125,7 +125,8 @@ class TestMinDepth:
 
     def test_depth_is_schedule_lower_bound(self):
         """min_depth never exceeds what the SAT search finds."""
-        from repro import Denali, DenaliConfig, simple_risc
+        from repro import Denali, DenaliConfig
+        from tests.machines import simple_risc
 
         term = mk(
             "bis",

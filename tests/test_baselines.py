@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import GMA, Memory, Sort, const, ev6, inp, mk, simple_risc
+from repro import GMA, Memory, Sort, const, ev6, inp, mk
 from repro.baselines import (
     brute_force_search,
     compile_conventional,
@@ -13,6 +13,7 @@ from repro.baselines.compiler import CompileError
 from repro.sim import execute_schedule, simulate_timing
 from repro.terms import default_registry
 from repro.verify import check_schedule
+from tests.machines import simple_risc
 
 
 class TestBruteForce:

@@ -292,7 +292,8 @@ class TestMinDepthOnCyclicClasses:
         import signal
         import time
 
-        from repro import Denali, DenaliConfig, simple_risc
+        from repro import Denali, DenaliConfig
+        from tests.machines import simple_risc
         from repro.egraph.analysis import min_depth
         from repro.matching import SaturationConfig
 

@@ -10,12 +10,13 @@ import pytest
 from repro.core.emit import extract_schedule
 from repro.egraph import EGraph
 from repro.encode import EncodeError, EncodingOptions, encode_schedule
-from repro.isa import ev6, simple_risc
+from repro.isa import ev6
 from repro.matching import saturate
 from repro.axioms import AxiomSet
 from repro.sat import CdclSolver
 from repro.sim import simulate_timing
 from repro.terms import Sort, const, inp, mk
+from tests.machines import simple_risc
 
 
 def _solve(encoding):

@@ -12,10 +12,11 @@ availability, issue exclusivity, goal constraints) against ground truth.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Denali, DenaliConfig, SearchStrategy, inp, mk, simple_risc
+from repro import Denali, DenaliConfig, SearchStrategy, inp, mk
 from repro.axioms import AxiomSet
 from repro.matching import SaturationConfig
 from repro.terms import Term, subterms
+from tests.machines import simple_risc
 
 
 def _machine_nodes(term: Term, spec):

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Denali, DenaliConfig, ev6, simple_risc, const, inp, mk
+from repro import Denali, DenaliConfig, ev6, const, inp, mk
 from repro.egraph.analysis import min_depth
 
 pytestmark = pytest.mark.slow
 from repro.matching import SaturationConfig
 from repro.sim import simulate_timing
+from tests.machines import simple_risc
 
 _BINOPS = ["add64", "sub64", "and64", "bis", "xor64", "cmpult"]
 _UNOPS = ["not64", "neg64", "sextl"]

@@ -1,7 +1,7 @@
 """Smoke tests: the fast example scripts run to completion.
 
-(The byteswap and checksum examples take longer and are exercised by the
-benchmark harness instead.)
+(The byteswap and checksum examples take longer; their kernels are
+claims E1 and E5 in ``test_paper_claims.py``.)
 """
 
 import os

@@ -167,6 +167,50 @@ class TestSingleNode:
         finally:
             client.close()
 
+    def test_evicted_job_answers_404_and_newest_is_served(
+        self, node, monkeypatch
+    ):
+        from repro.service import ServiceError, jobs
+
+        monkeypatch.setattr(jobs, "SETTLED_JOBS_KEPT", 2)
+        client = FabricClient(node.url)
+        try:
+            ids = []
+            for seed in range(4):
+                (job_id,) = client.submit([sleep_spec(seed)])
+                assert client.result(job_id, timeout=10.0)["state"] == "done"
+                ids.append(job_id)
+            with pytest.raises(ServiceError, match="HTTP 404"):
+                client.result(ids[0], timeout=1.0)
+            with pytest.raises(ServiceError, match="HTTP 404"):
+                client.status(ids[1])
+            payload = client.result(ids[-1], timeout=1.0)
+            assert payload["result"]["ok"] is True
+            assert client.metrics()["jobs"]["submitted"] == 4
+        finally:
+            client.close()
+
+    def test_join_without_a_node_behind_the_url_is_refused(self, node):
+        from repro.service import ServiceError
+
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        ghost = "http://127.0.0.1:%d" % port
+        client = ServiceClient(node.url)
+        try:
+            with pytest.raises(ServiceError, match="HTTP 400"):
+                client._request("/v1/fabric/join", body={"url": ghost})
+            # A live node under a URL other than its own is refused too:
+            # its /healthz answers with the id of its own URL.
+            alias = node.url + "/alias"
+            with pytest.raises(ServiceError, match="HTTP 400"):
+                client._request("/v1/fabric/join", body={"url": alias})
+            ring = client._request("/v1/fabric/ring")
+            assert [n["url"] for n in ring["nodes"]] == [node.url]
+        finally:
+            client.close()
+
 
 # -- request framing -----------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.isa import ArchSpec, InstructionInfo, RegisterFile, ev6, simple_risc
-from repro.isa.alpha import toy_tuple_machine
+from repro.isa import ArchSpec, InstructionInfo, RegisterFile, ev6
+from tests.machines import simple_risc, toy_tuple_machine
 from repro.isa.registers import ARG_REGISTERS, ZERO_REGISTER
 
 

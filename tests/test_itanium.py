@@ -16,11 +16,11 @@ from repro import (
     const,
     ev6,
     inp,
-    itanium_like,
     mk,
 )
 from repro.matching import SaturationConfig
 from repro.sim import simulate_timing
+from tests.machines import itanium_like
 
 
 def _config(max_cycles=9, **kwargs):

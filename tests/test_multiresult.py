@@ -15,9 +15,9 @@ destination, and projection pseudo-ops extract components.
 import pytest
 
 from repro import Denali, DenaliConfig, GMA, const, inp, mk
-from repro.isa.alpha import toy_tuple_machine
 from repro.matching import SaturationConfig
 from repro.sim import execute_schedule, simulate_timing
+from tests.machines import toy_tuple_machine
 
 
 def _config(**kwargs):

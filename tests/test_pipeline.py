@@ -16,11 +16,11 @@ from repro import (
     ev6,
     inp,
     mk,
-    simple_risc,
 )
 from repro.matching import SaturationConfig
 from repro.sim import simulate_timing
 from repro.terms import Sort
+from tests.machines import simple_risc
 
 
 def _config(**kwargs):

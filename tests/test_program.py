@@ -14,7 +14,6 @@ from repro import (
     Memory,
     SearchStrategy,
     ev6,
-    itanium_like,
     parse_program,
 )
 from repro.core.program import (
@@ -27,6 +26,7 @@ from repro.core.program import (
 )
 from repro.matching import SaturationConfig
 from repro.terms.values import M64
+from tests.machines import itanium_like
 
 
 def _denali(prog, spec=None, max_cycles=12):

@@ -159,7 +159,7 @@ class TestFingerprint:
         base = job_fingerprint(compile_spec())
         assert job_fingerprint(compile_spec(source=SIMPLE + " ")) != base
         assert job_fingerprint(compile_spec(max_cycles=9)) != base
-        assert job_fingerprint(compile_spec(arch="itanium")) != base
+        assert job_fingerprint(compile_spec(arch="rv64")) != base
 
     def test_pinned_fingerprint(self, monkeypatch):
         # The semantic fields are derived from JobSpec's field order; a
@@ -401,6 +401,39 @@ class TestEngine:
             tracemalloc.stop()
         assert engine.store.stats.hits == 1001
         assert retained / 1000 < 4096, retained / 1000
+
+    def test_settled_records_past_the_bound_are_evicted(self, engine):
+        from repro.service import jobs
+
+        with open(os.path.join(WORKLOAD_DIR, "fig2.dn")) as handle:
+            spec = compile_spec(source=handle.read(), name="fig2.dn")
+        first = engine.submit(spec)
+        engine.result(first, timeout=120)
+        wire = spec.to_dict()
+        hits = jobs.SETTLED_JOBS_KEPT + 2000
+        # Traced from the start, so evicting a record frees traced memory.
+        tracemalloc.start()
+        try:
+            for _ in range(jobs.SETTLED_JOBS_KEPT + 1000):  # past the bound
+                engine.submit(JobSpec.from_dict(wire))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                newest = engine.submit(JobSpec.from_dict(wire))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Each hit evicts the oldest settled record, so memory stays flat
+        # up to one resize of the table's dict (~100 KB); an unbounded
+        # table kept ~1.9 KB per hit, ~1.9 MB here.
+        assert retained < 256 * 1024, retained
+        assert len(engine._jobs) == jobs.SETTLED_JOBS_KEPT
+        assert engine.status(first) is None
+        assert engine.result(newest)["ok"] is True
+        metrics = engine.metrics()["jobs"]
+        assert metrics["submitted"] == hits + 1
+        assert metrics["by_state"] == {JobState.DONE: hits + 1}
 
     def test_settle_callback_fires_once(self, engine):
         job_id = engine.submit(JobSpec(kind="sleep", seconds=0.2))

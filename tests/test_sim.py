@@ -4,13 +4,14 @@ import pytest
 
 from repro.core.emit import Operand, Schedule, ScheduledInstruction
 from repro.egraph.egraph import ENode
-from repro.isa import ev6, simple_risc
+from repro.isa import ev6
 from repro.sim import (
     ExecutionError,
     execute_schedule,
     simulate_timing,
 )
 from repro.terms import Memory
+from tests.machines import simple_risc
 
 
 def _instr(op, cycle, unit, operands, dest, mnemonic=None, class_id=0):

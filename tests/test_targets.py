@@ -45,9 +45,8 @@ FIG2 = mk("add64", mk("mul64", inp("reg6"), const(4)), const(1))
 
 class TestRegistry:
     def test_canonical_names(self):
-        names = target_names()
-        assert names[0] == "ev6"  # the default stays first
-        assert "rv64" in names
+        # ev6 (the default) first; the test machines are not registered.
+        assert target_names() == ("ev6", "rv64")
 
     def test_aliases_resolve(self):
         assert get_target("alpha").name == "ev6"
@@ -60,8 +59,7 @@ class TestRegistry:
 
     def test_resolve_spec_forwards_load_latency(self):
         assert resolve_spec("ev6", load_latency=5).latency("select") == 5
-        # Targets without a cache model just ignore the knob.
-        assert resolve_spec("simple", load_latency=5) is not None
+        assert resolve_spec("rv64", load_latency=5).latency("select") == 5
 
     def test_target_for_spec_round_trips(self):
         assert target_for_spec(ev6()) == "ev6"

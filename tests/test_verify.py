@@ -14,11 +14,11 @@ from repro import (
     ev6,
     inp,
     mk,
-    simple_risc,
 )
 from repro.core.emit import Operand
 from repro.matching import SaturationConfig
 from repro.terms import Sort
+from tests.machines import simple_risc
 
 
 def _compile(term_or_gma, spec=None):
