@@ -34,6 +34,7 @@ cost thereby participates in the optimisation.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -215,21 +216,21 @@ def _term_rows(
 
 def _earliest_availability(
     rows: Sequence[_TermRow], spec: ArchSpec
-) -> Tuple[Dict[Tuple[int, int], int], Dict[ENode, int]]:
+) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[ENode, str], int]]:
     """The earliest cycle ``B(i, Q, c)`` can hold, per (class, cluster),
-    and per term the earliest cycle its result can be complete.
+    and the earliest cycle ``F(i, T, u)`` can hold, per (term, unit).
 
     ``E(Q,c)`` is the least, over producers ``(T,u)`` of ``Q``, of
-    ``launch + lat(T) - 1 + result_delay(u,c)``, where ``launch`` is 0
-    for a term with no dependencies and otherwise ``1 + max E(d,
+    ``start(T,u) + lat(T) - 1 + result_delay(u,c)``, where ``start(T,u)``
+    is 0 for a term with no dependencies and otherwise ``1 + max E(d,
     cluster(u))`` over its dependencies ``d``.  Those are exactly the
     bounds families 1-3 impose on any model; dropping the issue slots
     (family 4), the memory anti-dependences (family 6) and
     launch-at-most-once only removes constraints, so no model can make
-    ``B(i,Q,c)`` true for ``i < E(Q,c)``.  Classes absent from the map
-    can never be made available.  A term's earliest completion is the
-    least, over its units, of ``launch + lat(T) - 1``; terms absent from
-    that map can never launch.
+    ``B(i,Q,c)`` true for ``i < E(Q,c)``, nor ``F(i,T,u)`` for ``i <
+    start(T,u)``.  Classes absent from the first map can never be made
+    available; (term, unit) pairs absent from the second can never
+    launch.
 
     One worklist pass (Knuth's generalisation of Dijkstra): a launch
     lands strictly after every dependency, so a class's value is final
@@ -243,12 +244,10 @@ def _earliest_availability(
     # and per launch how many of its distinct dependencies are unresolved.
     waiters: Dict[Tuple[int, int], List[Tuple[int, str]]] = {}
     pending: Dict[Tuple[int, str], int] = {}
-    finish: Dict[ENode, int] = {}
+    starts: Dict[Tuple[ENode, str], int] = {}
 
     def launch(row: _TermRow, unit: str, start: int) -> None:
-        done = start + row.lat - 1
-        if done < finish.get(row.node, done + 1):
-            finish[row.node] = done
+        starts[(row.node, unit)] = start
         for c in clusters:
             t = start + row.lat - 1 + spec.result_delay(unit, c)
             key = (row.cid, c)
@@ -279,7 +278,7 @@ def _earliest_availability(
                     unit,
                     1 + max(final[(d, cluster)] for d in row.deps),
                 )
-    return final, finish
+    return final, starts
 
 
 def _latency_of(spec: ArchSpec, overrides: Dict[ENode, int]):
@@ -302,10 +301,10 @@ def _analyse(
     """The budget-independent analysis both encoders start from.
 
     Returns ``(goal_roots, support, free, rows, computable, floor,
-    finish)``: ``rows`` keeps only the machine terms whose every
-    dependency can be computed (a class is computable exactly when it is
-    free or has a finite earliest availability), and ``finish`` maps each
-    launchable term to its earliest completion.  Raises
+    available, starts)``: ``rows`` keeps only the machine terms whose
+    every dependency can be computed (a class is computable exactly when
+    it is free or has a finite earliest availability), and ``available``
+    and ``starts`` are :func:`_earliest_availability`'s two maps.  Raises
     :class:`EncodeError` if a goal can never be computed.
     """
     goal_roots = [eg.find(g) for g in goals]
@@ -319,7 +318,7 @@ def _analyse(
     free = _free_classes(eg, support, spec)
     rows = _term_rows(eg, support, free, spec, unsafe_terms, lat_of)
     soonest: Dict[int, int] = {}  # per class, min over clusters of E
-    available, finish = _earliest_availability(rows, spec)
+    available, starts = _earliest_availability(rows, spec)
     for (q, _c), t in available.items():
         soonest[q] = min(t, soonest.get(q, t))
     computable = free | set(soonest)
@@ -337,7 +336,7 @@ def _analyse(
         for row in rows
         if row.cid in computable and all(d in computable for d in row.deps)
     ]
-    return goal_roots, support, free, rows, computable, floor, finish
+    return goal_roots, support, free, rows, computable, floor, available, starts
 
 
 def cycle_floor(
@@ -388,9 +387,9 @@ def encode_schedule(
     if cycles < 1:
         raise EncodeError("cycle budget must be at least 1")
 
-    goal_roots, support, free, rows, computable, _floor, _finish = _analyse(
+    goal_roots, support, free, rows, computable = _analyse(
         eg, spec, goals, unsafe_terms or {}, lat_of
-    )
+    )[:5]
 
     # Machine terms: computable-argument machine-op enodes in the support,
     # minus those that cannot complete within any schedule this short.
@@ -538,6 +537,37 @@ def encode_schedule(
     )
 
 
+class _RowLayout:
+    """One machine term's window in the incremental encoder.
+
+    Built when the window opens.  ``starts[k]`` is the earliest launch
+    cycle on ``units[k]`` (None when that unit can never launch the
+    term); the ``F`` variable for unit ``k`` exists from ``starts[k]``
+    on, ``L`` from ``l_start`` (the least start) and ``A`` from
+    ``l_start + lat - 1``.  ``fvars[k]`` and ``lvars`` hold the allocated
+    variables, one per built cycle from the window's start;
+    ``dep_cells[k]`` are the availability cells a launch on ``units[k]``
+    waits on, and ``slots[k]`` indexes the unit's issue slot.
+    """
+
+    __slots__ = (
+        "node", "units", "lat", "starts", "l_start", "a_start",
+        "dep_cells", "slots", "fvars", "lvars",
+    )
+
+    def __init__(self, row, starts, l_start, dep_cells, slots) -> None:
+        self.node = row.node
+        self.units = row.units
+        self.lat = row.lat
+        self.starts = starts
+        self.l_start = l_start
+        self.a_start = l_start + row.lat - 1
+        self.dep_cells = dep_cells
+        self.slots = slots
+        self.fvars: List[List[int]] = [[] for _ in starts]
+        self.lvars: List[int] = []
+
+
 class IncrementalEncoder:
     """Budget-independent CNF prefix shared across cycle-budget probes.
 
@@ -551,11 +581,21 @@ class IncrementalEncoder:
     probed budget at once.  Probing budgets 4, 8 and 6 encodes 8 blocks
     total instead of 18.
 
+    Blocks are window-pruned by the floor analysis
+    (:func:`_earliest_availability`): block ``i`` allocates ``F(i,T,u)``
+    only from the earliest launch ``start(T,u)``, ``L(i,T)`` only from
+    ``min_u start(T,u)``, ``A(i,T)`` from that point plus ``lat - 1``, and
+    ``B(i,Q,c)`` only from ``E(Q,c)``.  Every variable left out is false
+    in every model of the unpruned :func:`encode_schedule` formula, and
+    the live ones keep their relative order, so the solver's lex-least
+    model decodes to the same schedule.
+
     Unlike :func:`encode_schedule`, machine terms whose latency exceeds
-    the probed budget keep their (inert) launch variables: their ``A``
-    linking forces them to never complete, no availability counts them as
-    a producer, and demand-driven extraction never picks them, so the two
-    encoders accept exactly the same schedules.
+    the probed budget keep their (inert) launch variables from their
+    earliest launch on: their ``A`` linking forces them to never
+    complete, no availability counts them as a producer, and
+    demand-driven extraction never picks them, so the two encoders accept
+    exactly the same schedules.
 
     The instance is bound to one saturated E-graph; the graph must not be
     mutated after construction (class ids are resolved once).
@@ -581,7 +621,8 @@ class IncrementalEncoder:
             rows,
             self.computable,
             floor,
-            finish,
+            available,
+            starts,
         ) = _analyse(eg, spec, goals, self.unsafe_terms, self.latency)
         self.support = support
         # The proved cycle floor (see cycle_floor): every budget below it
@@ -590,112 +631,83 @@ class IncrementalEncoder:
         self.machine_terms: List[Tuple[ENode, int]] = [
             (row.node, row.cid) for row in rows
         ]
-        # Per machine term, the earliest cycle its result can be
-        # complete: a term finishing after K - 1 is in no K-cycle
-        # schedule (the exact refinement's relaxation drops it).
-        self.earliest_finish: Dict[ENode, int] = {
-            row.node: finish[row.node] for row in rows if row.node in finish
-        }
         self.needs_avail = [
             cid
             for cid in support
             if cid in self.computable and cid not in self.free
         ]
-        self._producers: Dict[int, List[Tuple[ENode, str]]] = {}
-        for node, cid in self.machine_terms:
-            for u in spec.info(node.op).units:
-                self._producers.setdefault(cid, []).append((node, u))
-        self._loads_by_mem: Dict[int, List[ENode]] = {}
-        for node, _cid in self.machine_terms:
-            if node.op == "select":
-                self._loads_by_mem.setdefault(
-                    eg.find(node.args[0]), []
-                ).append(node)
-        self._stores = [n for n, _c in self.machine_terms if n.op == "store"]
 
-        # Flat per-block variable layout.  Every cycle block allocates the
-        # same variables in the same order — per machine term its F vars,
-        # then L, then A, then the B availability grid — so a variable's id
-        # is the block's base plus a constant 1-based offset.  The offsets,
-        # operand dependencies, producer spans and issue slots are all
-        # resolved here once; :meth:`_build_block` then runs on integer
-        # arithmetic alone, with no tuple-keyed dict lookups on hot paths.
+        # Availability cells, one per (class, cluster) in grid order, each
+        # with its earliest cycle E (None: never available there).
         clusters = spec.cluster_ids()
-        off = 0
-        f_off: Dict[Tuple[ENode, str], int] = {}
-        l_off_by_node: Dict[ENode, int] = {}
-        self._term_rows: List[tuple] = []
-        for row in rows:
-            node = row.node
-            f_offs = []
-            for u in row.units:
-                off += 1
-                f_offs.append(off)
-                f_off[(node, u)] = off
-            l_off = off + 1
-            a_off = off + 2
-            off += 2
-            l_off_by_node[node] = l_off
-            self._term_rows.append(
-                (node, row.units, row.lat, f_offs, l_off, a_off, row.deps)
-            )
-        self._b_off: Dict[Tuple[int, str], int] = {}
+        self._cell_of: Dict[Tuple[int, int], int] = {}
+        self._cells: List[Tuple[int, int]] = []
+        self._cell_start: List[Optional[int]] = []
+        self._cells_opening: Dict[int, List[int]] = {}
         for q in self.needs_avail:
             for c in clusters:
-                off += 1
-                self._b_off[(q, c)] = off
-        self._block_stride = off
-        # family-2: per unit of each term, the B offsets whose previous-cycle
-        # availability gates the launch (None when the term has no deps).
-        self._dep_rows: List[Optional[List[List[int]]]] = []
-        for node, units, _lat, _f_offs, _l, _a, deps in self._term_rows:
-            if not deps:
-                self._dep_rows.append(None)
-                continue
-            self._dep_rows.append(
-                [
-                    [self._b_off[(q, spec.clusters[u])] for q in deps]
-                    for u in units
-                ]
-            )
-        # family-3: per (class, cluster) B var, each producing launch's F
-        # offset and its span (latency - 1 + forwarding delay): at cycle i
-        # the supporting launches are blocks 0 .. i - span.
-        self._avail_rows: List[Tuple[int, List[Tuple[int, int]]]] = []
-        for q in self.needs_avail:
-            prods = self._producers.get(q, ())
-            for c in clusters:
-                spans = [
-                    (
-                        f_off[(node, u)],
-                        self.latency(node) - 1 + spec.result_delay(u, c),
-                    )
-                    for node, u in prods
-                ]
-                self._avail_rows.append((self._b_off[(q, c)], spans))
-        # family-4: per issue slot, the F offsets competing for it.
-        slot_offs: Dict[str, List[int]] = {}
-        for node, units, _lat, f_offs, _l, _a, _deps in self._term_rows:
-            for u, f in zip(units, f_offs):
-                slot_offs.setdefault(u, []).append(f)
-        self._slot_offs = list(slot_offs.values())
-        # family-6: per (store, aliasing load) pair, the store's F offsets,
-        # the load's latency and its L offset.
-        self._mem_rows: List[Tuple[List[int], int, int]] = []
-        for snode in self._stores:
-            mem_class = eg.find(snode.args[0])
-            s_offs = [f_off[(snode, u)] for u in spec.info(snode.op).units]
-            for lnode in self._loads_by_mem.get(mem_class, ()):
-                self._mem_rows.append(
-                    (s_offs, self.latency(lnode), l_off_by_node[lnode])
+                cell = self._cell_of[(q, c)] = len(self._cells)
+                self._cells.append((q, c))
+                start = available.get((q, c))
+                self._cell_start.append(start)
+                if start is not None:
+                    self._cells_opening.setdefault(start, []).append(cell)
+        self._bvars: List[List[int]] = [[] for _ in self._cells]
+
+        # Term windows, in row order (the order of variables in a block).
+        # A row's layout is built when its window opens; rows whose
+        # window never opens within a probed budget cost nothing more.
+        self._rows = rows
+        self._starts = starts
+        self._layouts: List[Optional[_RowLayout]] = [None] * len(rows)
+        self._rows_opening: Dict[int, List[int]] = {}
+        self._slot_index: Dict[str, int] = {}
+        # Per class, each launchable (row index, unit index, unit, start):
+        # the producers family 3 draws on.
+        self._producing: Dict[int, List[Tuple[int, int, str, int]]] = {}
+        # Per machine term, the earliest cycle its result can be
+        # complete: a term finishing after K - 1 is in no K-cycle
+        # schedule (the exact refinement's relaxation drops it).
+        self.earliest_finish: Dict[ENode, int] = {}
+        for index, row in enumerate(rows):
+            first = None
+            for k, u in enumerate(row.units):
+                self._slot_index.setdefault(u, len(self._slot_index))
+                start = starts.get((row.node, u))
+                if start is None:
+                    continue
+                self._producing.setdefault(row.cid, []).append(
+                    (index, k, u, start)
                 )
+                if first is None or start < first:
+                    first = start
+            if first is not None:
+                self._rows_opening.setdefault(first, []).append(index)
+                self.earliest_finish[row.node] = first + row.lat - 1
+        # family-3: per open cell, its producers as (row index, unit
+        # index, start, span), span = latency - 1 + forwarding delay: at
+        # cycle i the supporting launches are cycles start .. i - span.
+        self._producers: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        # family-6: the (store, aliasing load) row pairs, both launchable.
+        loads_by_mem: Dict[int, List[int]] = {}
+        for index, row in enumerate(rows):
+            if row.node.op == "select" and row.node in self.earliest_finish:
+                mem = eg.find(row.node.args[0])
+                loads_by_mem.setdefault(mem, []).append(index)
+        self._mem_rows: List[Tuple[int, int]] = [
+            (index, load)
+            for index, row in enumerate(rows)
+            if row.node.op == "store" and row.node in self.earliest_finish
+            for load in loads_by_mem.get(eg.find(row.node.args[0]), ())
+        ]
+        self._live_rows: List[int] = []
+        self._live_cells: List[int] = []
 
         # Prefix state: the master CNF grows monotonically, one cycle block
         # at a time; per-block end markers let budget views slice it.
         self._master = CNF()
         self._launch_vars: Dict[Tuple[int, ENode, str], int] = {}
         self._avail_vars: Dict[Tuple[int, int, int], int] = {}
-        self._block_base: List[int] = []
         self._built = 0
         self._var_end = [0]
         self._clause_end = [0]
@@ -712,81 +724,123 @@ class IncrementalEncoder:
 
     # -- per-cycle blocks ----------------------------------------------------
 
+    def _open_row(self, index: int, l_start: int) -> None:
+        row = self._rows[index]
+        clusters = self.spec.clusters
+        self._layouts[index] = _RowLayout(
+            row,
+            [self._starts.get((row.node, u)) for u in row.units],
+            l_start,
+            [
+                [self._cell_of[(q, clusters[u])] for q in row.deps]
+                for u in row.units
+            ],
+            [self._slot_index[u] for u in row.units],
+        )
+        bisect.insort(self._live_rows, index)
+
+    def _open_cell(self, cell: int) -> None:
+        q, c = self._cells[cell]
+        rows, delay = self._rows, self.spec.result_delay
+        self._producers[cell] = [
+            (index, k, start, rows[index].lat - 1 + delay(u, c))
+            for index, k, u, start in self._producing.get(q, ())
+        ]
+        bisect.insort(self._live_cells, cell)
+
     def _build_block(self, i: int) -> None:
         cnf = self._master
-        base = cnf.num_vars
-        bases = self._block_base
-        bases.append(base)
-        # Variables of cycle i: F/L/A per machine term, then B per class —
-        # the constant layout resolved in __init__, claimed in one bump.
-        cnf.num_vars = base + self._block_stride
-        # Every clause below is built from just-allocated offsets: literals
-        # are valid by construction and reference pairwise-distinct
-        # variables (offsets are unique within a block, blocks occupy
-        # disjoint id ranges), so the builder's validation and tautology
-        # checks are skipped and clauses append straight to the list.
-        app = cnf.clauses.append
+        for index in self._rows_opening.get(i, ()):
+            self._open_row(index, i)
+        for cell in self._cells_opening.get(i, ()):
+            self._open_cell(cell)
+        layouts, live_cells = self._layouts, self._live_cells
 
+        # Variables of cycle i, in the unpruned layout's order with the
+        # refuted ones left out: per live term its live F vars, then L,
+        # then A, then the live cells of the B grid.
         launch_vars, avail_vars = self._launch_vars, self._avail_vars
-        for node, units, _lat, f_offs, _l, _a, _deps in self._term_rows:
-            for u, f in zip(units, f_offs):
-                launch_vars[(i, node, u)] = base + f
-        for (q, c), off in self._b_off.items():
-            avail_vars[(i, q, c)] = base + off
+        nv = cnf.num_vars
+        block = []  # (row, [(unit index, F var)], L var, A var or 0)
+        for index in self._live_rows:
+            r = layouts[index]
+            fs = []
+            for k, s in enumerate(r.starts):
+                if s is not None and s <= i:
+                    nv += 1
+                    r.fvars[k].append(nv)
+                    launch_vars[(i, r.node, r.units[k])] = nv
+                    fs.append((k, nv))
+            nv += 1
+            r.lvars.append(nv)
+            avar = 0
+            if i >= r.a_start:
+                nv += 1
+                avar = nv
+            block.append((r, fs, r.lvars[-1], avar))
+        bvars, cells = self._bvars, self._cells
+        for cell in live_cells:
+            nv += 1
+            bvars[cell].append(nv)
+            q, c = cells[cell]
+            avail_vars[(i, q, c)] = nv
+        cnf.num_vars = nv
+        # Every clause below is built from just-allocated variables:
+        # literals are valid by construction and reference pairwise-distinct
+        # variables, so the builder's validation and tautology checks are
+        # skipped and clauses append straight to the list.
+        app = cnf.clauses.append
+        cell_start = self._cell_start
 
-        prev_base = bases[i - 1] if i else 0
-        for row, dep_offs in zip(self._term_rows, self._dep_rows):
-            _node, _units, lat, f_offs, l_off, a_off, _deps = row
+        per_slot: List[List[int]] = [[] for _ in self._slot_index]
+        for r, fs, lvar, avar in block:
             # family 0: L is the disjunction of the per-unit launches.
-            lvar = base + l_off
-            app([-lvar] + [base + f for f in f_offs])
-            for f in f_offs:
-                app([-(base + f), lvar])
+            app([-lvar] + [f for _k, f in fs])
+            for k, f in fs:
+                app([-f, lvar])
+                per_slot[r.slots[k]].append(f)
             # family 1: latency linking A(i,T) == L(i - lat + 1, T).
-            avar = base + a_off
-            j = i - lat + 1
-            if j < 0:
-                app([-avar])
-            else:
-                prev = bases[j] + l_off
+            if avar:
+                prev = r.lvars[i - r.lat + 1 - r.l_start]
                 app([-avar, prev])
                 app([-prev, avar])
-            # family 2: operand availability.
-            if dep_offs is not None:
-                if i == 0:
-                    for f in f_offs:
-                        app([-(base + f)])
-                else:
-                    for f, boffs in zip(f_offs, dep_offs):
-                        fvar = base + f
-                        for boff in boffs:
-                            app([-fvar, prev_base + boff])
+            # family 2: operand availability.  A live launch's operands
+            # are live one cycle earlier: start(T,u) = 1 + max E(d, c).
+            for k, f in fs:
+                for cell in r.dep_cells[k]:
+                    app([-f, bvars[cell][i - 1 - cell_start[cell]]])
 
         # family 3: availability definition B(i,Q,c) => some launch.
-        for boff, spans in self._avail_rows:
-            bvar = base + boff
-            supports = [-bvar]
-            sup_append = supports.append
-            for foff, span in spans:
-                for j in range(i - span + 1):
-                    sup_append(bases[j] + foff)
+        producers = self._producers
+        for cell in live_cells:
+            supports = [-bvars[cell][-1]]
+            for index, k, start, span in producers[cell]:
+                count = i - span - start + 1
+                if count > 0:
+                    supports.extend(layouts[index].fvars[k][:count])
             app(supports)
 
         # family 4: issue rules (one launch per unit per cycle).
-        for offs in self._slot_offs:
-            cnf.at_most_one([base + f for f in offs])
+        for slot_vars in per_slot:
+            cnf.at_most_one(slot_vars)
 
         # family 6: memory anti-dependences.  The full set for budget K is
         # all (store cycle s, load cycle j) pairs with j >= s - llat + 1 and
-        # s, j < K; the pairs whose max is i belong to this block.
-        for s_offs, llat, load_l_off in self._mem_rows:
-            pairs = [(i, j) for j in range(max(0, i - llat + 1), i + 1)]
+        # s, j < K; the pairs whose max is i belong to this block, and only
+        # pairs of live launches need a clause.
+        for s_index, l_index in self._mem_rows:
+            store, load = layouts[s_index], layouts[l_index]
+            if store is None or load is None:
+                continue
+            pairs = [(i, j) for j in range(max(0, i - load.lat + 1), i + 1)]
             pairs += [(s, i) for s in range(0, i)]
             for s, j in pairs:
-                lvar = bases[j] + load_l_off
-                s_base = bases[s]
-                for f in s_offs:
-                    app([-(s_base + f), -lvar])
+                if j < load.l_start:
+                    continue
+                lvar = load.lvars[j - load.l_start]
+                for k, start in enumerate(store.starts):
+                    if start is not None and s >= start:
+                        app([-store.fvars[k][s - start], -lvar])
 
         self._built = i + 1
         self._var_end.append(cnf.num_vars)
@@ -836,8 +890,13 @@ class IncrementalEncoder:
         for g in self.goal_roots:
             if g in self.free:
                 continue
+            # Only the cells live at K - 1; none is live below the floor.
             m.add_clause(
-                [self._avail_vars[(cycles - 1, g, c)] for c in clusters]
+                [
+                    self._avail_vars[(cycles - 1, g, c)]
+                    for c in clusters
+                    if (cycles - 1, g, c) in self._avail_vars
+                ]
             )
         emitted = m.clauses[start:]
         del m.clauses[start:]

@@ -600,6 +600,11 @@ class CompilationEngine:
 
     def _resubmit(self, job_id: str) -> None:
         with self._lock:
+            # Runs on the retry's own Timer thread: a fired timer has
+            # nothing left to cancel, so the engine drops it here.
+            timer = threading.current_thread()
+            if timer in self._timers:
+                self._timers.remove(timer)
             record = self._jobs.get(job_id)
             if (
                 record is None
@@ -847,7 +852,9 @@ class CompilationEngine:
         if drain:
             self.drain(timeout=timeout)
         self._shutdown = True
-        for timer in self._timers:
+        with self._lock:
+            pending = list(self._timers)
+        for timer in pending:
             timer.cancel()
         self.pool.shutdown(drain=drain)
         self.store.close()

@@ -59,6 +59,20 @@ class TestCli:
             assert status == 2, name
             assert "invalid choice: '%s'" % name in capsys.readouterr().err
 
+    def test_target_aliases_compile_like_their_target(
+        self, source_file, capsys
+    ):
+        path = source_file(SIMPLE)
+        for alias, name in (("alpha", "ev6"), ("riscv", "rv64")):
+            outputs = []
+            for spelling in (alias, name):
+                assert main([path, "--target", spelling]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], alias
+        assert main([path, "--target", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope' (choose from 'ev6', 'rv64')" in err
+
     def test_loop_program_emits_two_gmas(self, source_file, capsys):
         status = main([source_file(LOOPY), "--strategy", "linear"])
         out = capsys.readouterr().out

@@ -349,6 +349,18 @@ class TestEngine:
         ok = engine.submit(JobSpec(kind="sleep", seconds=0.01))
         assert engine.result(ok, timeout=30)["ok"] is True
 
+    def test_fired_retry_timers_are_dropped(self):
+        eng = CompilationEngine(workers=1, max_retries=2, retry_backoff=0.01)
+        try:
+            ids = [eng.submit(JobSpec(kind="crash")) for _ in range(3)]
+            for job_id in ids:
+                eng.result(job_id, timeout=60)
+                assert eng.status(job_id)["attempts"] == 3
+            # Six retries fired; none of their timers is kept.
+            assert eng._timers == []
+        finally:
+            eng.shutdown(drain=False)
+
     def test_timeout_kills_and_fails(self, engine):
         job_id = engine.submit(
             JobSpec(kind="sleep", seconds=30.0, timeout_seconds=0.2)
