@@ -235,6 +235,12 @@ class AxiomSet:
     def __init__(self, axioms: Iterable[Axiom] = (), name: str = "") -> None:
         self.name = name
         self._axioms: List[Axiom] = list(axioms)
+        # Memos over a *prefix* of ``_axioms``: ``add`` only appends, and
+        # ``+`` hands the left operand's memos to the sum, so each is
+        # extended by the missing axioms when next asked for.
+        self._fingerprint: Tuple[str, ...] = ()
+        # The matcher's compiled rules (``repro.matching.compile``).
+        self.rule_book = None
 
     def __iter__(self):
         return iter(self._axioms)
@@ -243,13 +249,25 @@ class AxiomSet:
         return len(self._axioms)
 
     def __add__(self, other: "AxiomSet") -> "AxiomSet":
-        return AxiomSet(
+        out = AxiomSet(
             list(self._axioms) + list(other._axioms),
             name="%s+%s" % (self.name, other.name),
         )
+        out._fingerprint = self._fingerprint
+        out.rule_book = self.rule_book
+        return out
 
     def add(self, axiom: Axiom) -> None:
         self._axioms.append(axiom)
+
+    def fingerprint(self) -> Tuple[str, ...]:
+        """The axioms' pretty-printed bodies, in order (memoised)."""
+        done = self._fingerprint
+        if len(done) < len(self._axioms):
+            done = self._fingerprint = done + tuple(
+                axiom.pretty() for axiom in self._axioms[len(done):]
+            )
+        return done
 
     def definitions(self) -> Dict[str, Tuple[Tuple[str, ...], Pattern]]:
         """Definitional equalities: ``f(x1..xn) = rhs`` with fresh variables.

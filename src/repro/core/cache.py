@@ -4,7 +4,8 @@ Three costs dominate repeated Denali invocations and are independent of
 the cycle budget being probed:
 
 * **axiom compilation** — parsing the built-in axiom corpus into trigger
-  patterns (done per :class:`~repro.core.pipeline.Denali` construction);
+  patterns and compiling it into the matcher's rules (done per
+  :class:`~repro.core.pipeline.Denali` construction);
 * **saturation** — growing the E-graph to (bounded) quiescence (done per
   GMA, identical across probes and across repeated compilations of the
   same goals);
@@ -28,6 +29,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 from repro.axioms.axiom import AxiomSet
 from repro.egraph.egraph import EGraph, EGraphSnapshot
+from repro.matching.compile import compile_rules
 from repro.matching.saturation import SaturationConfig, SaturationStats
 from repro.terms.ops import OperatorRegistry
 from repro.terms.term import Term
@@ -64,7 +66,7 @@ def registry_fingerprint(registry: OperatorRegistry) -> Hashable:
 
 def axioms_fingerprint(axioms: AxiomSet) -> Hashable:
     """A key identifying an axiom set by its (ordered) bodies."""
-    return tuple(a.pretty() for a in axioms)
+    return axioms.fingerprint()
 
 
 def saturation_key(
@@ -211,6 +213,11 @@ class AxiomCorpusCache:
                 return cached
             self.stats.misses += 1
         corpus = default_axiom_corpus(registry, target)
+        # Compile the matcher's rules and the cache-key fingerprint with
+        # the corpus: every ``corpus + program`` set shares both, and a
+        # service's forked workers inherit them.
+        compile_rules(corpus, registry)
+        corpus.fingerprint()
         with self._lock:
             self._entries.setdefault(key, corpus)
         return corpus

@@ -39,7 +39,7 @@ with no per-read canonicalisation (alive keys are canonical after
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.egraph.unionfind import UnionFind
 from repro.terms.ops import Sort
@@ -50,6 +50,11 @@ _SORT_LIST: Tuple[Sort, ...] = tuple(Sort)
 _SORT_INDEX: Dict[Sort, int] = {s: i for i, s in enumerate(_SORT_LIST)}
 
 _NIL = -1  # chain terminator / empty-class head
+
+
+def sort_code(sort: Sort) -> int:
+    """The byte :class:`BuildView.sort_col` stores for ``sort``."""
+    return _SORT_INDEX[sort]
 
 
 class InconsistentError(Exception):
@@ -90,6 +95,23 @@ class FlatView(NamedTuple):
     nid_next: List[int]  # nid -> next nid in its class chain, _NIL at end
     cls_head: List[int]  # class id -> first nid of chain (_NIL if merged)
     consts: Dict[int, int]  # class root -> constant value (sparse)
+
+
+class BuildView(NamedTuple):
+    """Aliases of the tables :meth:`EGraph.add_enode` reads, as they stand.
+
+    Unlike :class:`FlatView`, taking one does not rebuild: the hashcons
+    may hold keys still awaiting congruence repair, which is exactly
+    what ``add_enode`` probes.  The tables are mutated in place, never
+    replaced, so the view stays current for the graph's lifetime.
+    Callers must not mutate them.
+    """
+
+    hashcons: Dict[ENode, int]  # canonical-at-insertion key -> nid
+    node_class: List[int]  # nid -> class id at creation
+    sort_col: bytearray  # class root -> sort code (see sort_code)
+    consts: Dict[int, int]  # class root -> constant value (sparse)
+    find: Callable[[int], int]  # the union-find's find
 
 
 class EGraph:
@@ -278,6 +300,16 @@ class EGraph:
             consts=self._consts,
         )
 
+    def build_view(self) -> BuildView:
+        """The raw tables an instance builder probes (no rebuild)."""
+        return BuildView(
+            hashcons=self._hashcons,
+            node_class=self._node_class,
+            sort_col=self._sort_col,
+            consts=self._consts,
+            find=self._uf.find,
+        )
+
     def all_nodes(self) -> Iterator[Tuple[ENode, int]]:
         """All (canonical enode, class root) pairs."""
         self.rebuild()
@@ -314,6 +346,15 @@ class EGraph:
         node_class = self._node_class
         roots = self._uf.find_many([node_class[nid] for nid in nids])
         return list(zip((key[nid] for nid in nids), roots))
+
+    def may_have_op(self, op: str) -> bool:
+        """False only if no enode applies ``op``; never rebuilds.
+
+        Read off the raw bucket: congruence repair only kills nodes, so
+        a bucket with no live node before a rebuild has none after it.
+        """
+        bucket = self._op_nodes.get(op)
+        return bucket is not None and len(bucket) > self._op_dead.get(op, 0)
 
     def op_count(self, op: str) -> int:
         """How many enodes apply ``op`` (the size of its trigger bucket)."""

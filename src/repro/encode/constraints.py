@@ -309,12 +309,14 @@ def _analyse(
     """
     goal_roots = [eg.find(g) for g in goals]
     support = _support(eg, goal_roots)
+    version = eg.version
     _inject_ldiq(eg, support, spec)
-    # Injection merges fresh ldiq nodes into constant classes, which may
-    # elect a new class representative: re-find the roots, or a
-    # bare-constant goal is misjudged uncomputable under its stale id.
-    goal_roots = [eg.find(g) for g in goal_roots]
-    support = _support(eg, goal_roots)
+    if eg.version != version:
+        # Injection merges fresh ldiq nodes into constant classes, which
+        # may elect a new class representative: re-find the roots, or a
+        # bare-constant goal is misjudged uncomputable under its stale id.
+        goal_roots = [eg.find(g) for g in goal_roots]
+        support = _support(eg, goal_roots)
     free = _free_classes(eg, support, spec)
     rows = _term_rows(eg, support, free, spec, unsafe_terms, lat_of)
     soonest: Dict[int, int] = {}  # per class, min over clusters of E

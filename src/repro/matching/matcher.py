@@ -6,13 +6,18 @@ what lets the paper's Figure 2 walkthrough match ``k * 2**n`` against
 matcher sees the node ``4``, but the E-matcher searches the whole
 equivalence class and finds ``2**2`` there.
 
-Matching runs compiled trigger programs (:mod:`repro.matching.compile`)
-over the graph's per-op node index.  :func:`ematch_all` is the full
-trigger scan; :func:`ematch_since` is its incremental form, visiting only
-head nodes whose class lies in the dirty cone of changes after a version
-stamp — Simplify's mod-time optimisation.  Substitutions map variable
-names to class ids.  :func:`instantiate` builds the instance of a pattern
-directly as enodes (no intermediate terms).
+There is one match VM, :func:`~repro.matching.compile.match_rows`, and
+one instance builder, the build programs of
+:mod:`repro.matching.compile`; saturation runs both directly on rows
+(tuples of classes in a trigger's variable order).  The functions here
+are their substitution-dict views, for callers that start from a
+:class:`Pattern`: :func:`ematch_all` is the full trigger scan;
+:func:`ematch_since` is its incremental form, visiting only head nodes
+whose class lies in the dirty cone of changes after a version stamp —
+Simplify's mod-time optimisation; :func:`ematch` matches at one class.
+Substitutions map variable names to class ids.  :func:`instantiate`
+builds the instance of a pattern directly as enodes (no intermediate
+terms).
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Set
 
 from repro.axioms.axiom import Pattern
 from repro.egraph.egraph import EGraph
-from repro.matching.compile import compile_trigger, run_compiled
-from repro.terms.ops import OperatorRegistry, Sort
+from repro.matching.compile import compile_trigger, instantiate, run_compiled
 
 Subst = Dict[str, int]
 
@@ -91,6 +95,13 @@ def ematch_all(
     return run_compiled(eg, trigger, eg.op_nids(trigger.op), limit=limit)
 
 
+def cone_seeds(eg: EGraph, op: str, cone: Set[int]) -> List[int]:
+    """The nodes of ``op``'s bucket whose class lies in ``cone``, in order."""
+    node_class = eg.flat_view().node_class
+    find = eg.find
+    return [nid for nid in eg.op_nids(op) if find(node_class[nid]) in cone]
+
+
 def ematch_since(
     eg: EGraph,
     pattern: Pattern,
@@ -109,40 +120,10 @@ def ematch_since(
     trigger = compile_trigger(pattern)
     if cone is None:
         cone = eg.dirty_cone(stamp)
-    bucket = eg.op_nids(trigger.op)
-    view = eg.flat_view()
-    node_class = view.node_class
-    find = eg.find
-    seeds = [nid for nid in bucket if find(node_class[nid]) in cone]
+    seeds = cone_seeds(eg, trigger.op, cone)
     substs = run_compiled(eg, trigger, seeds, limit=limit)
     return MatchScan(
-        substs=substs, scanned=len(seeds), pruned=len(bucket) - len(seeds)
+        substs=substs,
+        scanned=len(seeds),
+        pruned=eg.op_count(trigger.op) - len(seeds),
     )
-
-
-def instantiate(
-    eg: EGraph,
-    pattern: Pattern,
-    subst: Subst,
-    registry: OperatorRegistry,
-) -> Optional[int]:
-    """Add the instance of ``pattern`` under ``subst`` to the E-graph.
-
-    Returns the class id of the instance, or ``None`` if the instance is
-    ill-sorted (a variable bound to a class of the wrong sort), in which
-    case nothing is added.
-    """
-    if pattern.is_var:
-        return eg.find(subst[pattern.var])
-    if pattern.is_const:
-        return eg.add_enode("const", (), value=pattern.value, sort=Sort.INT)
-    sig = registry.get(pattern.op)
-    args = []
-    for sub_pat, want in zip(pattern.args, sig.params):
-        cid = instantiate(eg, sub_pat, subst, registry)
-        if cid is None:
-            return None
-        if eg.class_sort(cid) != want:
-            return None
-        args.append(cid)
-    return eg.add_enode(pattern.op, tuple(args), sort=sig.result)

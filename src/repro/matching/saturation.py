@@ -10,7 +10,9 @@ Each round performs, in order:
    the shift axioms to fire;
 3. **axiom instantiation** — every trigger of every axiom is E-matched and
    the instances asserted (equalities merge, distinctions mark classes
-   uncombinable, clauses are recorded);
+   uncombinable, clauses are recorded).  Axioms run as compiled rules
+   (:mod:`repro.matching.compile`): matches are rows of classes, and
+   instances are built by flat build programs, never by walking patterns;
 4. **clause propagation** — untenable literals are deleted from recorded
    clauses; a clause reduced to one literal asserts it (section 5's
    select/store example).
@@ -38,16 +40,19 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.axioms.axiom import (
-    Axiom,
-    AxiomClause,
-    AxiomDistinction,
-    AxiomEquality,
-    AxiomSet,
+from repro.axioms.axiom import AxiomSet
+from repro.egraph.egraph import EGraph, InconsistentError, sort_code
+from repro.matching.compile import (
+    RULE_CLAUSE,
+    RULE_EQ,
+    Row,
+    Rule,
+    RuleTrigger,
+    compile_rules,
+    make_builder,
+    match_rows,
 )
-from repro.egraph.egraph import EGraph, InconsistentError
-from repro.matching.compile import compile_trigger
-from repro.matching.matcher import Subst, ematch_all, ematch_since, instantiate
+from repro.matching.matcher import cone_seeds
 from repro.terms.ops import OperatorRegistry, Sort, default_registry
 
 
@@ -72,6 +77,8 @@ class SaturationConfig:
 MAX_MATCHES_PER_TRIGGER = 2000
 # Largest n for which a 2**n multiplier gets a pow(2, n) alternative.
 MAX_POW2_EXPONENT = 63
+
+_INT_CODE = sort_code(Sort.INT)
 
 
 def _zero_phases() -> Dict[str, float]:
@@ -162,6 +169,9 @@ class SaturationEngine:
         self.registry = registry if registry is not None else default_registry()
         self.config = config if config is not None else SaturationConfig()
         self.stats = SaturationStats()
+        self._rules = compile_rules(axioms, self.registry)
+        self._build = make_builder(eg)
+        self._view = eg.build_view()
         self._seen_instances: Set[Tuple] = set()
         self._clauses: List[_ActiveClause] = []
         self._seen_clauses: Set[Tuple] = set()
@@ -171,6 +181,10 @@ class SaturationEngine:
         self._cone: Set[int] = set()
         self._cone_ops: Optional[Set[str]] = None
         self._cone_epoch: Optional[Tuple[int, int]] = None
+        # Cone seeds per head op (seed list, bucket size), valid for one
+        # (graph version, stamp) pair.
+        self._seeds_epoch: Optional[Tuple[int, int]] = None
+        self._seeds: Dict[str, Tuple[List[int], int]] = {}
 
     # -- public ---------------------------------------------------------------
 
@@ -270,8 +284,8 @@ class SaturationEngine:
         self.eg.rebuild()
         find = self.eg.find
         self._seen_instances = {
-            (name, tuple(sorted((var, find(cid)) for var, cid in bindings)))
-            for name, bindings in self._seen_instances
+            (prefix, tuple(map(find, classes)))
+            for prefix, classes in self._seen_instances
         }
         self._seen_clauses = {
             tuple(
@@ -397,12 +411,14 @@ class SaturationEngine:
     # -- axiom instantiation ------------------------------------------------
 
     def _instantiate_axioms(self, since: Optional[int]) -> bool:
-        """One pass over every axiom; returns True if a budget stopped it.
+        """One pass over every rule; returns True if a budget stopped it.
 
         With ``since`` set (incremental mode past round one), each trigger
         scans only head candidates inside the dirty cone — refreshed per
         trigger, so matches enabled by assertions earlier in the same
         round are found in the same round, exactly as a full scan would.
+        A trigger whose head operator has no node is skipped outright:
+        its scan would find nothing and count nothing.
         """
         cfg = self.config
         eg = self.eg
@@ -411,42 +427,41 @@ class SaturationEngine:
         timer = time.perf_counter
         budget_hit = False
         stop = False
-        for axiom in self.axioms:
+        for rule in self._rules:
             t0 = timer()
             found_before = stats.matches_found
             asserted_before = stats.instances_asserted + stats.clauses_recorded
-            for t_index, trigger in enumerate(axiom.triggers):
-                compiled = compile_trigger(trigger)
+            for t_index, rule_trigger in enumerate(rule.triggers):
+                trigger = rule_trigger.trigger
+                op = trigger.op
+                if not eg.may_have_op(op):
+                    continue
                 if incremental:
                     self._refresh_cone(since)
-                    if (
-                        self._cone_ops is not None
-                        and compiled.op not in self._cone_ops
-                    ):
-                        stats.matches_pruned += eg.op_count(compiled.op)
+                    if self._cone_ops is not None and op not in self._cone_ops:
+                        stats.matches_pruned += eg.op_count(op)
                         continue
-                    scan = ematch_since(
+                    seeds, bucket_size = self._cone_seeds(op, since)
+                    rows = match_rows(
+                        eg, trigger, seeds, limit=MAX_MATCHES_PER_TRIGGER
+                    )
+                    stats.matches_attempted += len(seeds)
+                    stats.matches_pruned += bucket_size - len(seeds)
+                else:
+                    rows = match_rows(
                         eg,
                         trigger,
-                        since,
-                        cone=self._cone,
+                        eg.op_nids(op),
                         limit=MAX_MATCHES_PER_TRIGGER,
                     )
-                    substs = scan.substs
-                    stats.matches_attempted += scan.scanned
-                    stats.matches_pruned += scan.pruned
-                else:
-                    substs = ematch_all(
-                        eg, trigger, limit=MAX_MATCHES_PER_TRIGGER
-                    )
-                    stats.matches_attempted += eg.op_count(compiled.op)
-                stats.matches_found += len(substs)
-                if len(substs) >= MAX_MATCHES_PER_TRIGGER:
+                    stats.matches_attempted += eg.op_count(op)
+                stats.matches_found += len(rows)
+                if len(rows) >= MAX_MATCHES_PER_TRIGGER:
                     budget_hit = True
                     hits = stats.budget_hits.setdefault("max_matches", {})
-                    label = "%s#%d" % (axiom.name, t_index)
+                    label = "%s#%d" % (rule.name, t_index)
                     hits[label] = hits.get(label, 0) + 1
-                for subst in substs:
+                for row in rows:
                     if eg.enodes_at_least(cfg.max_enodes):
                         stats.budget_hits.setdefault(
                             "max_enodes_round", stats.rounds
@@ -454,11 +469,11 @@ class SaturationEngine:
                         budget_hit = True
                         stop = True
                         break
-                    self._assert_instance(axiom, subst)
+                    self._assert_instance(rule, rule_trigger, row)
                 if stop:
                     break
             entry = stats.per_axiom.setdefault(
-                axiom.name, {"seconds": 0.0, "matches": 0, "instances": 0}
+                rule.name, {"seconds": 0.0, "matches": 0, "instances": 0}
             )
             entry["seconds"] += timer() - t0
             entry["matches"] += stats.matches_found - found_before
@@ -471,63 +486,71 @@ class SaturationEngine:
                 return True
         return budget_hit
 
-    def _instance_key(self, axiom: Axiom, subst: Subst) -> Tuple:
-        eg = self.eg
-        return (
-            axiom.name,
-            tuple(sorted((v, eg.find(c)) for v, c in subst.items())),
-        )
+    def _cone_seeds(self, op: str, since: int) -> Tuple[List[int], int]:
+        """``op``'s head candidates in the current cone, and its bucket size.
 
-    def _assert_instance(self, axiom: Axiom, subst: Subst) -> None:
-        key = self._instance_key(axiom, subst)
+        Memoised per (op, graph version, stamp): triggers on the same
+        head operator share one filtered bucket until an assertion moves
+        the graph.
+        """
+        epoch = (self.eg.version, since)
+        if epoch != self._seeds_epoch:
+            self._seeds_epoch = epoch
+            self._seeds = {}
+        found = self._seeds.get(op)
+        if found is None:
+            seeds = cone_seeds(self.eg, op, self._cone)
+            found = self._seeds[op] = (seeds, self.eg.op_count(op))
+        return found
+
+    def _assert_instance(
+        self, rule: Rule, rule_trigger: RuleTrigger, row: Row
+    ) -> None:
+        view = self._view
+        classes = tuple(map(view.find, row))
+        key = (rule_trigger.key, classes)
         if key in self._seen_instances:
             return
         self._seen_instances.add(key)
 
         # Ground constant facts are constant folding's job; instantiating
         # axioms over all-constant bindings only churns the graph.
-        if subst and all(
-            self.eg.const_of(c) is not None
-            and self.eg.class_sort(c) == Sort.INT
-            for c in subst.values()
+        consts = view.consts
+        sort_col = view.sort_col
+        if classes and all(
+            consts.get(c) is not None and sort_col[c] == _INT_CODE
+            for c in classes
         ):
             return
 
-        if isinstance(axiom, AxiomEquality):
-            lhs = instantiate(self.eg, axiom.lhs, subst, self.registry)
-            rhs = instantiate(self.eg, axiom.rhs, subst, self.registry)
+        build = self._build
+        literals: List[Tuple[str, int, int]] = []
+        for kind, lhs_prog, rhs_prog in rule_trigger.sides:
+            lhs = build(lhs_prog, classes)
+            rhs = build(rhs_prog, classes)
             if lhs is None or rhs is None:
                 return
-            if not self.eg.are_equal(lhs, rhs):
-                self.eg.merge(lhs, rhs)
+            literals.append((kind, lhs, rhs))
+        eg = self.eg
+        if rule.kind != RULE_CLAUSE:
+            ((_kind, lhs, rhs),) = literals
+            if rule.kind == RULE_EQ:
+                if not eg.are_equal(lhs, rhs):
+                    eg.merge(lhs, rhs)
+            elif not eg.are_distinct(lhs, rhs):
+                eg.assert_distinct(lhs, rhs)
             self.stats.instances_asserted += 1
-        elif isinstance(axiom, AxiomDistinction):
-            lhs = instantiate(self.eg, axiom.lhs, subst, self.registry)
-            rhs = instantiate(self.eg, axiom.rhs, subst, self.registry)
-            if lhs is None or rhs is None:
-                return
-            if not self.eg.are_distinct(lhs, rhs):
-                self.eg.assert_distinct(lhs, rhs)
-            self.stats.instances_asserted += 1
-        else:
-            assert isinstance(axiom, AxiomClause)
-            literals: List[Tuple[str, int, int]] = []
-            for kind, lpat, rpat in axiom.literals:
-                lhs = instantiate(self.eg, lpat, subst, self.registry)
-                rhs = instantiate(self.eg, rpat, subst, self.registry)
-                if lhs is None or rhs is None:
-                    return
-                literals.append((kind, lhs, rhs))
-            clause_key = tuple(
-                (k, min(self.eg.find(l), self.eg.find(r)),
-                 max(self.eg.find(l), self.eg.find(r)))
-                for k, l, r in literals
-            )
-            if clause_key in self._seen_clauses:
-                return
-            self._seen_clauses.add(clause_key)
-            self._clauses.append(_ActiveClause(literals))
-            self.stats.clauses_recorded += 1
+            return
+        find = eg.find
+        clause_key = tuple(
+            (k, min(find(l), find(r)), max(find(l), find(r)))
+            for k, l, r in literals
+        )
+        if clause_key in self._seen_clauses:
+            return
+        self._seen_clauses.add(clause_key)
+        self._clauses.append(_ActiveClause(literals))
+        self.stats.clauses_recorded += 1
 
     # -- clause propagation -----------------------------------------------------
 

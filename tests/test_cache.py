@@ -59,6 +59,25 @@ class TestFingerprints:
         )
         assert axioms_fingerprint(base) != axioms_fingerprint(extra)
 
+    def test_axiom_fingerprint_is_memoised_and_follows_add(self):
+        reg = default_registry()
+        base = math_axioms(reg)
+        first = axioms_fingerprint(base)
+        assert first == tuple(a.pretty() for a in base)
+        assert axioms_fingerprint(base) is first  # memoised
+        extra = parse_axiom_file(
+            r"(\axiom (forall (x) (pats (\add64 x 0)) (eq (\add64 x 0) x)))",
+            reg,
+        )
+        combined = base + extra  # inherits the memo as its prefix
+        assert axioms_fingerprint(combined) == tuple(
+            a.pretty() for a in combined
+        )
+        for axiom in extra:
+            base.add(axiom)
+        assert axioms_fingerprint(base) != first
+        assert axioms_fingerprint(base) == tuple(a.pretty() for a in base)
+
     def test_saturation_key_sensitive_to_config(self):
         reg = default_registry()
         axioms = math_axioms(reg)

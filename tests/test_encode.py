@@ -124,6 +124,37 @@ class TestConstants:
         assert _solve(enc2).satisfiable is True
 
 
+    @pytest.mark.parametrize("value, walks", [(7, 1), (0xDEADBEEF, 2)])
+    def test_support_rewalked_only_after_ldiq_injection(
+        self, monkeypatch, value, walks
+    ):
+        from repro.encode import constraints
+
+        real_support = constraints._support
+        calls = []
+
+        def counting_support(eg, goals):
+            calls.append(list(goals))
+            return real_support(eg, goals)
+
+        monkeypatch.setattr(constraints, "_support", counting_support)
+        spec = simple_risc()
+        eg = EGraph()
+        goal = eg.add_term(mk("add64", inp("a"), const(value)))
+        saturate(eg, AxiomSet())
+        goal_roots, support, free, rows, *_ = constraints._analyse(
+            eg, spec, [goal], {}, constraints._latency_of(spec, {})
+        )
+        assert len(calls) == walks
+        # The support and rows are those of a walk over the final graph.
+        assert support == real_support(eg, goal_roots)
+        assert rows == constraints._term_rows(
+            eg, support, free, spec, {}, constraints._latency_of(spec, {})
+        )
+        has_ldiq = any(row.node.op == "ldiq" for row in rows)
+        assert has_ldiq == (walks == 2)
+
+
 class TestEncodingShape:
     def test_stats_fields(self):
         _, enc = _encode_term(mk("add64", inp("a"), inp("b")), ev6(), 2)
