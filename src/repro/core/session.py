@@ -157,11 +157,10 @@ def _zero_totals() -> dict:
             "solver_learned_reused": 0,
             "solver_learnts_dropped": 0,
             # Flat-core telemetry: peak clause-arena bytes across the
-            # session's solvers, watch-list / arena compaction counts,
-            # and bytes moved by E-graph snapshot/restore copies.
+            # session's solvers, watch-list compaction counts, and bytes
+            # moved by E-graph snapshot/restore copies.
             "solver_arena_bytes": 0,
             "solver_watch_compactions": 0,
-            "solver_arena_compactions": 0,
             "snapshot_copy_bytes": 0,
         },
         "solver": dict.fromkeys(SOLVER_COUNTERS, 0),
@@ -527,7 +526,6 @@ class CompilationSession:
         for key, name in (
             ("solver_arena_bytes", "arena_bytes"),
             ("solver_watch_compactions", "watch_compactions"),
-            ("solver_arena_compactions", "arena_compactions"),
         ):
             if fc[name] > cache[key]:
                 cache[key] = fc[name]

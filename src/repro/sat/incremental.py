@@ -21,9 +21,10 @@ alive for a whole ladder, MiniSat-style:
   decisions), so they soundly prune the K+1 — or, under binary search,
   the K-1 — probe;
 * **retiring a budget** (:meth:`retire_budget`) permanently asserts
-  ``-s_K``, and the selector-aware clause-DB reduction drops every
-  learned clause mentioning ``s_K`` — those are satisfied under every
-  other budget's assumptions and would only clog the watch lists.
+  ``-s_K`` and purges every learned clause mentioning ``s_K``
+  (:meth:`~repro.sat.solver._SolverCore.purge_learnts`, the core's only
+  learnt-deletion path) — those are satisfied under every other
+  budget's assumptions and would only clog the watch lists.
 
 Because selector variables occur only negatively in the gated formula,
 an UNSAT answer under ``s_K`` is exactly "no K-cycle program", never an
@@ -63,10 +64,6 @@ class IncrementalSolver:
         self._lock = threading.RLock()
         self._budgets: Dict[int, int] = {}  # budget K -> selector var
         self._retired: Dict[int, int] = {}
-        # Cumulative telemetry for the profiling harness.
-        self.solves = 0
-        self.clauses_added = 0
-        self.learnts_dropped_on_retire = 0
 
     # -- formula growth ------------------------------------------------------
 
@@ -104,7 +101,6 @@ class IncrementalSolver:
         both for its emitted clauses).
         """
         with self._lock:
-            self.clauses_added += 1
             return self._core.add_clause(list(lits), trusted=trusted)
 
     def add_clauses(
@@ -113,12 +109,9 @@ class IncrementalSolver:
         """Add many permanent clauses; False if any contradicts the root."""
         with self._lock:
             if trusted:
-                clauses = clauses if isinstance(clauses, list) else list(clauses)
-                self.clauses_added += len(clauses)
                 return self._core.add_clauses_trusted(clauses)
             ok = True
             for lits in clauses:
-                self.clauses_added += 1
                 if not self._core.add_clause(list(lits), trusted=False):
                     ok = False
             return ok
@@ -161,7 +154,6 @@ class IncrementalSolver:
             dropped = self._core.purge_learnts(
                 lambda lits, s=selector: any(abs(l) == s for l in lits)
             )
-            self.learnts_dropped_on_retire += dropped
             self._core.add_clause([-selector])
             return dropped
 
@@ -184,7 +176,6 @@ class IncrementalSolver:
         began — the ladder's clause-reuse signal.
         """
         with self._lock:
-            self.solves += 1
             return self._core.run(
                 assumptions,
                 conflict_budget=conflict_budget,

@@ -1,12 +1,16 @@
 """A CDCL SAT solver.
 
-Implements the standard conflict-driven clause-learning loop:
+Implements the conflict-driven clause-learning loop:
 
 * unit propagation with two-watched literals,
 * first-UIP conflict analysis with learned-clause minimisation,
-* canonical decisions: the lowest unassigned variable, false first,
-* Luby-sequence restarts,
-* activity- and LBD-ranked learned-clause database reduction.
+* canonical decisions: the lowest unassigned variable, false first.
+
+There are no restarts and no learned-clause database reduction: the
+formulas the probe ladder poses are small enough (a few thousand
+variables) that every learned clause is kept.  The one path that
+deletes learned clauses is :meth:`_SolverCore.purge_learnts`, which
+budget retirement calls.
 
 The solver plays the role CHAFF plays in the paper.  It is deliberately
 independent of the Denali encoder: it consumes any :class:`repro.sat.cnf.CNF`
@@ -19,28 +23,27 @@ runs learned.  The decoded assembly is byte-identical across solver
 paths and probe schedules because of that property alone.
 
 The inference engine lives in :class:`_SolverCore`, whose state (watched
-literals, learned clauses and their activities) survives across ``run``
-calls.  :class:`CdclSolver` is the one-shot facade — a fresh core per
-``solve`` — while :class:`repro.sat.incremental.IncrementalSolver` keeps
-one core alive across a whole cycle-budget probe ladder.
+literals and learned clauses) survives across ``run`` calls.
+:class:`CdclSolver` is the one-shot facade — a fresh core per ``solve``
+— while :class:`repro.sat.incremental.IncrementalSolver` keeps one core
+alive across a whole cycle-budget probe ladder.
 
 Memory layout (see DESIGN.md §2.6): clauses live in a single flat int
 arena rather than per-clause objects.  A clause is referenced by the
-arena offset of its header word ``size << 1 | learnt``; its literals
-occupy the following ``size`` slots.  Watch lists hold arena refs,
-literal assignments live in a per-literal ``bytearray`` (one indexed
-load answers "value of literal l" with no sign branch on the stored
-side), and trail/level/reason are parallel columns indexed by
-variable.  Deleted clauses leave garbage slots behind;
-:meth:`_SolverCore._compact_arena` squeezes them out and remaps every
-live ref once garbage dominates.
+arena offset of its header word, which holds the clause size; its
+literals occupy the following ``size`` slots.  Watch lists hold arena
+refs, literal assignments live in a per-literal ``bytearray`` (one
+indexed load answers "value of literal l" with no sign branch on the
+stored side), and trail/level/reason are parallel columns indexed by
+variable.  A purged learned clause leaves its slots in the arena as
+dead space until the core itself is dropped.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence
 
 from repro.sat.cnf import CNF
 from repro.util.soa import LIST_SLOT_BYTES, grow
@@ -67,9 +70,7 @@ class Stats:
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
-    restarts: int = 0
     learned: int = 0
-    deleted: int = 0
     # Learned clauses already in the database when the run began (always 0
     # for the one-shot CdclSolver; the cross-probe reuse signal for the
     # incremental solver).
@@ -102,20 +103,6 @@ class SatSolver(Protocol):
         ...
 
 
-def _luby(i: int) -> int:
-    """The i-th element (1-based) of the Luby restart sequence."""
-    x = i - 1
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) >> 1
-        seq -= 1
-        x %= size
-    return 1 << seq
-
-
 class _SolverCore:
     """Persistent CDCL state plus the inference engine.
 
@@ -127,17 +114,10 @@ class _SolverCore:
     guarantees on exit.
 
     Clause storage is the flat arena described in the module docstring;
-    ``_clauses`` and ``_learnts`` are lists of arena refs, and learnt
-    metadata (activity, LBD) lives in ref-keyed side tables.
+    ``_clauses`` and ``_learnts`` are lists of arena refs.
     """
 
     _STOP_CHECK_INTERVAL = 32  # conflicts/decisions between stop polls
-    # Compact the arena once deleted clauses own more slots than live
-    # ones (and enough slots exist for the sweep to matter at all).
-    _COMPACT_MIN_GARBAGE = 4096
-    _RESTART_BASE = 100  # Luby restart unit, in conflicts
-    _CLAUSE_DECAY = 0.999  # learnt-clause activity decay factor
-    _MAX_LEARNTS_FACTOR = 3.0  # learnt-clause cap, per original clause
 
     def __init__(self) -> None:
         self._nvars = 0
@@ -150,17 +130,12 @@ class _SolverCore:
         self._qhead = 0
         # watches[lit_index(l)] = arena refs of clauses watching literal l
         self._watches: List[List[int]] = [[], []]
-        # The clause arena: header word (size<<1 | learnt) then literals.
+        # The clause arena: header word (clause size) then literals.
         self._arena: List[int] = []
         self._clauses: List[int] = []
         self._learnts: List[int] = []
-        self._cla_act: Dict[int, float] = {}
-        self._cla_lbd: Dict[int, int] = {}
-        self._garbage = 0  # arena slots owned by deleted clauses
         # Flat-core telemetry (cumulative over the core's lifetime).
         self.watch_compactions = 0  # watcher entries squeezed out in place
-        self.arena_compactions = 0  # full arena sweeps performed
-        self._cla_inc = 1.0
         self._stats = Stats()
         self._assumptions: List[int] = []
         self._assumptions_done: List[int] = []
@@ -197,8 +172,6 @@ class _SolverCore:
         """Cumulative flat-core telemetry for the profiling harness."""
         return {
             "arena_bytes": self.arena_bytes(),
-            "arena_garbage_slots": self._garbage,
-            "arena_compactions": self.arena_compactions,
             "watch_compactions": self.watch_compactions,
         }
 
@@ -223,8 +196,8 @@ class _SolverCore:
         significant): whenever the found model sets ``v_i`` true, the
         literal was propagated from the formula plus lower-index false
         decisions, so every model agreeing on ``v_1..v_{i-1}`` also sets
-        ``v_i``.  Learned clauses, restarts and prior solver state cannot
-        change that model — which is what makes the decoded program
+        ``v_i``.  Learned clauses and prior solver state cannot change
+        that model — which is what makes the decoded program
         byte-identical across solver paths and probe schedules.
         """
         start = time.monotonic()
@@ -270,13 +243,6 @@ class _SolverCore:
                 self._root_unsat = True
             return SatResult(False, None, stats)
 
-        restarts = 0
-        conflicts_until_restart = self._RESTART_BASE * _luby(restarts + 1)
-        conflicts_at_restart = 0
-        max_learnts = max(
-            1000, int(self._MAX_LEARNTS_FACTOR * len(self._clauses))
-        )
-
         # A conflict found inside the fused decision sweep is handed to
         # the generic conflict handler through this slot.
         pending = None
@@ -287,14 +253,12 @@ class _SolverCore:
                 conflict = self._propagate()
             if conflict is not None:
                 stats.conflicts += 1
-                conflicts_at_restart += 1
                 if self._decision_level() == 0:
                     self._root_unsat = True
                     return SatResult(False, None, stats)
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 self._learn(learnt)
-                self._decay_clause_activity()
                 if (
                     conflict_budget is not None
                     and stats.conflicts >= conflict_budget
@@ -306,17 +270,6 @@ class _SolverCore:
                 ):
                     return SatResult(None, None, stats)
                 continue
-
-            if len(self._learnts) > max_learnts:
-                self._reduce_db()
-                max_learnts = int(max_learnts * 1.1)
-
-            if conflicts_at_restart >= conflicts_until_restart:
-                restarts += 1
-                stats.restarts += 1
-                conflicts_at_restart = 0
-                conflicts_until_restart = self._RESTART_BASE * _luby(restarts + 1)
-                self._backtrack(len(self._assumptions_done))
 
             lit = self._next_assumption()
             if lit is False:  # conflicting assumptions
@@ -345,8 +298,8 @@ class _SolverCore:
 
         A run decides *every* unassigned variable in index order (false
         first) and is conflict-free in the common case, so a generic
-        loop's per-decision overhead — assumption lookup, restart and
-        clause-DB bookkeeping, method calls — would dominate its runtime.
+        loop's per-decision overhead — assumption lookup and method
+        calls — would dominate its runtime.
         This loop inlines the rover decision and the unit propagation,
         exiting back to the generic loop on the first conflict (returns
         the clause ref), when every variable is assigned (returns None —
@@ -416,7 +369,7 @@ class _SolverCore:
                             watchers[j] = ref
                             j += 1
                             continue
-                        end = ref + (arena[ref] >> 1)
+                        end = ref + arena[ref]
                         k = ref + 3
                         found = False
                         while k <= end:
@@ -470,23 +423,17 @@ class _SolverCore:
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
-    def _alloc(self, lits: Sequence[int], learnt: bool) -> int:
+    def _alloc(self, lits: Sequence[int]) -> int:
         """Append a clause to the arena; returns its ref."""
         arena = self._arena
         ref = len(arena)
-        arena.append(len(lits) << 1 | learnt)
+        arena.append(len(lits))
         arena.extend(lits)
         return ref
 
     # -- clause management ---------------------------------------------------
 
-    def add_clause(
-        self,
-        lits: List[int],
-        learnt: bool = False,
-        lbd: int = 0,
-        trusted: bool = False,
-    ) -> bool:
+    def add_clause(self, lits: List[int], trusted: bool = False) -> bool:
         """Attach a clause; returns False on immediate root contradiction.
 
         Must be called at the root level: literals already false there are
@@ -498,15 +445,14 @@ class _SolverCore:
         guarantee both, it removes the dominant per-clause cost of
         feeding a large formula.
         """
-        if not learnt:
-            if not trusted:
-                unique = set(lits)
-                if any(-l in unique for l in unique):
-                    return True  # tautology
-                lits = sorted(unique, key=abs)
-            if any(self._value(l) == 1 for l in lits):
-                return True  # already satisfied at the root level
-            lits = [l for l in lits if self._value(l) != 0]
+        if not trusted:
+            unique = set(lits)
+            if any(-l in unique for l in unique):
+                return True  # tautology
+            lits = sorted(unique, key=abs)
+        if any(self._value(l) == 1 for l in lits):
+            return True  # already satisfied at the root level
+        lits = [l for l in lits if self._value(l) != 0]
         if not lits:
             self._root_unsat = True
             return False
@@ -518,19 +464,14 @@ class _SolverCore:
             if val == _UNASSIGNED:
                 self._enqueue(lits[0], _NO_REASON)
             return True
-        ref = self._alloc(lits, learnt)
-        if learnt:
-            self._learnts.append(ref)
-            self._cla_act[ref] = 0.0
-            self._cla_lbd[ref] = lbd
-        else:
-            self._clauses.append(ref)
+        ref = self._alloc(lits)
+        self._clauses.append(ref)
         l0, l1 = lits[0], lits[1]
         self._watches[2 * l0 if l0 > 0 else 1 - 2 * l0].append(ref)
         self._watches[2 * l1 if l1 > 0 else 1 - 2 * l1].append(ref)
         return True
 
-    def add_clauses_trusted(self, clauses: Sequence[List[int]]) -> bool:
+    def add_clauses_trusted(self, clauses: Iterable[List[int]]) -> bool:
         """Bulk clause feed for pre-sanitised permanent clauses.
 
         Feeding the encoder's master formula is the incremental path's
@@ -559,7 +500,7 @@ class _SolverCore:
                     l1 = lits[1]
                     if vals[2 * l1 if l1 > 0 else 1 - 2 * l1] != _L_FALSE:
                         ref = len(arena)
-                        arena.append(len(lits) << 1)
+                        arena.append(len(lits))
                         arena.extend(lits)
                         perm.append(ref)
                         watches[2 * l0 if l0 > 0 else 1 - 2 * l0].append(ref)
@@ -583,7 +524,7 @@ class _SolverCore:
                     self._enqueue(l0, _NO_REASON)
                 continue
             ref = len(arena)
-            arena.append(len(lits) << 1)
+            arena.append(len(lits))
             arena.extend(lits)
             # Swap the watchable literals into the two watched slots.
             if w0 != 0:
@@ -604,36 +545,12 @@ class _SolverCore:
         if len(lits) == 1:
             self._enqueue(lits[0], _NO_REASON)
             return
-        level = self._level
-        lbd = len({level[l if l > 0 else -l] for l in lits})
-        ref = self._alloc(lits, True)
-        self._cla_act[ref] = self._cla_inc
-        self._cla_lbd[ref] = lbd
+        ref = self._alloc(lits)
         self._learnts.append(ref)
         l0, l1 = lits[0], lits[1]
         self._watches[2 * l0 if l0 > 0 else 1 - 2 * l0].append(ref)
         self._watches[2 * l1 if l1 > 0 else 1 - 2 * l1].append(ref)
         self._enqueue(l0, ref)
-
-    def _reduce_db(self) -> None:
-        """Drop the least active half of the learned clauses."""
-        act = self._cla_act
-        lbd = self._cla_lbd
-        self._learnts.sort(key=lambda r: (lbd[r], -act[r]))
-        keep_count = len(self._learnts) // 2
-        locked = {self._reason[l if l > 0 else -l] for l in self._trail}
-        keep, drop = [], []
-        for i, ref in enumerate(self._learnts):
-            if i < keep_count or ref in locked or lbd[ref] <= 2:
-                keep.append(ref)
-            else:
-                drop.append(ref)
-        if not drop:
-            return
-        self._detach_learnts(drop)
-        self._learnts = keep
-        self._stats.deleted += len(drop)
-        self._maybe_compact()
 
     def _detach_learnts(self, drop: List[int]) -> None:
         """Remove the given learned clauses from every watch list."""
@@ -644,81 +561,34 @@ class _SolverCore:
         # Each clause sits in exactly two watch lists.
         self.watch_compactions += 2 * len(drop)
         # Reasons pointing at a dropped clause can only belong to root-level
-        # assignments (run() always exits at level 0, and _reduce_db keeps
-        # locked clauses); those assignments stay valid without the pointer.
+        # assignments (clauses are only dropped at level 0); those
+        # assignments stay valid without the pointer.
         reason = self._reason
         for lit in self._trail:
             v = lit if lit > 0 else -lit
             if reason[v] in dropset:
                 reason[v] = _NO_REASON
-        arena = self._arena
-        act = self._cla_act
-        lbd = self._cla_lbd
-        for ref in drop:
-            self._garbage += (arena[ref] >> 1) + 1
-            del act[ref]
-            del lbd[ref]
-
-    def _maybe_compact(self) -> None:
-        if (
-            self._garbage >= self._COMPACT_MIN_GARBAGE
-            and 2 * self._garbage > len(self._arena)
-        ):
-            self._compact_arena()
-
-    def _compact_arena(self) -> None:
-        """Squeeze deleted clauses out of the arena, remapping live refs.
-
-        Every structure holding refs — the clause lists, the watch
-        lists, reasons on the (root-level) trail and the learnt side
-        tables — is rewritten in place.  Only called between
-        propagations, when no transient refs are held.
-        """
-        old = self._arena
-        new: List[int] = []
-        remap: Dict[int, int] = {}
-        for refs in (self._clauses, self._learnts):
-            for i, ref in enumerate(refs):
-                nref = len(new)
-                remap[ref] = nref
-                new.extend(old[ref:ref + 1 + (old[ref] >> 1)])
-                refs[i] = nref
-        self._arena = new
-        for w in self._watches:
-            if w:
-                w[:] = [remap[r] for r in w]
-        reason = self._reason
-        for lit in self._trail:
-            v = lit if lit > 0 else -lit
-            r = reason[v]
-            if r >= 0:
-                reason[v] = remap[r]
-        self._cla_act = {remap[r]: a for r, a in self._cla_act.items()}
-        self._cla_lbd = {remap[r]: d for r, d in self._cla_lbd.items()}
-        self._garbage = 0
-        self.arena_compactions += 1
 
     def purge_learnts(self, predicate) -> int:
         """Drop every learned clause whose literal list matches ``predicate``.
 
-        Used by the incremental solver's selector-aware retirement: learnt
-        clauses mentioning a retired budget's selector are dead weight for
-        every other budget.  Only call at the root level.  Returns the
-        number of clauses dropped.
+        The solver's only learnt-deletion path, used by the incremental
+        solver's budget retirement: learnt clauses mentioning a retired
+        budget's selector are dead weight for every other budget.  Only
+        call at the root level.  Returns the number of clauses dropped;
+        their arena slots stay behind as dead space.
         """
         arena = self._arena
         drop = [
             ref
             for ref in self._learnts
-            if predicate(arena[ref + 1:ref + 1 + (arena[ref] >> 1)])
+            if predicate(arena[ref + 1:ref + 1 + arena[ref]])
         ]
         if not drop:
             return 0
         self._detach_learnts(drop)
         dropset = set(drop)
         self._learnts = [r for r in self._learnts if r not in dropset]
-        self._stats.deleted += len(drop)
-        self._maybe_compact()
         return len(drop)
 
     # -- trail ----------------------------------------------------------------
@@ -808,7 +678,7 @@ class _SolverCore:
                     j += 1
                     continue
                 # Look for a new watch among the remaining literals.
-                end = ref + (arena[ref] >> 1)
+                end = ref + arena[ref]
                 k = ref + 3
                 found = False
                 while k <= end:
@@ -864,7 +734,6 @@ class _SolverCore:
         trail = self._trail
         levels = self._level
         reasons = self._reason
-        cla_act = self._cla_act
         learnt: List[int] = [0]  # placeholder for the asserting literal
         seen = bytearray(self._nvars + 1)
         counter = 0
@@ -874,10 +743,7 @@ class _SolverCore:
         level = self._decision_level()
 
         while True:
-            header = arena[ref]
-            if header & 1:
-                cla_act[ref] += self._cla_inc
-            for qi in range(ref + 1, ref + 1 + (header >> 1)):
+            for qi in range(ref + 1, ref + 1 + arena[ref]):
                 q = arena[qi]
                 if lit is not None and q == lit:
                     continue
@@ -913,7 +779,7 @@ class _SolverCore:
                 continue
             redundant = True
             vq = q if q > 0 else -q
-            for ri in range(r + 1, r + 1 + (arena[r] >> 1)):
+            for ri in range(r + 1, r + 1 + arena[r]):
                 rl = arena[ri]
                 av = rl if rl > 0 else -rl
                 if av != vq and not seen[av] and levels[av] != 0:
@@ -934,16 +800,6 @@ class _SolverCore:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, back
-
-    # -- clause activity ---------------------------------------------------
-
-    def _decay_clause_activity(self) -> None:
-        self._cla_inc /= self._CLAUSE_DECAY
-        if self._cla_inc > 1e100:
-            act = self._cla_act
-            for ref in act:
-                act[ref] *= 1e-100
-            self._cla_inc *= 1e-100
 
     def _next_assumption(self):
         """Enqueue the next pending assumption; False on conflict, None if done."""

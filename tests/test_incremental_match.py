@@ -449,7 +449,7 @@ class TestStatsPlumbing:
         from repro.core.session import StageStats, aggregate_stats
 
         a = StageStats()
-        a.cache.update(solver_arena_bytes=900, solver_arena_compactions=2)
+        a.cache.update(solver_arena_bytes=900, solver_watch_compactions=2)
         a.probes = [
             Probe(cycles=1, satisfiable=False, propagations=50,
                   conflicts=4, learned=3, learned_reused=0),
@@ -457,7 +457,7 @@ class TestStatsPlumbing:
                   conflicts=1, learned=1, learned_reused=3),
         ]
         b = StageStats()
-        b.cache.update(solver_arena_bytes=700, solver_arena_compactions=1)
+        b.cache.update(solver_arena_bytes=700, solver_watch_compactions=1)
         b.probes = [
             Probe(cycles=3, satisfiable=True, propagations=30,
                   conflicts=0, learned=0, learned_reused=0),
@@ -466,7 +466,7 @@ class TestStatsPlumbing:
         # Each session's arena bytes is already a peak: the run's peak
         # is the largest, not the sum; work counters still add up.
         assert agg["cache"]["solver_arena_bytes"] == 900
-        assert agg["cache"]["solver_arena_compactions"] == 3
+        assert agg["cache"]["solver_watch_compactions"] == 3
         assert agg["solver"] == {
             "propagations": 150,
             "conflicts": 5,

@@ -197,6 +197,42 @@ class TestCanonicalModel:
         # x1=False forces nothing false-ward beyond x2=True, x3=True.
         assert res.model == {1: False, 2: True, 3: True, 4: False}
 
+    def test_lex_least_after_refuting_a_pigeonhole(self):
+        # PHP(7, 6) sits behind the positive gate x1, so the sweep must
+        # refute the pigeonhole under x1=false (over a hundred conflicts)
+        # before it sets x1 and leaves every pigeon unplaced.
+        class Recorder:
+            def __init__(self):
+                self.num_vars = 0
+                self.clauses = []
+
+            def ensure_vars(self, n):
+                self.num_vars = max(self.num_vars, n)
+
+            def add_clause(self, lits):
+                self.clauses.append(list(lits))
+
+        rec = Recorder()
+        _pigeonhole(rec, holes=6, sel=-1, base=2)
+        expected = {v: v == 1 for v in range(1, rec.num_vars + 1)}
+
+        inc = IncrementalSolver()
+        inc.ensure_vars(rec.num_vars)
+        inc.add_clauses(rec.clauses)
+        res = inc.solve()
+        assert res.satisfiable is True
+        assert res.stats.conflicts > 100
+        assert res.model == expected
+
+        cnf = CNF()
+        for _ in range(rec.num_vars):
+            cnf.new_var()
+        for c in rec.clauses:
+            cnf.add_clause(c)
+        res = CdclSolver().solve(cnf)
+        assert res.satisfiable is True
+        assert res.model == expected
+
 
 class TestOneCanonicalRun:
     """Every solve is exactly one canonical run of the core."""

@@ -6,12 +6,16 @@ a visible decision in review rather than a quiet addition; a setting
 nothing varies belongs in a named module constant instead.
 """
 
+import inspect
 from dataclasses import fields
 
+import repro.sat.solver as solver_module
 from repro.cli import build_parser
 from repro.core.pipeline import DenaliConfig
 from repro.encode import EncodingOptions
 from repro.matching import SaturationConfig
+from repro.sat import CdclSolver
+from repro.sat.solver import _SolverCore
 from repro.service import JobSpec
 from repro.stochastic import StochasticConfig
 
@@ -112,3 +116,23 @@ def test_compile_verb_options():
         "--whole",
         "-h",
     ]
+
+
+def test_solver_constructor_parameters():
+    params = tuple(inspect.signature(CdclSolver.__init__).parameters)
+    assert params == ("self", "conflict_budget", "deadline_seconds", "stop_check")
+
+
+def test_solver_core_tuning_surface():
+    # The core keeps every learned clause until budget retirement purges
+    # it and never restarts: no reduction, compaction, clause activity or
+    # restart schedule, and so no constants to tune them.
+    constants = [
+        name
+        for name in vars(_SolverCore)
+        if name.lstrip("_").isupper()
+    ]
+    assert constants == ["_STOP_CHECK_INTERVAL"]
+    for name in ("_reduce_db", "_compact_arena", "_decay_clause_activity"):
+        assert not hasattr(_SolverCore, name), name
+    assert not hasattr(solver_module, "_luby")

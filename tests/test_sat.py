@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat import CNF, CdclSolver, from_dimacs, to_dimacs
-from repro.sat.solver import _luby
 
 
 def brute_force_sat(cnf: CNF):
@@ -122,13 +121,6 @@ class TestAtMostOne:
         cnf.exactly_one(xs)
         res = CdclSolver().solve(cnf, assumptions=[-x for x in xs])
         assert res.satisfiable is False
-
-
-class TestLuby:
-    def test_prefix(self):
-        assert [_luby(i) for i in range(1, 16)] == [
-            1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
-        ]
 
 
 class TestSolverBasics:
