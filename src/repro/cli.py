@@ -65,6 +65,14 @@ def _canonical_target(name: str) -> str:
         return name
 
 
+def _worker_count(text: str) -> int:
+    """A ``--workers`` value: an int of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % count)
+    return count
+
+
 def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     """Options shared by the one-shot compiler and the batch verb.
 
@@ -234,7 +242,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks an ephemeral port)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="worker process count"
+        "--workers",
+        type=_worker_count,
+        default=2,
+        help="worker process count",
     )
     parser.add_argument(
         "--store",
@@ -310,7 +321,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
     _add_pipeline_arguments(parser)
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=2,
         help="worker process count (local engine mode)",
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.axioms.axiom import AxiomSet
-from repro.egraph.egraph import EGraph, EGraphSnapshot
+from repro.egraph.egraph import EGraphSnapshot
 from repro.matching.compile import compile_rules
 from repro.matching.saturation import SaturationConfig, SaturationStats
 from repro.terms.ops import OperatorRegistry
@@ -104,10 +104,12 @@ class SaturationCache:
     """LRU cache of saturated E-graph snapshots.
 
     Entries are :class:`~repro.egraph.egraph.EGraphSnapshot` handles —
-    rebuilt, index-warm masters frozen at quiescence.  Lookups hand out
-    independent restorations (the pipeline mutates its working graph —
-    ldiq injection, latency-override terms), so a hit never contaminates
-    the cache, and one snapshot can seed any number of probe sessions.
+    rebuilt, index-warm masters frozen at quiescence.  A hit hands out
+    the shared snapshot; callers :meth:`~EGraphSnapshot.restore` an
+    independent working graph from it (the pipeline mutates its working
+    graph — ldiq injection, latency-override terms), so a hit never
+    contaminates the cache, and one snapshot can seed any number of
+    probe sessions.
     """
 
     def __init__(self, max_entries: int = 64) -> None:
@@ -151,20 +153,6 @@ class SaturationCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-
-    def lookup(
-        self, key: Hashable
-    ) -> Optional[Tuple[EGraph, SaturationStats]]:
-        """EGraph-facing wrapper: restore a fresh working graph on hit."""
-        entry = self.lookup_snapshot(key)
-        if entry is None:
-            return None
-        snapshot, stats = entry
-        return snapshot.restore(), stats
-
-    def store(self, key: Hashable, eg: EGraph, stats: SaturationStats) -> None:
-        """EGraph-facing wrapper: freeze ``eg`` into a snapshot and store it."""
-        self.store_snapshot(key, eg.snapshot(), stats)
 
 
 _GLOBAL_SATURATION_CACHE = SaturationCache()

@@ -157,11 +157,9 @@ def _zero_totals() -> dict:
             "solver_learned_reused": 0,
             "solver_learnts_dropped": 0,
             # Flat-core telemetry: peak clause-arena bytes across the
-            # session's solvers, watch-list compaction counts, and bytes
-            # moved by E-graph snapshot/restore copies.
+            # session's solvers and watch-list compaction counts.
             "solver_arena_bytes": 0,
             "solver_watch_compactions": 0,
-            "snapshot_copy_bytes": 0,
         },
         "solver": dict.fromkeys(SOLVER_COUNTERS, 0),
         # Matcher runs only: a saturation-cache hit re-uses a run.
@@ -394,7 +392,6 @@ class CompilationSession:
         """
         cfg = self.config
         goals = self.gma.goal_terms()
-        copy_bytes_before = EGraph.copy_bytes_total
         with _StageTimer(self.stats, "saturation"):
             key = _cache.saturation_key(
                 goals, self.axioms, self.registry, cfg.saturation
@@ -406,9 +403,6 @@ class CompilationSession:
                 eg = snapshot.restore()
                 self.stats.saturation = sat_stats
                 goal_ids = [eg.find(eg.add_term(t)) for t in goals]
-                self.stats.cache["snapshot_copy_bytes"] += (
-                    EGraph.copy_bytes_total - copy_bytes_before
-                )
                 return SaturationHandle(eg, goal_ids, sat_stats, snapshot)
             self.stats.cache["saturation_misses"] += 1
             eg = EGraph()
@@ -420,9 +414,6 @@ class CompilationSession:
             _cache.global_saturation_cache().store_snapshot(
                 key, snapshot, sat_stats
             )
-        self.stats.cache["snapshot_copy_bytes"] += (
-            EGraph.copy_bytes_total - copy_bytes_before
-        )
         return SaturationHandle(eg, goal_ids, sat_stats, snapshot)
 
     # -- stages 2-4: probe = encode + sat + extract ---------------------------

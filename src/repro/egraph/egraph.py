@@ -23,7 +23,8 @@ node chain.  Class membership is therefore spliced in O(1) on union,
 per-op trigger buckets are append-ordered nid lists with lazy dead-slot
 compaction, and :meth:`copy` (the substrate of
 :class:`EGraphSnapshot`/:meth:`EGraphSnapshot.restore`) is one flat
-copy per column.
+copy per column.  Columns are plain lists of ints, or bytearrays for
+byte-range values, grown and copied with list operations alone.
 
 Incremental-matching support (Simplify's mod-time idea, section 5 of the
 paper's substrate): every structural change bumps :attr:`version` and
@@ -44,7 +45,6 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tu
 from repro.egraph.unionfind import UnionFind
 from repro.terms.ops import Sort
 from repro.terms.term import Term
-from repro.util.soa import columns_bytes, swap_remove
 
 _SORT_LIST: Tuple[Sort, ...] = tuple(Sort)
 _SORT_INDEX: Dict[Sort, int] = {s: i for i, s in enumerate(_SORT_LIST)}
@@ -126,11 +126,6 @@ class EGraph:
         for cid in eg.classes(): ...   # enumerate equivalence classes
     """
 
-    # Cumulative flat-copy telemetry (class-level: the saturation cache
-    # and profiling harness read deltas across an operation).
-    copy_bytes_total = 0
-    copy_count = 0
-
     def __init__(self) -> None:
         self._uf = UnionFind()
         self._n_classes = 0
@@ -176,7 +171,8 @@ class EGraph:
         is duplicated with one flat copy per column/table, so mutating
         the copy never affects the original.  The saturation cache
         relies on this to hand out working graphs while keeping a
-        pristine master.
+        pristine master.  Copies are not metered: what they cost shows
+        in the process's peak RSS.
         """
         out = EGraph.__new__(EGraph)
         out._uf = self._uf.copy()
@@ -201,31 +197,6 @@ class EGraph:
         out.version = self.version
         out.merges = self.merges
         out._touch_log = list(self._touch_log)
-        copied = columns_bytes(
-            out._sort_col,
-            out._cls_head,
-            out._cls_tail,
-            out._node_key,
-            out._node_class,
-            out._nid_next,
-            out._nid_prev,
-            out._node_alive,
-            out._repair,
-            out._touch_log,
-        )
-        # Hash tables are charged two slot words per entry (key + value
-        # pointers); like the column measure, this tracks relative
-        # growth, not absolute RSS.
-        copied += 16 * (
-            len(out._hashcons)
-            + len(out._consts)
-            + len(out._distinct)
-            + len(out._node_term)
-            + len(out._term_class)
-            + sum(len(v) for v in out._op_nodes.values())
-        )
-        EGraph.copy_bytes_total += copied
-        EGraph.copy_count += 1
         return out
 
     def snapshot(self) -> "EGraphSnapshot":
@@ -486,7 +457,10 @@ class EGraph:
             while i < len(plist):
                 pnid = plist[i]
                 if not alive[pnid]:
-                    swap_remove(plist, i)
+                    # Swap the last entry into slot i and re-read slot i.
+                    last = plist.pop()
+                    if i < len(plist):
+                        plist[i] = last
                     continue
                 i += 1
                 root = find(node_class[pnid])
@@ -754,14 +728,11 @@ class EGraphSnapshot:
     mutated after construction.
     """
 
-    __slots__ = ("_master", "version", "enode_count", "class_count")
+    __slots__ = ("_master",)
 
     def __init__(self, source: EGraph) -> None:
         source.rebuild()
         self._master = source.copy()
-        self.version = source.version
-        self.enode_count = source.num_enodes()
-        self.class_count = source.num_classes()
 
     def restore(self) -> EGraph:
         """A fresh, independently mutable graph equal to the snapshot."""

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence
 
 from repro.sat.cnf import CNF
-from repro.util.soa import LIST_SLOT_BYTES, grow
 
 _UNASSIGNED = -1
 
@@ -61,6 +60,10 @@ _L_UNDEF = 2
 # Reason column sentinel: no antecedent clause (decision / assumption /
 # root unit).  Arena refs are >= 0.
 _NO_REASON = -1
+
+# Bytes charged per clause-arena slot: one CPython list pointer (the
+# small ints it points at are shared).
+_LIST_SLOT_BYTES = 8
 
 
 @dataclass
@@ -158,15 +161,15 @@ class _SolverCore:
         if num_vars <= self._nvars:
             return
         pad = num_vars - self._nvars
-        grow(self._vals, 2 * pad, _L_UNDEF)
-        grow(self._level, pad, 0)
-        grow(self._reason, pad, _NO_REASON)
+        self._vals.extend([_L_UNDEF] * (2 * pad))
+        self._level.extend([0] * pad)
+        self._reason.extend([_NO_REASON] * pad)
         self._watches.extend([[] for _ in range(2 * pad)])
         self._nvars = num_vars
 
     def arena_bytes(self) -> int:
         """Approximate bytes held by the clause arena (telemetry)."""
-        return LIST_SLOT_BYTES * len(self._arena)
+        return _LIST_SLOT_BYTES * len(self._arena)
 
     def flat_counters(self) -> Dict[str, int]:
         """Cumulative flat-core telemetry for the profiling harness."""

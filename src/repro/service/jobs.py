@@ -58,6 +58,18 @@ class JobState:
 # true is not an int; 1 is not a bool).
 _EXACT_TYPES = {"int": int, "bool": bool, "str": str}
 
+# Int field -> its least legal value.  A latency is at least one cycle
+# and a stochastic run needs a chain; rounds, enodes and moves may be 0.
+# (The cycle bounds have their own joint check.)
+_INT_FLOORS = {
+    "load_latency": 1,
+    "miss_latency": 1,
+    "mcmc_chains": 1,
+    "max_rounds": 0,
+    "max_enodes": 0,
+    "mcmc_moves": 0,
+}
+
 
 @dataclass
 class JobSpec:
@@ -135,6 +147,12 @@ class JobSpec:
                 raise JobError(
                     "%s must be a %s%s, got %r" % (f.name, sign, kind, value),
                     f.name,
+                )
+        for name, floor in _INT_FLOORS.items():
+            value = getattr(self, name)
+            if value < floor:
+                raise JobError(
+                    "%s must be >= %d, got %r" % (name, floor, value), name
                 )
         from repro.core.pipeline import BACKENDS, EXTRACTION_MODES
         from repro.core.probes import SearchStrategy

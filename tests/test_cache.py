@@ -104,13 +104,13 @@ class TestSaturationCache:
         axioms = math_axioms(reg)
         goals = (_goal(),)
         key = saturation_key(goals, axioms, reg, SaturationConfig())
-        assert cache.lookup(key) is None
+        assert cache.lookup_snapshot(key) is None
         eg, _ids, stats = self._saturated(goals)
-        cache.store(key, eg, stats)
+        cache.store_snapshot(key, eg.snapshot(), stats)
         # Goal terms are interned: rebuilding the "same" term yields the
         # identical key and hits.
         key2 = saturation_key((_goal(),), axioms, reg, SaturationConfig())
-        hit = cache.lookup(key2)
+        hit = cache.lookup_snapshot(key2)
         assert hit is not None
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
@@ -120,13 +120,16 @@ class TestSaturationCache:
         goals = (_goal(),)
         base = math_axioms(reg)
         eg, _ids, stats = self._saturated(goals)
-        cache.store(key=saturation_key(goals, base, reg, SaturationConfig()),
-                    eg=eg, stats=stats)
+        cache.store_snapshot(
+            saturation_key(goals, base, reg, SaturationConfig()),
+            eg.snapshot(),
+            stats,
+        )
         trimmed = base + parse_axiom_file(
             r"(\axiom (forall (x) (pats (\mul64 x 1)) (eq (\mul64 x 1) x)))",
             reg,
         )
-        assert cache.lookup(
+        assert cache.lookup_snapshot(
             saturation_key(goals, trimmed, reg, SaturationConfig())
         ) is None
 
@@ -137,12 +140,12 @@ class TestSaturationCache:
         goals = (_goal(),)
         key = saturation_key(goals, axioms, reg, SaturationConfig())
         eg, _ids, stats = self._saturated(goals)
-        cache.store(key, eg, stats)
-        first = cache.lookup(key)[0]
+        cache.store_snapshot(key, eg.snapshot(), stats)
+        first = cache.lookup_snapshot(key)[0].restore()
         nodes_before = len(list(first.all_nodes()))
         # Mutating the handed-out copy must not contaminate the master.
         first.add_term(mk("sub64", inp("reg9"), const(7)))
-        second = cache.lookup(key)[0]
+        second = cache.lookup_snapshot(key)[0].restore()
         assert len(list(second.all_nodes())) == nodes_before
 
     def test_copy_preserves_classes_and_nodes(self):
@@ -158,12 +161,12 @@ class TestSaturationCache:
     def test_lru_eviction(self):
         cache = SaturationCache(max_entries=2)
         eg, _ids, stats = self._saturated((_goal(),))
-        cache.store("a", eg, stats)
-        cache.store("b", eg, stats)
-        cache.store("c", eg, stats)  # evicts "a"
+        cache.store_snapshot("a", eg.snapshot(), stats)
+        cache.store_snapshot("b", eg.snapshot(), stats)
+        cache.store_snapshot("c", eg.snapshot(), stats)  # evicts "a"
         assert len(cache) == 2
-        assert cache.lookup("a") is None
-        assert cache.lookup("b") is not None
+        assert cache.lookup_snapshot("a") is None
+        assert cache.lookup_snapshot("b") is not None
 
 
 class TestAxiomCorpusCache:

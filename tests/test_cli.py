@@ -282,6 +282,22 @@ class TestExitCodes:
         assert status == 2
         assert "--job-timeout" in err
 
+    def test_zero_load_latency_is_usage_error(self, source_file, capsys):
+        status = main([source_file(SIMPLE), "--load-latency", "0"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "--load-latency" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", [["serve"], ["batch", "prog.dn"]])
+    def test_zero_workers_is_usage_error(self, capsys, verb):
+        # Rejected while parsing: no file is read, no pool is started.
+        status = main(verb + ["--workers", "0"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "--workers" in err
+        assert "Traceback" not in err
+
     def test_keyboard_interrupt_exits_130(self, source_file, capsys,
                                           monkeypatch):
         import repro.cli as cli

@@ -128,12 +128,29 @@ class TestJobSpec:
             ("seed", "0"),
             ("source", None),
             ("proc", 3),
+            # In type but out of range: each once crashed the encoder or
+            # silently acted as its floor.
+            ("load_latency", 0),
+            ("load_latency", -2),
+            ("miss_latency", 0),
+            ("miss_latency", -1),
+            ("mcmc_chains", 0),
+            ("max_rounds", -1),
+            ("max_enodes", -1),
+            ("mcmc_moves", -1),
         ],
     )
     def test_ill_typed_field_rejected(self, field, value):
         with pytest.raises(JobError, match=field) as info:
             JobSpec.from_dict({"kind": "compile", field: value})
         assert info.value.field == field
+
+    def test_range_floors_accepted(self):
+        JobSpec.from_dict(
+            {"kind": "compile", "load_latency": 1, "miss_latency": 1,
+             "mcmc_chains": 1, "max_rounds": 0, "max_enodes": 0,
+             "mcmc_moves": 0}
+        )
 
     def test_numeric_timeouts_accepted(self):
         for value in (None, 0, 5, 2.5):

@@ -15,9 +15,7 @@ through end-to-end decode identity:
 * watch lists: every permanent clause is watched by exactly the two
   literals in its watch slots, before and after solving;
 * hashcons + congruence: interning and merge closure against a naive
-  fixpoint congruence model over the same node sequence;
-* the ``repro.util.soa`` primitives against their list-slice
-  equivalents.
+  fixpoint congruence model over the same node sequence.
 """
 
 from hypothesis import given, settings
@@ -27,7 +25,6 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.unionfind import UnionFind
 from repro.sat.solver import _NO_REASON, _SolverCore
 from repro.terms.ops import Sort
-from repro.util import soa
 
 
 # -- reference models ----------------------------------------------------------
@@ -377,55 +374,3 @@ class TestHashconsDifferential:
             again = eg.add_enode(op, args, value=value, sort=Sort.INT)
             assert eg.find(again) == eg.find(cid)
 
-
-# -- soa primitives ------------------------------------------------------------
-
-
-class TestSoaPrimitives:
-    @given(
-        st.lists(st.integers(0, 255), min_size=1, max_size=20),
-        st.integers(0, 19),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_swap_remove_matches_set_semantics(self, items, idx):
-        if idx >= len(items):
-            idx = idx % len(items)
-        for build in (list, bytearray):
-            col = build(items)
-            removed = soa.swap_remove(col, idx)
-            assert removed == items[idx]
-            want = list(items)
-            want[idx] = want[-1]
-            want.pop()
-            assert list(col) == want
-
-    @given(
-        st.lists(st.integers(0, 255), min_size=0, max_size=10),
-        st.lists(st.integers(0, 255), min_size=0, max_size=10),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_checkpoint_rollback_roundtrip(self, base, extra):
-        for build in (list, bytearray):
-            col = build(base)
-            marks = soa.checkpoint(col)
-            col.extend(extra)
-            soa.rollback(marks, col)
-            assert list(col) == base
-
-    @given(st.lists(st.integers(0, 255), max_size=10), st.integers(0, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_grow_and_bytes(self, base, pad):
-        lst = list(base)
-        ba = bytearray(base)
-        soa.grow(lst, pad, 7)
-        soa.grow(ba, pad, 7)
-        assert lst == list(base) + [7] * pad
-        assert ba == bytearray(base) + bytearray([7] * pad)
-        assert soa.column_bytes(lst) == soa.LIST_SLOT_BYTES * len(lst)
-        assert soa.column_bytes(ba) == len(ba)
-        assert soa.columns_bytes(lst, ba) == (
-            soa.column_bytes(lst) + soa.column_bytes(ba)
-        )
-        copy = soa.copy_column(ba)
-        copy.append(1)
-        assert len(copy) == len(ba) + 1
