@@ -17,7 +17,8 @@ variable, so an instance is fully determined by a match.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.terms.ops import OperatorRegistry
 from repro.terms.term import Term, const, mk
@@ -224,6 +225,44 @@ class AxiomClause(_AxiomBase):
 Axiom = Union[AxiomEquality, AxiomDistinction, AxiomClause]
 
 
+Definitions = Mapping[str, Tuple[Tuple[str, ...], Pattern]]
+_NO_DEFINITIONS: Definitions = MappingProxyType({})
+
+
+def _define(defs: Dict[str, Tuple[Tuple[str, ...], Pattern]], ax) -> None:
+    """Record in ``defs`` the definition ``ax`` gives, if it gives one."""
+    if not isinstance(ax, AxiomEquality):
+        return
+    lhs, rhs = ax.lhs, ax.rhs
+    if lhs.is_var or lhs.is_const or lhs.op in defs:
+        return
+    if not all(a.is_var for a in lhs.args):
+        return
+    params = tuple(a.var for a in lhs.args)
+    if len(set(params)) != len(params):
+        return
+    if not rhs.variables() <= set(params):
+        return
+    if lhs.op in _pattern_ops(rhs):
+        return
+    # Nor may it close a mutual-recursion cycle through earlier
+    # definitions (math's cmovlt -> cmovge plus a target sublayer's
+    # cmovge -> cmovlt): expanding such a pair never terminates, so the
+    # axiom that would close the loop loses.
+    seen: set = set()
+    frontier = list(_pattern_ops(rhs))
+    while frontier:
+        op = frontier.pop()
+        if op == lhs.op:
+            return
+        if op in seen:
+            continue
+        seen.add(op)
+        if op in defs:
+            frontier.extend(_pattern_ops(defs[op][1]))
+    defs[lhs.op] = (params, rhs)
+
+
 class AxiomSet:
     """An ordered, named collection of axioms.
 
@@ -239,6 +278,8 @@ class AxiomSet:
         # ``+`` hands the left operand's memos to the sum, so each is
         # extended by the missing axioms when next asked for.
         self._fingerprint: Tuple[str, ...] = ()
+        # ``definitions()`` after the first ``count`` axioms.
+        self._definitions: Tuple[int, Definitions] = (0, _NO_DEFINITIONS)
         # The matcher's compiled rules (``repro.matching.compile``).
         self.rule_book = None
 
@@ -254,6 +295,7 @@ class AxiomSet:
             name="%s+%s" % (self.name, other.name),
         )
         out._fingerprint = self._fingerprint
+        out._definitions = self._definitions
         out.rule_book = self.rule_book
         return out
 
@@ -269,7 +311,7 @@ class AxiomSet:
             )
         return done
 
-    def definitions(self) -> Dict[str, Tuple[Tuple[str, ...], Pattern]]:
+    def definitions(self) -> Definitions:
         """Definitional equalities: ``f(x1..xn) = rhs`` with fresh variables.
 
         Used by the evaluator to give executable semantics to
@@ -278,45 +320,17 @@ class AxiomSet:
         left side is ``f`` applied to distinct variables, the right side
         only uses those variables, and does not mention ``f`` itself
         (commutativity-style axioms are skipped).  The first definition of
-        each operator wins.
+        each operator wins.  Memoised like :meth:`fingerprint`; the
+        mapping is read-only.
         """
-        defs: Dict[str, Tuple[Tuple[str, ...], Pattern]] = {}
-        for ax in self._axioms:
-            if not isinstance(ax, AxiomEquality):
-                continue
-            lhs, rhs = ax.lhs, ax.rhs
-            if lhs.is_var or lhs.is_const or lhs.op in defs:
-                continue
-            if not all(a.is_var for a in lhs.args):
-                continue
-            params = tuple(a.var for a in lhs.args)
-            if len(set(params)) != len(params):
-                continue
-            if not rhs.variables() <= set(params):
-                continue
-            if lhs.op in _pattern_ops(rhs):
-                continue
-            # Nor may it close a mutual-recursion cycle through earlier
-            # definitions (math's cmovlt -> cmovge plus a target
-            # sublayer's cmovge -> cmovlt): expanding such a pair never
-            # terminates, so the axiom that would close the loop loses.
-            seen: set = set()
-            frontier = list(_pattern_ops(rhs))
-            cyclic = False
-            while frontier:
-                op = frontier.pop()
-                if op == lhs.op:
-                    cyclic = True
-                    break
-                if op in seen:
-                    continue
-                seen.add(op)
-                if op in defs:
-                    frontier.extend(_pattern_ops(defs[op][1]))
-            if cyclic:
-                continue
-            defs[lhs.op] = (params, rhs)
-        return defs
+        count, done = self._definitions
+        if count < len(self._axioms):
+            defs = dict(done)
+            for ax in self._axioms[count:]:
+                _define(defs, ax)
+            done = MappingProxyType(defs)
+            self._definitions = (len(self._axioms), done)
+        return done
 
     def for_target(self, target: str) -> "AxiomSet":
         """Keep axioms applicable to ``target``.

@@ -201,11 +201,13 @@ class AxiomCorpusCache:
                 return cached
             self.stats.misses += 1
         corpus = default_axiom_corpus(registry, target)
-        # Compile the matcher's rules and the cache-key fingerprint with
-        # the corpus: every ``corpus + program`` set shares both, and a
-        # service's forked workers inherit them.
+        # Compile the matcher's rules, the cache-key fingerprint and the
+        # evaluator's definitions with the corpus: every ``corpus +
+        # program`` set shares all three, and a service's forked workers
+        # inherit them.
         compile_rules(corpus, registry)
         corpus.fingerprint()
+        corpus.definitions()
         with self._lock:
             self._entries.setdefault(key, corpus)
         return corpus

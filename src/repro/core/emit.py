@@ -29,7 +29,7 @@ from repro.egraph.egraph import EGraph, ENode
 from repro.encode.constraints import Encoding
 from repro.isa.allocator import allocate_destinations
 from repro.isa.registers import RegisterFile
-from repro.terms.ops import Sort
+from repro.terms.ops import BUILTIN_COMMUTATIVE, Sort
 
 
 class ExtractionError(Exception):
@@ -165,14 +165,10 @@ def _canonicalise_operands(op: str, operands: List[Operand], spec) -> None:
     Alpha's operate format only accepts an 8-bit literal in operand b;
     for commutative operators the swap is free.  (Non-commutative cases
     keep their order — the simulators accept either, and DESIGN.md lists
-    the literal-placement simplification.)
+    the literal-placement simplification.)  Commutativity is the
+    built-in operators' own.
     """
-    from repro.terms.ops import default_registry
-
-    registry = default_registry()
-    if op not in registry or len(operands) != 2:
-        return
-    if not registry.get(op).commutative:
+    if op not in BUILTIN_COMMUTATIVE or len(operands) != 2:
         return
     if operands[0].literal is not None and operands[1].register is not None:
         operands[0], operands[1] = operands[1], operands[0]

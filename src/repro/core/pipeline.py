@@ -143,6 +143,10 @@ class Denali:
         from repro.isa.targets import resolve_spec, target_for_spec
 
         config = config if config is not None else DenaliConfig()
+        if config.miss_latency < 1:
+            raise ValueError(
+                "miss_latency must be >= 1, got %r" % (config.miss_latency,)
+            )
         if spec is None:
             spec = resolve_spec(config.target)
         elif isinstance(spec, str):

@@ -90,6 +90,7 @@ class FabricClient(ServiceClient):
         for base, indexes in groups.items():
             body = {"jobs": [specs[i].to_dict() for i in indexes]}
             response = self._submit_with_shed_retry(base, body)
+            self._keep_results(response)
             for index, job_id in zip(indexes, response["ids"]):
                 ids[index] = job_id
         return ids  # type: ignore[return-value]

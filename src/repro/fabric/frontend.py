@@ -36,7 +36,10 @@ pending or running, the connection's coroutine awaits a future that the
 engine's settle callback resolves (:meth:`CompilationEngine.on_settle`),
 for at most S seconds, and then answers as an immediate request would.
 A hold costs no thread and no timer poll.  A finished result is spliced
-into the response as the JSON text the engine keeps, never re-encoded.
+into the response as the JSON text the engine keeps, never re-encoded
+(:func:`done_reply`).  ``POST /v1/submit`` answers each job that is
+already done, a store hit for one, with that same reply inline under
+``results``, so a client reads it without a second request.
 """
 
 from __future__ import annotations
@@ -446,13 +449,9 @@ class AsyncFrontend:
             return 202, {"state": state}, None
         if state != JobState.DONE:
             return 500, {"state": state, "error": status.get("error")}, None
-        text = node.engine.result_text(local_id)
-        if text is None:  # evicted since the status read
+        body = done_reply(node.engine, local_id)
+        if body is None:  # evicted since the status read
             return unknown
-        body = '{"state": "done", "from_store": %s, "result": %s}' % (
-            "true" if status["from_store"] else "false",
-            text,
-        )
         return 200, body.encode("utf-8"), None
 
     async def _hold(self, local_id: str, seconds: float) -> None:
@@ -550,6 +549,24 @@ class AsyncFrontend:
         return out
 
 
+def done_reply(engine, local_id: str) -> Optional[str]:
+    """The body of ``GET /v1/jobs/<id>/result`` for a job in state done,
+    or None when it is not done or no longer kept.
+
+    ``/v1/submit`` inlines the same text for the jobs it answers already
+    done, so the two replies cannot drift.  The result is the engine's
+    kept JSON text, spliced in, never re-encoded.
+    """
+    done = engine.done_result(local_id)
+    if done is None:
+        return None
+    from_store, text = done
+    return '{"state": "done", "from_store": %s, "result": %s}' % (
+        "true" if from_store else "false",
+        text,
+    )
+
+
 def _query_param(query: str, name: str) -> Optional[str]:
     """The first value of ``name`` in a URL query string, or None."""
     values = urllib.parse.parse_qs(query).get(name)
@@ -561,4 +578,4 @@ def _resolve(future: asyncio.Future) -> None:
         future.set_result(None)
 
 
-__all__ = ["AsyncFrontend", "FrontendMetrics"]
+__all__ = ["AsyncFrontend", "FrontendMetrics", "done_reply"]

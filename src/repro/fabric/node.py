@@ -21,7 +21,10 @@ node is unreachable or sheds, the receiving node compiles the job
 itself: any node *can* compile anything, sharding only decides where
 warm state accumulates.  Job ids are qualified as
 ``<local-id>@<node-id>`` so any node can answer a status poll for any
-job — locally, or with a 307 redirect to the owning node.
+job — locally, or with a 307 redirect to the owning node.  The submit
+reply carries, under ``results``, the ``/result`` reply of every job
+already done when it returns (a store hit), the owner's own for a
+forwarded job, so a hit costs the client one round trip.
 
 Startup of a joining node, in order: bind the front end, announce
 itself to its peers (``/v1/fabric/join``, adopting their membership
@@ -33,10 +36,11 @@ it.  Nodes never exchange corpora: compiling one takes ~15 ms.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.fabric.frontend import AsyncFrontend
+from repro.fabric.frontend import AsyncFrontend, done_reply
 from repro.fabric.replica import GossipPump, ReplicatedStore
 from repro.fabric.ring import NodeRegistry, node_id_for_url
 from repro.service.client import (
@@ -220,14 +224,29 @@ class FabricNode:
         except (JobError, TypeError) as exc:
             return 400, {"error": str(exc)}, None
         forwarded = bool(data.get("forwarded"))
+        results: Dict[str, str] = {}  # id -> its /result reply text
         try:
             if forwarded or len(self.registry.ring) == 1:
                 ids = [self._submit_local(spec) for spec in specs]
             else:
-                ids = self._submit_sharded(specs)
+                ids = self._submit_sharded(specs, results)
         except JobError as exc:
             return 400, {"error": str(exc)}, None
-        return 200, {"ids": ids, "node": self.node_id}, None
+        for job_id in ids:
+            local_id, owner = self.split_job_id(job_id)
+            if owner == self.node_id:
+                reply = done_reply(self.engine, local_id)
+                if reply is not None:
+                    results[job_id] = reply
+        body = '{"ids": %s, "node": %s, "results": {%s}}' % (
+            json.dumps(ids),
+            json.dumps(self.node_id),
+            ", ".join(
+                "%s: %s" % (json.dumps(job_id), reply)
+                for job_id, reply in results.items()
+            ),
+        )
+        return 200, body.encode("utf-8"), None
 
     def handle_join(self, data: Dict[str, Any]):
         """Admit ``data["url"]`` as an alive member once a fabric node
@@ -262,7 +281,11 @@ class FabricNode:
     def _submit_local(self, spec: JobSpec) -> str:
         return self.qualify_job_id(self.engine.submit(spec))
 
-    def _submit_sharded(self, specs: List[JobSpec]) -> List[str]:
+    def _submit_sharded(
+        self, specs: List[JobSpec], results: Dict[str, str]
+    ) -> List[str]:
+        """Admit each spec on its ring owner; the owners' inline results
+        for forwarded jobs go into ``results``."""
         ids: List[Optional[str]] = [None] * len(specs)
         groups: Dict[str, List[Tuple[int, JobSpec]]] = {}
         for index, spec in enumerate(specs):
@@ -278,7 +301,7 @@ class FabricNode:
                 continue
             url = self.registry.url_of(owner)
             remote_ids = (
-                self._forward(url, owner, entries) if url else None
+                self._forward(url, owner, entries, results) if url else None
             )
             if remote_ids is None:
                 # Home node gone or shedding: serve the corpus anyway.
@@ -290,8 +313,14 @@ class FabricNode:
         return ids  # type: ignore[return-value]
 
     def _forward(
-        self, url: str, owner: str, entries: List[Tuple[int, JobSpec]]
+        self,
+        url: str,
+        owner: str,
+        entries: List[Tuple[int, JobSpec]],
+        results: Dict[str, str],
     ) -> Optional[List[str]]:
+        """Submit ``entries`` on ``owner``; its ids, or None to compile
+        them here.  The owner's inline results pass on into ``results``."""
         body = {
             "jobs": [spec.to_dict() for _, spec in entries],
             "forwarded": True,
@@ -312,6 +341,12 @@ class FabricNode:
         ):
             return None
         self.registry.mark_ok(owner)
+        inline = response.get("results")
+        if isinstance(inline, dict):
+            for job_id in remote_ids:
+                reply = inline.get(job_id)
+                if isinstance(reply, dict):
+                    results[job_id] = json.dumps(reply)
         return remote_ids
 
     # -- health ------------------------------------------------------------

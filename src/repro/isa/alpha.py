@@ -105,8 +105,10 @@ def ev6(load_latency: int = 3) -> ArchSpec:
     ``load_latency`` is the assumed D-cache latency; the Denali source
     language lets the programmer annotate expected-miss loads, which the
     pipeline models by raising this per-problem (section 6's discussion of
-    profile-derived latency annotations).
+    profile-derived latency annotations).  It must be at least 1.
     """
+    if load_latency < 1:
+        raise ValueError("load_latency must be >= 1, got %r" % (load_latency,))
     instructions = _ev6_instructions()
     if load_latency != 3:
         old = instructions["select"]

@@ -39,7 +39,10 @@ def rv64(load_latency: int = 3) -> ArchSpec:
 
     ``load_latency`` mirrors :func:`repro.isa.alpha.ev6`: the assumed
     D-cache hit latency, raised per-problem by expected-miss annotations.
+    It must be at least 1.
     """
+    if load_latency < 1:
+        raise ValueError("load_latency must be >= 1, got %r" % (load_latency,))
 
     def alu(op, mnemonic, units=_PIPES, latency=1, imm=(1,), kind="alu"):
         return InstructionInfo(op, mnemonic, latency, units, tuple(imm), kind)

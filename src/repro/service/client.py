@@ -18,6 +18,10 @@ non-2xx responses, with two refinements:
   ``Retry-After`` hint — load shedding is an explicit signal to the
   caller, never silently retried.
 
+A submit reply's ``results`` (the jobs already done, such as store
+hits) are kept per thread, and :meth:`ServiceClient.result` answers
+such a job from them without sending a request.
+
 Redirects (307 from a fabric node that doesn't own a job) are followed
 transparently, which makes this plain client work against a sharded
 fabric; :class:`repro.fabric.client.FabricClient` avoids the extra hop
@@ -35,10 +39,13 @@ import time
 import urllib.parse
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.service.jobs import JobSpec
+from repro.service.jobs import SETTLED_JOBS_KEPT, JobSpec
 
 _REDIRECT_CODES = (301, 302, 307, 308)
 _MAX_REDIRECTS = 4
+# Inline results kept per thread until result() reads them; beyond this
+# many the oldest is dropped, and its id falls back to the GET.
+_INLINE_RESULTS_KEPT = SETTLED_JOBS_KEPT
 
 
 class ServiceError(Exception):
@@ -78,7 +85,9 @@ class ServiceClient:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._pool = threading.local()  # netloc -> HTTPConnection, per thread
+        # Per thread: netloc -> HTTPConnection, and job id -> the inline
+        # result its submit reply carried.
+        self._pool = threading.local()
 
     # -- transport ---------------------------------------------------------
 
@@ -102,6 +111,25 @@ class ServiceClient:
                 pass
             pool[netloc] = conn
         return conn
+
+    def _inline_results(self) -> Dict[str, Dict[str, Any]]:
+        kept = getattr(self._pool, "results", None)
+        if kept is None:
+            kept = self._pool.results = {}
+        return kept
+
+    def _keep_results(self, response: Dict[str, Any]) -> None:
+        """Keep a submit reply's inline results for :meth:`result`."""
+        results = response.get("results")
+        if not isinstance(results, dict):
+            return
+        kept = self._inline_results()
+        for job_id, payload in results.items():
+            if isinstance(payload, dict):
+                payload["_http_status"] = 200
+                kept[job_id] = payload
+        while len(kept) > _INLINE_RESULTS_KEPT:
+            del kept[next(iter(kept))]
 
     def _drop(self, netloc: str) -> None:
         conn = self._connections().pop(netloc, None)
@@ -215,7 +243,9 @@ class ServiceClient:
 
     def submit(self, specs: Sequence[JobSpec]) -> List[str]:
         body = {"jobs": [spec.to_dict() for spec in specs]}
-        return self._request("/v1/submit", body)["ids"]
+        response = self._request("/v1/submit", body)
+        self._keep_results(response)
+        return response["ids"]
 
     def _job_request(self, job_id: str, path: str) -> Dict[str, Any]:
         """GET ``path``, a route of job ``job_id`` (subclasses route it)."""
@@ -240,9 +270,14 @@ class ServiceClient:
         set, and existing callers still pass it.
 
         Returns the server's ``/result`` payload: ``{"state": "done",
-        "from_store": ..., "result": {...}}``.  Raises ServiceError if
-        the job failed or the wait timed out.
+        "from_store": ..., "result": {...}}``.  A job this thread's
+        submit reply carried inline is answered from it, once, with no
+        request.  Raises ServiceError if the job failed or the wait
+        timed out.
         """
+        inline = self._inline_results().pop(job_id, None)
+        if inline is not None:
+            return inline
         deadline = None if timeout is None else time.monotonic() + timeout
         path = "/v1/jobs/%s/result" % job_id
         while True:

@@ -717,11 +717,15 @@ class CompilationEngine:
         text = record.result_text
         return None if text is None else json.loads(text)
 
-    def result_text(self, job_id: str) -> Optional[str]:
-        """A finished job's result payload as JSON text (no wait, no copy)."""
+    def done_result(self, job_id: str) -> Optional[Tuple[bool, str]]:
+        """``(from_store, result payload as JSON text)`` of a job in state
+        done (no wait, no copy); None while it is live, after it failed or
+        was cancelled, or once it is evicted."""
         with self._lock:
             record = self._jobs.get(job_id)
-            return None if record is None else record.result_text
+            if record is None or record.state != JobState.DONE:
+                return None
+            return record.from_store, record.result_text
 
     def on_settle(self, job_id: str, callback: Callable[[], None]) -> bool:
         """Call ``callback()`` once when the job reaches a terminal state.

@@ -190,6 +190,12 @@ _BUILTINS = [
 ]
 
 
+# The built-in operators whose signatures are commutative.
+BUILTIN_COMMUTATIVE = frozenset(
+    name for name, _params, _result, _fn, comm in _BUILTINS if comm
+)
+
+
 def default_registry() -> OperatorRegistry:
     """A fresh registry containing every built-in operator."""
     reg = OperatorRegistry()

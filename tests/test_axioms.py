@@ -6,6 +6,7 @@ adversarial values.  An unsound axiom would make Denali emit wrong code,
 so this is the load-bearing wall of the whole reproduction.
 """
 
+import os
 import random
 
 import pytest
@@ -244,6 +245,104 @@ class TestAxiomSet:
         assert defs["cmovlt"][1].op == "bis"
         assert defs["cmoveq"][1].op == "bis"
         assert defs["cmovge"][1].op == "cmovlt"  # one grounded hop away
+
+
+
+def _pattern_ops(p):
+    if p.is_var or p.is_const:
+        return set()
+    out = {p.op}
+    for a in p.args:
+        out |= _pattern_ops(a)
+    return out
+
+
+def _unmemoised_definitions(axioms):
+    """The definitions loop run from scratch over every axiom."""
+    defs = {}
+    for ax in axioms:
+        if not isinstance(ax, AxiomEquality):
+            continue
+        lhs, rhs = ax.lhs, ax.rhs
+        if lhs.is_var or lhs.is_const or lhs.op in defs:
+            continue
+        if not all(a.is_var for a in lhs.args):
+            continue
+        params = tuple(a.var for a in lhs.args)
+        if len(set(params)) != len(params):
+            continue
+        if not rhs.variables() <= set(params):
+            continue
+        if lhs.op in _pattern_ops(rhs):
+            continue
+        seen, frontier, cyclic = set(), list(_pattern_ops(rhs)), False
+        while frontier:
+            op = frontier.pop()
+            if op == lhs.op:
+                cyclic = True
+                break
+            if op not in seen:
+                seen.add(op)
+                if op in defs:
+                    frontier.extend(_pattern_ops(defs[op][1]))
+        if not cyclic:
+            defs[lhs.op] = (params, rhs)
+    return defs
+
+
+PERFSUITE_WORKLOADS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfsuite",
+    "workloads",
+)
+
+
+class TestDefinitionsMemo:
+    """``definitions()`` is memoised over a prefix of the axioms; every
+    answer must equal the loop run from scratch."""
+
+    @pytest.mark.parametrize("target", ["ev6", "rv64"])
+    @pytest.mark.parametrize(
+        "program", ["fig2", "byteswap3", "byteswap4", "checksum", "mulchain"]
+    )
+    def test_memo_equals_the_unmemoised_loop(self, target, program):
+        from repro import parse_program
+        from repro.axioms import AxiomSet, default_axiom_corpus
+
+        corpus = default_axiom_corpus(default_registry(), target)
+        assert dict(corpus.definitions()) == _unmemoised_definitions(corpus)
+        with open(os.path.join(PERFSUITE_WORKLOADS, program + ".dn")) as f:
+            parsed = parse_program(f.read())
+        local = AxiomSet(parsed.axioms, "program")
+        combined = corpus + local
+        assert dict(combined.definitions()) == _unmemoised_definitions(
+            combined
+        )
+        if program == "checksum":
+            assert {"add", "carry"} <= set(combined.definitions())
+        # The sum's memo never leaks into its left operand's.
+        assert dict(corpus.definitions()) == _unmemoised_definitions(corpus)
+
+    def test_add_extends_the_memo(self):
+        reg, local = checksum_axioms(default_registry())
+        axioms = math_axioms(reg)
+        before = dict(axioms.definitions())
+        assert before == _unmemoised_definitions(axioms)
+        assert "carry" not in before
+        for ax in local:
+            axioms.add(ax)
+        after = axioms.definitions()
+        assert dict(after) == _unmemoised_definitions(axioms)
+        assert "carry" in after and "add" in after
+
+    def test_mapping_is_read_only(self):
+        reg, axioms = checksum_axioms(default_registry())
+        defs = axioms.definitions()
+        with pytest.raises(TypeError):
+            defs["carry"] = defs["add"]
+        with pytest.raises(TypeError):
+            del defs["add"]
+        assert axioms.definitions() is defs
 
 
 # ---------------------------------------------------------------------------

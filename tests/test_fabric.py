@@ -20,12 +20,16 @@ import urllib.parse
 import pytest
 
 from repro.fabric import FabricClient, FabricNode
+from repro.fabric.frontend import done_reply
+from repro.fabric.ring import node_id_for_url
 from repro.service import (
     JobSpec,
     ServiceClient,
+    ServiceError,
     ServiceOverloadError,
     job_fingerprint,
 )
+from repro.service import client as service_client
 
 SIMPLE = r"""
 (\procdecl scale ((a long)) long
@@ -305,6 +309,35 @@ def http_get(url, path, timeout=10.0):
         conn.close()
 
 
+def http_post(url, path, body, timeout=10.0):
+    """One JSON POST: ``(status, parsed reply)``."""
+    conn = http.client.HTTPConnection(
+        urllib.parse.urlsplit(url).netloc, timeout=timeout
+    )
+    try:
+        conn.request(
+            "POST",
+            path,
+            body=json.dumps(body),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def counting_client(url):
+    """A FabricClient and the list of job paths it sends requests to."""
+    client = FabricClient(url)
+    requests = []
+    route = client._job_request
+    client._job_request = lambda job_id, path: (
+        requests.append(path) or route(job_id, path)
+    )
+    return client, requests
+
+
 def record_of(node, job_id):
     return node.engine._jobs[node.split_job_id(job_id)[0]]
 
@@ -442,18 +475,94 @@ class TestLongPoll:
         assert status == 400 and "wait" in json.loads(body)["error"]
 
     def test_client_waits_in_one_request(self, node):
-        client = FabricClient(node.url)
-        requests = []
-        route = client._job_request
-        client._job_request = lambda job_id, path: (
-            requests.append(path) or route(job_id, path)
-        )
+        client, requests = counting_client(node.url)
         try:
             (job_id,) = client.submit([sleep_spec(7, seconds=0.3)])
             assert client.result(job_id, timeout=10.0)["state"] == "done"
         finally:
             client.close()
         assert requests == ["/v1/jobs/%s/result?wait=5.000" % job_id]
+
+    def test_store_hit_is_answered_in_the_submit_reply(self, node):
+        spec = compile_spec(seed=11)
+        client, requests = counting_client(node.url)
+        try:
+            (miss,) = client.submit([spec])
+            client.result(miss, timeout=60.0)
+            del requests[:]
+            (hit,) = client.submit([spec])
+            payload = client.result(hit, timeout=10.0)
+        finally:
+            client.close()
+        assert requests == []
+        status, _, body = http_get(node.url, "/v1/jobs/%s/result" % hit)
+        assert status == 200
+        assert payload == dict(json.loads(body), _http_status=200)
+        assert payload["from_store"] is True
+
+    def test_miss_long_polls_in_one_request(self, node):
+        client, requests = counting_client(node.url)
+        try:
+            (job_id,) = client.submit([compile_spec(seed=12)])
+            assert client._inline_results() == {}
+            payload = client.result(job_id, timeout=60.0)
+        finally:
+            client.close()
+        assert payload["from_store"] is False
+        assert requests == ["/v1/jobs/%s/result?wait=5.000" % job_id]
+
+    def test_failed_job_is_not_inlined_and_raises(self, node):
+        client = FabricClient(node.url)
+        try:
+            (job_id,) = client.submit(
+                [compile_spec(source="(\\procdecl broken")]
+            )
+            with pytest.raises(ServiceError, match="HTTP 500"):
+                client.result(job_id, timeout=60.0)
+            assert client._inline_results() == {}
+        finally:
+            client.close()
+        local_id = node.split_job_id(job_id)[0]
+        assert node.engine.status(local_id)["state"] == "failed"
+        assert done_reply(node.engine, local_id) is None
+
+    def test_inline_results_are_bounded_and_read_once(
+        self, node, monkeypatch
+    ):
+        monkeypatch.setattr(service_client, "_INLINE_RESULTS_KEPT", 2)
+        spec = compile_spec(seed=13)
+        client, requests = counting_client(node.url)
+        try:
+            client.result(client.submit([spec])[0], timeout=60.0)
+            hits = [client.submit([spec])[0] for _ in range(3)]
+            assert list(client._inline_results()) == hits[1:]
+            del requests[:]
+            first = [client.result(job_id) for job_id in hits]
+            assert requests == [
+                "/v1/jobs/%s/result?wait=5.000" % hits[0]
+            ]
+            again = [client.result(job_id) for job_id in hits]
+        finally:
+            client.close()
+        assert first == again
+        assert len(requests) == 1 + len(hits)
+
+    def test_raw_submit_reply_keeps_ids_and_node(self, node):
+        spec = compile_spec(seed=14)
+        client = ServiceClient(node.url)
+        try:
+            client.run_batch([spec])
+        finally:
+            client.close()
+        status, reply = http_post(
+            node.url, "/v1/submit", {"jobs": [spec.to_dict()]}
+        )
+        assert status == 200
+        (job_id,) = reply["ids"]
+        assert reply["node"] == node.node_id
+        assert job_id.endswith("@" + node.node_id)
+        assert set(reply) == {"ids", "node", "results"}
+        assert reply["results"][job_id]["state"] == "done"
 
     def test_redirect_keeps_the_query(self, pair):
         a, b = pair
@@ -638,6 +747,29 @@ class TestTwoNodes:
                 assert payload["state"] == "done"
         finally:
             client.close()
+
+    def test_forwarded_store_hit_is_answered_inline(self, pair):
+        spec = compile_spec(seed=15)
+        client = FabricClient(pair[0].url)
+        try:
+            view = client.ring()
+            owner = view.url_for_key(job_fingerprint(spec))
+            client.run_batch([spec])
+        finally:
+            client.close()
+        other = next(url for url in view.all_urls() if url != owner)
+        plain = ServiceClient(other)
+        plain._job_request = None  # any result request fails the test
+        try:
+            (job_id,) = plain.submit([spec])
+            payload = plain.result(job_id)
+        finally:
+            plain.close()
+        assert job_id.endswith("@" + node_id_for_url(owner))
+        assert payload["from_store"] is True
+        status, _, body = http_get(owner, "/v1/jobs/%s/result" % job_id)
+        assert status == 200
+        assert payload == dict(json.loads(body), _http_status=200)
 
     def test_dead_peer_reroutes_to_survivor(self, pair):
         a, b = pair

@@ -24,6 +24,7 @@ from repro import (
     software_pipeline,
     translate_procedure,
 )
+from repro.isa.riscv import rv64
 from repro.matching import SaturationConfig
 
 
@@ -146,3 +147,24 @@ def _subs(t):
 def parse_program_and_translate(src):
     program = parse_program(src)
     return translate_procedure(program.procedures[0], program.registry)
+
+
+class TestLatencyRange:
+    """A latency below one cycle is refused by name, not by an encoder
+    crash."""
+
+    @pytest.mark.parametrize("miss_latency", [0, -1])
+    def test_miss_latency_below_one_is_refused(self, miss_latency):
+        with pytest.raises(ValueError, match="miss_latency"):
+            Denali(ev6(), config=_config(miss_latency=miss_latency))
+
+    @pytest.mark.parametrize("load_latency", [0, -2])
+    @pytest.mark.parametrize("factory", [ev6, rv64])
+    def test_load_latency_below_one_is_refused(self, factory, load_latency):
+        with pytest.raises(ValueError, match="load_latency"):
+            factory(load_latency=load_latency)
+
+    def test_one_cycle_latencies_compile(self):
+        den = Denali(ev6(load_latency=1), config=_config(miss_latency=1))
+        assert den.compile_gma(_load_gma(annotate=True)).cycles == 2
+        assert den.compile_gma(_load_gma(annotate=False)).cycles == 2

@@ -406,7 +406,8 @@ class TestEngine:
         engine.result(engine.submit(spec), timeout=60)
         hit = engine.submit(spec)
         text = engine.store.get_text(job_fingerprint(spec))
-        assert engine.result_text(hit) is text
+        from_store, kept = engine.done_result(hit)
+        assert from_store is True and kept is text
         assert engine.result(hit, wait=False) == json.loads(text)
         # Each call parses afresh: a caller's edit cannot reach the record.
         engine.result(hit, wait=False)["units"].clear()
