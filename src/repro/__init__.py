@@ -57,7 +57,7 @@ from repro.core import (
 from repro.sim import execute_schedule, simulate_timing
 from repro.verify import check_schedule
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "Memory",

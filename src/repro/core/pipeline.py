@@ -302,8 +302,7 @@ class Denali:
         # Phase 1: matching (once per GMA — section 3), restored from a
         # cached snapshot when the identical goals/axioms/config were
         # saturated before.
-        handle = session.saturate()
-        eg, goal_ids = handle.egraph, handle.goal_ids
+        eg, goal_ids = session.saturate()
 
         unsafe = self._unsafe_terms(eg, gma, goal_ids)
         overrides = self._latency_overrides(eg, gma)

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import cache as _cache
 from repro.core.probes import Probe, SearchOutcome, get_scheduler
-from repro.egraph.egraph import EGraph, EGraphSnapshot, ENode
+from repro.egraph.egraph import EGraph, ENode
 from repro.encode.constraints import IncrementalEncoder
 from repro.lang.gma import GMA
 from repro.matching.saturation import SaturationStats, saturate
@@ -231,9 +231,7 @@ def _session_totals(stats: "StageStats") -> dict:
     """One session's contribution to the totals: a sub-tree of the schema.
 
     Work served from a cache is not counted again: a saturation-cache
-    hit adds no matcher run, and a memoised exact-extraction record adds
-    its outcome but not the ``solves`` and ``pruned`` of the run it
-    copies.
+    hit adds no matcher run.
     """
     out: dict = {
         "sessions": 1,
@@ -319,25 +317,6 @@ def aggregate_stats(collected: List["StageStats"]) -> dict:
     return totals
 
 
-@dataclass
-class SaturationHandle:
-    """The saturation stage's product: a working graph plus its frozen source.
-
-    ``egraph`` is the session's private, mutable graph (the pipeline
-    injects ldiq constants and latency-override terms into it);
-    ``goal_ids`` are the goal classes inside it.  ``snapshot`` is the
-    pristine saturated master: the graph this session's saturation froze
-    on a cache miss, or the one its working graph was restored from on a
-    hit.  It is the same handle the saturation LRU holds, so callers can
-    re-seed further sessions without re-saturating.
-    """
-
-    egraph: EGraph
-    goal_ids: List[int]
-    stats: SaturationStats
-    snapshot: EGraphSnapshot
-
-
 class _StageTimer:
     def __init__(self, stats: StageStats, stage: str) -> None:
         self.stats = stats
@@ -381,14 +360,15 @@ class CompilationSession:
 
     # -- stage 1: saturation -------------------------------------------------
 
-    def saturate(self) -> SaturationHandle:
+    def saturate(self) -> Tuple[EGraph, List[int]]:
         """Build (or fetch) the saturated E-graph.
 
-        Returns a :class:`SaturationHandle` whose ``snapshot`` field is
-        the pristine saturated master held by the cross-compilation LRU:
-        on a hit the working graph is restored from it without re-running
-        the matcher, on a miss the freshly saturated graph is frozen into
-        it.
+        Returns the session's private, mutable working graph (the
+        pipeline injects ldiq constants and latency-override terms into
+        it) and the goal classes inside it.  The pristine saturated
+        master lives in the cross-compilation LRU as a snapshot: on a hit
+        the working graph is restored from it without re-running the
+        matcher, on a miss the freshly saturated graph is frozen into it.
         """
         cfg = self.config
         goals = self.gma.goal_terms()
@@ -402,19 +382,17 @@ class CompilationSession:
                 snapshot, sat_stats = hit
                 eg = snapshot.restore()
                 self.stats.saturation = sat_stats
-                goal_ids = [eg.find(eg.add_term(t)) for t in goals]
-                return SaturationHandle(eg, goal_ids, sat_stats, snapshot)
+                return eg, [eg.find(eg.add_term(t)) for t in goals]
             self.stats.cache["saturation_misses"] += 1
             eg = EGraph()
             goal_ids = [eg.add_term(t) for t in goals]
             sat_stats = saturate(eg, self.axioms, self.registry, cfg.saturation)
             goal_ids = [eg.find(g) for g in goal_ids]
             self.stats.saturation = sat_stats
-            snapshot = eg.snapshot()
             _cache.global_saturation_cache().store_snapshot(
-                key, snapshot, sat_stats
+                key, eg.snapshot(), sat_stats
             )
-        return SaturationHandle(eg, goal_ids, sat_stats, snapshot)
+        return eg, goal_ids
 
     # -- stages 2-4: probe = encode + sat + extract ---------------------------
 

@@ -12,7 +12,6 @@ from repro.egraph.unionfind import UnionFind
 from repro.egraph.egraph import EGraph, EGraphSnapshot, ENode, InconsistentError
 from repro.egraph.analysis import (
     count_ways,
-    extract_best,
     min_depth,
     partition_signature,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "ENode",
     "InconsistentError",
     "count_ways",
-    "extract_best",
     "min_depth",
     "partition_signature",
 ]

@@ -5,10 +5,9 @@ quantity behind the paper's observation that "an E-graph of size O(n) can
 represent Θ(2^n) distinct ways of computing a term" and that AC matching
 finds "more than a hundred different ways of computing a+b+c+d+e"
 (section 5).  :func:`min_depth` gives the dataflow-critical-path lower
-bound used by tests as a sanity floor for schedules.  :func:`extract_best`
-picks the cheapest term of a class under an additive cost model — the
-classic (non-Denali) E-graph extraction, useful for rewriting-style use of
-the package and as a quick upper bound before the SAT search runs.
+bound used by tests as a sanity floor for schedules.  The classic
+(non-Denali) cheapest-term extraction lives in :mod:`repro.extraction`
+(:func:`~repro.extraction.greedy_select`).
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
-from repro.terms.ops import OperatorRegistry, default_registry
-from repro.terms.term import Term, const, inp, mk
 
 
 def count_ways(
@@ -166,65 +163,3 @@ def partition_signature(eg: EGraph) -> Tuple:
         sorted((label, len(index[root])) for root, label in labels.items())
     )
 
-
-def extract_best(
-    eg: EGraph,
-    cid: int,
-    op_cost: Callable[[str], Optional[float]],
-    registry: Optional[OperatorRegistry] = None,
-) -> Optional[Tuple[Term, float]]:
-    """The cheapest term of class ``cid`` under an additive cost model.
-
-    ``op_cost(op)`` gives the cost of one application (``None`` = the
-    operator may not be used); constants and inputs cost zero.  Costs are
-    additive over the extracted *tree*, so shared subterms are charged per
-    occurrence — this is the classic E-graph extraction, not Denali's
-    schedule-aware optimisation, and serves as its quick upper bound.
-
-    Returns ``(term, cost)`` or ``None`` when no usable derivation exists.
-    """
-    registry = registry if registry is not None else default_registry()
-    root = eg.find(cid)
-
-    # Bellman-Ford style relaxation over classes.
-    best_cost: Dict[int, float] = {}
-    best_node: Dict[int, ENode] = {}
-    changed = True
-    while changed:
-        changed = False
-        for node, klass in eg.all_nodes():
-            if node.op == "const" or node.op == "input":
-                cost = 0.0
-            else:
-                base = op_cost(node.op)
-                if base is None:
-                    continue
-                cost = float(base)
-                feasible = True
-                for arg in node.args:
-                    arg_cost = best_cost.get(eg.find(arg))
-                    if arg_cost is None:
-                        feasible = False
-                        break
-                    cost += arg_cost
-                if not feasible:
-                    continue
-            if cost < best_cost.get(klass, float("inf")):
-                best_cost[klass] = cost
-                best_node[klass] = node
-                changed = True
-
-    if root not in best_cost:
-        return None
-
-    def build(klass: int) -> Term:
-        node = best_node[eg.find(klass)]
-        if node.op == "const":
-            return const(node.value)
-        if node.op == "input":
-            sort = eg.class_sort(klass)
-            return inp(node.name, sort)
-        args = tuple(build(a) for a in node.args)
-        return mk(node.op, *args, registry=registry)
-
-    return build(root), best_cost[root]

@@ -2,11 +2,13 @@
 
 The SAT ladder optimises cycles; this package optimises *which terms*
 get computed once the cycle count is settled.  ``costs`` holds the
-bottom-up class lower bounds over the flat columns, ``pruner`` the
-adaptive dominance pruning, ``select`` the greedy/exact DAG selectors
-(which also solve the refinement's cycle-free floor), and ``refine`` the
+bottom-up class lower bounds over the flat columns, ``select`` the
+greedy/exact DAG selectors (``greedy_select`` is also the library's
+classic cheapest-term extractor; ``exact_select`` solves the
+refinement's cycle-free floor, unpruned), ``refine`` the
 session-integrated refinement that re-uses the incremental scheduling
-solver.
+solver, and ``pruner`` the adaptive dominance pruning that refinement
+alone applies.
 """
 
 from repro.extraction.costs import (
@@ -20,7 +22,7 @@ from repro.extraction.costs import (
     unit_cost,
 )
 from repro.extraction.pb import WeightedCounter
-from repro.extraction.pruner import PruneReport, adaptive_slack, prune_dominated
+from repro.extraction.pruner import adaptive_slack, prune_dominated
 from repro.extraction.refine import greedy_stats, refine_exact
 from repro.extraction.select import Selection, exact_select, greedy_select
 
@@ -34,7 +36,6 @@ __all__ = [
     "schedule_cost",
     "unit_cost",
     "WeightedCounter",
-    "PruneReport",
     "adaptive_slack",
     "prune_dominated",
     "greedy_stats",

@@ -1,7 +1,8 @@
 """Adaptive dominance pruning of the class DAG.
 
-Before the exact selector pays for pseudo-boolean optimization, the
-class DAG is thinned e-boost-style: within each class, an e-node whose
+Before the exact refinement (:mod:`repro.extraction.refine`) pays for
+its cost ladder on the scheduling formula, the candidate machine terms
+are thinned e-boost-style: within each class, an e-node whose
 *through-node* tree bound exceeds the class's own lower bound by more
 than ``slack`` is dominated — some sibling realizes the class at least
 ``slack + 1`` cheaper even if every shared subterm were paid repeatedly
@@ -23,51 +24,22 @@ optimality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.costs import CostFn, OperandsFn, enode_tree_bound
 
 
-@dataclass
-class PruneReport:
-    """What the pruner did, for the per-stage stats record."""
-
-    classes: int = 0
-    candidates: int = 0
-    kept: int = 0
-    pruned: int = 0
-    slack: int = 0
-    density: float = 0.0
-    survivors: Dict[int, List[ENode]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "classes": self.classes,
-            "candidates": self.candidates,
-            "kept": self.kept,
-            "pruned": self.pruned,
-            "slack": self.slack,
-            "density": round(self.density, 3),
-        }
-
-
-def adaptive_slack(
-    eg: EGraph, saturation=None, base: Optional[int] = None
-) -> int:
+def adaptive_slack(eg: EGraph, saturation=None) -> int:
     """Pick the dominance slack from the graph and saturation telemetry.
 
-    ``base`` forces a fixed slack (tests pin it).  Otherwise: start from
-    the e-node density (nodes per class) — below 2 alternatives per
-    class there is little to dominate, so keep a band of 2; up to 4 keep
-    1; denser graphs prune exactly.  When the per-axiom stats show the
-    corpus asserted instances explosively (more instances than classes),
-    the graph is saturated with near-variants and the band tightens one
-    more notch.
+    Start from the e-node density (nodes per class) — below 2
+    alternatives per class there is little to dominate, so keep a band
+    of 2; up to 4 keep 1; denser graphs prune exactly.  When the
+    per-axiom stats show the corpus asserted instances explosively (more
+    instances than classes), the graph is saturated with near-variants
+    and the band tightens one more notch.
     """
-    if base is not None:
-        return max(0, base)
     classes = max(1, eg.num_classes())
     density = eg.num_enodes() / classes
     slack = 2 if density < 2.0 else (1 if density < 4.0 else 0)
@@ -88,25 +60,22 @@ def prune_dominated(
     candidates: Dict[int, List[ENode]],
     slack: int = 1,
     operands: Optional[OperandsFn] = None,
-) -> PruneReport:
+) -> Dict[int, List[ENode]]:
     """Drop dominated candidates; always keep each class's cheapest.
 
     ``bounds`` are the ``tree``-mode class lower bounds; ``candidates``
-    maps class roots to their viable e-nodes.  Nodes whose through-node
-    bound is infinite (an argument class is unrealizable) are pruned
+    maps class roots to their viable e-nodes.  Returns the survivors,
+    per class root of ``candidates``.  Nodes whose through-node bound is
+    infinite (an argument class is unrealizable) are pruned
     unconditionally — no selection can ever use them.  ``operands`` is
     the bounds' operand function (see :func:`class_lower_bounds`).
     """
-    report = PruneReport(slack=slack)
-    report.classes = len(candidates)
-    report.density = eg.num_enodes() / max(1, eg.num_classes())
+    survivors: Dict[int, List[ENode]] = {}
     for root, nodes in candidates.items():
         class_bound = bounds.get(root)
-        report.candidates += len(nodes)
         if class_bound is None:
             # Unrealizable class: every candidate is dead weight.
-            report.pruned += len(nodes)
-            report.survivors[root] = []
+            survivors[root] = []
             continue
         kept: List[ENode] = []
         for node in nodes:
@@ -123,7 +92,5 @@ def prune_dominated(
                 if enode_tree_bound(eg, node, cost, bounds, operands)
                 is not None
             ]
-        report.kept += len(kept)
-        report.pruned += len(nodes) - len(kept)
-        report.survivors[root] = kept
-    return report
+        survivors[root] = kept
+    return survivors

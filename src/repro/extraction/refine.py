@@ -169,7 +169,6 @@ def refine_exact(
             encoder.goal_roots,
             cost,
             conflict_budget=CONFLICT_BUDGET,
-            prune=False,
             upper=greedy_cost,
             **restriction,
         )
@@ -223,15 +222,15 @@ def refine_exact(
     for t, (node, cid) in enumerate(terms):
         candidates.setdefault(eg.find(cid), []).append(node)
     slack = adaptive_slack(eg, saturation)
-    report = prune_dominated(
-        eg, cost, tree_bounds, candidates, slack=slack, operands=operands
-    )
+    survivors = {
+        root: set(nodes)
+        for root, nodes in prune_dominated(
+            eg, cost, tree_bounds, candidates, slack=slack, operands=operands
+        ).items()
+    }
     stats["slack"] = slack
     s_prune = master.new_var(("XPRUNE", cycles))
     pruned = 0
-    survivors = {
-        root: set(nodes) for root, nodes in report.survivors.items()
-    }
     for t, (node, cid) in enumerate(terms):
         if node not in survivors.get(eg.find(cid), ()):
             defs.append([-s_prune, -used_of[t]])

@@ -3,13 +3,15 @@
 These selectors answer the classic extraction question — pick one
 e-node per needed class so the roots are realized at minimum
 selected-term (DAG) cost — for an arbitrary E-graph, with no cycle
-budget.  They serve two callers: the tests and properties, on plain
-graphs, and the exact refinement (:mod:`repro.extraction.refine`), which
-solves the cycle-free relaxation of its scheduling problem here for a
-cost floor — the scheduling encoder's free classes as cost-0 leaves,
-only the machine terms that can complete within the cycle budget
-viable, ldiq's immediate dropped from the operands.  The SAT
-formulation:
+budget.  :func:`greedy_select` is the library's classic cheapest-term
+extractor; :func:`exact_select` serves the exact refinement
+(:mod:`repro.extraction.refine`), which solves the cycle-free relaxation
+of its scheduling problem here for a cost floor — the scheduling
+encoder's free classes as cost-0 leaves, only the machine terms that can
+complete within the cycle budget viable, ldiq's immediate dropped from
+the operands.  The search is unpruned: dominance pruning pays only on
+the scheduling formula (:mod:`repro.extraction.pruner`).  The SAT
+formulation of :func:`exact_select`:
 
 * one selection variable per candidate e-node, **at-most-one** per
   class, class-selected variables tying operands to selections;
@@ -17,9 +19,6 @@ formulation:
   to each strongly-connected component of the class graph (a selected
   node must be supported at a strictly smaller in-component depth, so a
   selection can never loop through a class);
-* the dominance pruner's candidates gated behind a relaxable selector
-  (UNSAT under pruning retries without it before anything is
-  concluded);
 * cost bounded by the :class:`~repro.extraction.pb.WeightedCounter`,
   budget-laddered downward from the greedy cost (or a caller's cheaper
   ``upper``) via assumptions on one
@@ -45,7 +44,9 @@ from repro.extraction.costs import (
     enode_tree_bound,
     unit_cost,
 )
-from repro.extraction.pruner import PruneReport, adaptive_slack, prune_dominated
+
+# Cost-ladder solves one exact selection may spend.
+MAX_SOLVES = 32
 
 
 @dataclass
@@ -58,20 +59,7 @@ class Selection:
     optimal: bool = False  # cost proved minimal (or infeasibility proved)
     mode: str = "greedy"
     solves: int = 0
-    relaxations: int = 0
-    pruned: int = 0
     conflicts: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "cost": self.cost,
-            "optimal": self.optimal,
-            "solves": self.solves,
-            "relaxations": self.relaxations,
-            "pruned": self.pruned,
-            "conflicts": self.conflicts,
-        }
 
 
 def _render(node: ENode, arg_strs: Sequence[str]) -> str:
@@ -345,21 +333,16 @@ def exact_select(
     roots: Sequence[int],
     cost: CostFn = unit_cost,
     conflict_budget: Optional[int] = 200_000,
-    slack: Optional[int] = None,
-    max_solves: int = 32,
-    prune: bool = True,
-    saturation=None,
     leaf_classes: Optional[Set[int]] = None,
     viable: Optional[Callable[[ENode], bool]] = None,
     operands: Optional[OperandsFn] = None,
     upper: Optional[int] = None,
 ) -> Selection:
-    """Minimum selected-term-cost extraction, SAT-exact over survivors.
+    """Minimum selected-term-cost extraction, SAT-exact.
 
-    Runs the greedy baseline for an upper bound, prunes dominated
-    candidates (relaxably), then budget-ladders the cost downward on an
-    incremental solver until the optimum is proved or the conflict
-    budget gives out.  The answer is never worse than greedy, and
+    Runs the greedy baseline for an upper bound, then budget-ladders the
+    cost downward on an incremental solver until the optimum is proved
+    or the conflict budget gives out.  The answer is never worse than greedy, and
     ``optimal=True`` certifies no cheaper selection exists.
 
     ``leaf_classes``, ``viable`` and ``operands`` restrict the problem
@@ -514,24 +497,6 @@ def exact_select(
                     supports.append(z)
                 emit(supports)
 
-    # Dominance pruning, gated so an UNSAT answer can relax it.
-    prune_report = PruneReport()
-    pruned_lits: List[int] = []
-    if prune:
-        the_slack = adaptive_slack(eg, saturation, base=slack)
-        prune_report = prune_dominated(
-            eg, cost, bounds, candidates, slack=the_slack, operands=operands
-        )
-        for cid in order:
-            survivors = set(prune_report.survivors.get(cid, ()))
-            for idx, node in enumerate(nodes_of[cid]):
-                if node not in survivors:
-                    pruned_lits.append(x_of[(cid, idx)])
-    best.pruned = len(pruned_lits)
-    s_prune = new_var()
-    for lit in pruned_lits:
-        emit([-s_prune, -lit])
-
     # The cost counter, over every candidate's weight.
     from repro.extraction.pb import WeightedCounter
 
@@ -546,23 +511,16 @@ def exact_select(
     solver.add_clauses(clauses)
 
     bound = best.cost - 1
-    prune_on = bool(pruned_lits)
     proved = False
-    while bound >= floor and best.solves < max_solves:
-        assumptions = [s_prune if prune_on else -s_prune]
+    while bound >= floor and best.solves < MAX_SOLVES:
         geq = counter.geq(bound + 1)
-        if geq is not None:
-            assumptions.append(-geq)
+        assumptions = [] if geq is None else [-geq]
         res = solver.solve(assumptions, conflict_budget=conflict_budget)
         best.solves += 1
         best.conflicts += res.stats.conflicts
         if res.satisfiable is None:
             break
         if not res.satisfiable:
-            if prune_on:
-                prune_on = False
-                best.relaxations += 1
-                continue
             proved = True
             break
         choice: Dict[int, ENode] = {}

@@ -71,9 +71,6 @@ class _State:
         # Loads annotated (\miss ...) — likely cache misses (section 6).
         self.slow_loads: set = set()
 
-    def copy_bindings(self) -> Dict[str, Term]:
-        return dict(self.vars)
-
     def memory(self) -> Term:
         self.memory_used = True
         if MEMORY_NAME not in self.vars:

@@ -49,7 +49,18 @@ _INLINE_RESULTS_KEPT = SETTLED_JOBS_KEPT
 
 
 class ServiceError(Exception):
-    """Transport or protocol failure talking to the service."""
+    """Transport or protocol failure talking to the service.
+
+    Attributes:
+        payload: the error reply's JSON body, or ``{}`` when there was
+            none (a transport failure).
+    """
+
+    def __init__(
+        self, message: str, payload: Optional[Dict[str, Any]] = None
+    ) -> None:
+        super().__init__(message)
+        self.payload = payload or {}
 
 
 class ServiceOverloadError(ServiceError):
@@ -224,7 +235,8 @@ class ServiceClient:
         if not 200 <= (status or 0) < 300:
             raise ServiceError(
                 "HTTP %s on %s: %s"
-                % (status, path, payload.get("error", ""))
+                % (status, path, payload.get("error", "")),
+                payload,
             )
         return payload
 
@@ -272,8 +284,9 @@ class ServiceClient:
         Returns the server's ``/result`` payload: ``{"state": "done",
         "from_store": ..., "result": {...}}``.  A job this thread's
         submit reply carried inline is answered from it, once, with no
-        request.  Raises ServiceError if the job failed or the wait
-        timed out.
+        request.  Raises ServiceError if the wait timed out, or if the
+        job failed or was cancelled: then the message names the job, its
+        state and its error, and ``payload`` holds the node's reply.
         """
         inline = self._inline_results().pop(job_id, None)
         if inline is not None:
@@ -287,15 +300,18 @@ class ServiceClient:
                 if deadline is not None:
                     hold = min(hold, max(0.0, deadline - time.monotonic()))
                 query = "?wait=%.3f" % hold
-            payload = self._job_request(job_id, path + query)
-            if payload.get("_http_status") != 202:
-                if payload.get("state") != "done":
-                    raise ServiceError(
-                        "job %s %s: %s"
-                        % (job_id, payload.get("state"), payload.get("error"))
-                    )
-                return payload
-            if not wait:
+            try:
+                payload = self._job_request(job_id, path + query)
+            except ServiceError as exc:
+                # A failed or cancelled job answers 500 with its state.
+                state = exc.payload.get("state")
+                if state is None:
+                    raise
+                raise ServiceError(
+                    "job %s %s: %s" % (job_id, state, exc.payload.get("error")),
+                    exc.payload,
+                ) from None
+            if not wait or payload.get("_http_status") != 202:
                 return payload
             if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError("timed out waiting for job %s" % job_id)

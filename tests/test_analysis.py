@@ -1,4 +1,5 @@
-"""Tests for E-graph analyses (ways-of-computing, dataflow depth)."""
+"""Tests for E-graph analyses (ways-of-computing, dataflow depth) and the
+classic cheapest-term extraction."""
 
 
 from repro import EGraph, const, default_registry, ev6, inp, mk
@@ -150,32 +151,39 @@ class TestMinDepth:
 
 
 class TestExtractBest:
-    def _spec_cost(self):
+    """The classic cheapest-term extraction, ``greedy_select``, under the
+    ev6 latency model: machine ops cost their latency, anything the
+    machine cannot compute is not viable."""
+
+    def _extract(self, eg, cid):
+        from repro.extraction import LEAF_OPS, greedy_select, latency_cost
+
         spec = ev6()
-        return lambda op: spec.latency(op) if spec.is_machine_op(op) else None
+        sel = greedy_select(
+            eg,
+            [cid],
+            latency_cost(spec),
+            viable=lambda n: n.op in LEAF_OPS or spec.is_machine_op(n.op),
+        )
+        return sel, sel.rendered.get(eg.find(cid))
 
     def test_extracts_single_node(self):
-        from repro.egraph.analysis import extract_best
-
         eg = EGraph()
         c = eg.add_term(mk("add64", inp("a"), inp("b")))
-        term, cost = extract_best(eg, c, self._spec_cost())
-        assert term is mk("add64", inp("a"), inp("b"))
-        assert cost == 1.0
+        sel, term = self._extract(eg, c)
+        assert term == "add64($a,$b)"
+        assert sel.cost == 1
 
     def test_prefers_cheaper_alternative(self):
-        from repro.egraph.analysis import extract_best
-
         eg = EGraph()
         mul = eg.add_term(mk("mul64", inp("a"), const(2)))  # latency 7
         shift = eg.add_term(mk("sll", inp("a"), const(1)))  # latency 1
         eg.merge(mul, shift)
-        term, cost = extract_best(eg, mul, self._spec_cost())
-        assert term.op == "sll"
-        assert cost == 1.0
+        sel, term = self._extract(eg, mul)
+        assert term.startswith("sll(")
+        assert sel.cost == 1
 
     def test_fig2_extracts_s4addq(self):
-        from repro.egraph.analysis import extract_best
         from repro.axioms import (alpha_axioms, constant_synthesis_axioms,
                                   math_axioms)
 
@@ -189,21 +197,19 @@ class TestExtractBest:
             math_axioms(reg) + constant_synthesis_axioms(reg) + alpha_axioms(reg),
             reg,
         )
-        term, cost = extract_best(eg, goal, self._spec_cost())
-        assert term.op == "s4addq"
-        assert cost == 1.0
+        sel, term = self._extract(eg, goal)
+        assert term.startswith("s4addq(")
+        assert sel.cost == 1
 
     def test_uncomputable_returns_none(self):
-        from repro.egraph.analysis import extract_best
-
         eg = EGraph()
         c = eg.add_term(mk("pow", inp("a"), inp("b")))
-        assert extract_best(eg, c, self._spec_cost()) is None
+        sel, term = self._extract(eg, c)
+        assert sel.cost is None and term is None
 
     def test_extracted_term_is_equivalent(self):
         """Extraction preserves semantics: the cheapest term evaluates to
         the same values as the original."""
-        from repro.egraph.analysis import extract_best
         from repro.axioms import (alpha_axioms, constant_synthesis_axioms,
                                   math_axioms)
         from repro.terms import evaluate
@@ -217,16 +223,31 @@ class TestExtractBest:
             math_axioms(reg) + constant_synthesis_axioms(reg) + alpha_axioms(reg),
             reg,
         )
-        term, _cost = extract_best(eg, goal, self._spec_cost())
+        sel, _term = self._extract(eg, goal)
+
+        def build(cid):
+            node = sel.choice[eg.find(cid)]
+            if node.op == "const":
+                return const(node.value)
+            if node.op == "input":
+                return inp(node.name, eg.class_sort(cid))
+            return mk(node.op, *map(build, node.args), registry=reg)
+
+        term = build(goal)
         for a, b in [(0, 0), (3, 5), (2**63, 1), ((1 << 64) - 1, 7)]:
             env = {"a": a, "b": b}
             assert evaluate(term, env) == evaluate(original, env)
 
     def test_cost_counts_tree_occurrences(self):
-        from repro.egraph.analysis import extract_best
+        """The choice minimises the tree bound, which charges a shared
+        subterm per occurrence; the reported cost is the chosen DAG's,
+        which pays it once."""
+        from repro.extraction import class_lower_bounds, latency_cost
 
         eg = EGraph()
         shared = mk("add64", inp("a"), inp("b"))
         c = eg.add_term(mk("and64", shared, shared))
-        _term, cost = extract_best(eg, c, self._spec_cost())
-        assert cost == 3.0  # and64 + two charged occurrences of the add
+        tree = class_lower_bounds(eg, latency_cost(ev6()), "tree")
+        assert tree[eg.find(c)] == 3  # and64 + two charged adds
+        sel, _term = self._extract(eg, c)
+        assert sel.cost == 2

@@ -243,33 +243,33 @@ class TestPruner:
             cid: list(eg.enodes(cid))
             for cid in bounds
         }
-        report = prune_dominated(eg, unit_cost, bounds, candidates, slack=0)
+        survivors = prune_dominated(eg, unit_cost, bounds, candidates, slack=0)
+        assert survivors.keys() == candidates.keys()
         for cid, nodes in candidates.items():
             if not nodes:
                 continue
-            kept = report.survivors[cid]
+            kept = survivors[cid]
             assert kept, "pruning stranded class %d" % cid
+            assert set(kept) <= set(nodes)
             assert min(
                 enode_tree_bound(eg, n, unit_cost, bounds) for n in kept
             ) == bounds[cid]
-        assert report.kept + report.pruned == report.candidates
 
     def test_slack_zero_prunes_the_diamond_root_chain(self):
         eg, root = _diamond_vs_chain()
         bounds = class_lower_bounds(eg, unit_cost, "tree")
         candidates = {root: list(eg.enodes(root))}
-        report = prune_dominated(eg, unit_cost, bounds, candidates, slack=0)
-        ops = {n.op for n in report.survivors[root]}
+        survivors = prune_dominated(eg, unit_cost, bounds, candidates, slack=0)
+        ops = {n.op for n in survivors[root]}
         assert ops == {"ornot"}  # tree bound 6 == class bound; mul64 is 7
-        report2 = prune_dominated(eg, unit_cost, bounds, candidates, slack=1)
-        assert {n.op for n in report2.survivors[root]} == {"ornot", "mul64"}
+        wider = prune_dominated(eg, unit_cost, bounds, candidates, slack=1)
+        assert {n.op for n in wider[root]} == {"ornot", "mul64"}
 
     def test_unrealizable_class_is_emptied(self):
         eg, root = _diamond_vs_chain()
         candidates = {root: list(eg.enodes(root))}
-        report = prune_dominated(eg, unit_cost, {}, candidates, slack=2)
-        assert report.survivors[root] == []
-        assert report.pruned == len(candidates[root])
+        survivors = prune_dominated(eg, unit_cost, {}, candidates, slack=2)
+        assert survivors == {root: []}
 
     def test_wide_constant_ldiq_survives_refine_pruning(self, monkeypatch):
         # ldiq's constant is an immediate, not an operand: under the
@@ -283,16 +283,16 @@ class TestPruner:
         seen = []
 
         def recording_prune(eg, cost, bounds, candidates, **kwargs):
-            report = prune_dominated(eg, cost, bounds, candidates, **kwargs)
+            survivors = prune_dominated(eg, cost, bounds, candidates, **kwargs)
             for root, nodes in candidates.items():
                 for node in nodes:
                     if node.op == "ldiq":
                         seen.append((
                             eg.const_of(root),
                             bounds.get(root),
-                            node in report.survivors[root],
+                            node in survivors[root],
                         ))
-            return report
+            return survivors
 
         monkeypatch.setattr(refine, "prune_dominated", recording_prune)
         path = os.path.join(

@@ -12,7 +12,8 @@ floor honest:
   and equal cost, with the floor never above the refined cost;
 * pins of the effect: byteswap4 on ev6 is proved by the floor after one
   scheduling solve, while checksum's tail, where the relaxation stops
-  one short of the optimum, still proves by an UNSAT answer;
+  one short of the optimum, still proves by an UNSAT answer after its
+  dominance pruning is relaxed once;
 * the encoder's earliest-completion analysis, which decides the
   relaxation's candidates, never exceeds a real schedule's timing.
 """
@@ -144,6 +145,11 @@ def test_checksum_tail_still_proves_by_unsat():
     assert tail["floor_by"] == "selection"
     assert tail["floor"] < tail["exact_cost"]
     assert tail["optimal_by"] == "unsat"
+    # The refinement's dominance pruning is the one pruning path: here
+    # it gates candidates off, and the UNSAT answer under it is relaxed
+    # once before the optimum is claimed.
+    assert tail["pruned"] > 0
+    assert tail["relaxations"] == 1
     loop = records["checksum.loop0"]
     # The loop body's greedy schedule already sits on the floor: no
     # scheduling solve at all.

@@ -12,6 +12,7 @@ shipping) runs the smallest workload once.
 
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -517,14 +518,32 @@ class TestLongPoll:
             (job_id,) = client.submit(
                 [compile_spec(source="(\\procdecl broken")]
             )
-            with pytest.raises(ServiceError, match="HTTP 500"):
+            with pytest.raises(
+                ServiceError, match="job %s failed: " % re.escape(job_id)
+            ) as raised:
                 client.result(job_id, timeout=60.0)
+            assert raised.value.payload["state"] == "failed"
             assert client._inline_results() == {}
         finally:
             client.close()
         local_id = node.split_job_id(job_id)[0]
         assert node.engine.status(local_id)["state"] == "failed"
         assert done_reply(node.engine, local_id) is None
+
+    def test_cancelled_job_raises_with_its_state(self, node):
+        blocker = self.submit(node, sleep_spec(5, seconds=1.0))
+        victim = self.submit(node, sleep_spec(6))
+        assert node.engine.cancel(node.split_job_id(victim)[0])
+        client = FabricClient(node.url)
+        try:
+            with pytest.raises(
+                ServiceError, match="job %s cancelled: " % re.escape(victim)
+            ) as raised:
+                client.result(victim, timeout=10.0)
+            assert raised.value.payload["state"] == "cancelled"
+            client.result(blocker, timeout=10.0)
+        finally:
+            client.close()
 
     def test_inline_results_are_bounded_and_read_once(
         self, node, monkeypatch

@@ -476,6 +476,8 @@ class TestStatsPlumbing:
 
 
 class TestSaturationHandle:
+    """``CompilationSession.saturate`` and the saturation LRU behind it."""
+
     @pytest.fixture(autouse=True)
     def fresh_global_cache(self):
         from repro.core.cache import global_saturation_cache
@@ -498,27 +500,24 @@ class TestSaturationHandle:
     def test_miss_freezes_snapshot_and_hit_restores_it(self):
         from repro.core.cache import global_saturation_cache
 
-        first = self._session().saturate()
-        assert first.snapshot is not None
-        assert global_saturation_cache().stats.misses == 1
-        second = self._session().saturate()
-        assert global_saturation_cache().stats.hits == 1
-        assert second.snapshot is first.snapshot  # the shared LRU entry
-        assert second.egraph is not first.egraph
-        assert partition_signature(second.egraph) == partition_signature(
-            first.egraph
-        )
+        cache = global_saturation_cache()
+        first, _goals = self._session().saturate()
+        assert cache.stats.misses == 1
+        assert len(cache) == 1  # the frozen snapshot
+        second, _goals = self._session().saturate()
+        assert cache.stats.hits == 1
+        assert len(cache) == 1  # restored from the shared LRU entry
+        assert second is not first
+        assert partition_signature(second) == partition_signature(first)
 
     def test_cleared_cache_saturates_afresh(self):
         from repro.core.cache import global_saturation_cache
 
-        first = self._session().saturate()
+        first, _goals = self._session().saturate()
         global_saturation_cache().clear()
         session = self._session()
-        second = session.saturate()
+        second, _goals = session.saturate()
         assert session.stats.cache["saturation_misses"] == 1
-        assert second.snapshot is not None
-        assert second.snapshot is not first.snapshot
-        assert partition_signature(second.egraph) == partition_signature(
-            first.egraph
-        )
+        assert len(global_saturation_cache()) == 1  # frozen afresh
+        assert second is not first
+        assert partition_signature(second) == partition_signature(first)

@@ -1,9 +1,10 @@
 """Every tuning knob, pinned.
 
-The configuration surface is the field names of the compile configs and
-the compile verb's options.  A new knob has to edit this file, so it is
-a visible decision in review rather than a quiet addition; a setting
-nothing varies belongs in a named module constant instead.
+The configuration surface is the field names of the compile configs,
+the compile verb's options and the extraction API's keyword parameters.
+A new knob has to edit this file, so it is a visible decision in review
+rather than a quiet addition; a setting nothing varies belongs in a
+named module constant instead.
 """
 
 import inspect
@@ -13,6 +14,12 @@ import repro.sat.solver as solver_module
 from repro.cli import build_parser
 from repro.core.pipeline import DenaliConfig
 from repro.encode import EncodingOptions
+from repro.extraction import (
+    exact_select,
+    greedy_select,
+    prune_dominated,
+    refine_exact,
+)
 from repro.matching import SaturationConfig
 from repro.sat import CdclSolver
 from repro.sat.solver import _SolverCore
@@ -22,6 +29,15 @@ from repro.stochastic import StochasticConfig
 
 def names(cls):
     return tuple(f.name for f in fields(cls))
+
+
+def keywords(function):
+    """The parameters of ``function`` that carry a default."""
+    return tuple(
+        name
+        for name, param in inspect.signature(function).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    )
 
 
 def test_denali_config_fields():
@@ -136,3 +152,24 @@ def test_solver_core_tuning_surface():
     for name in ("_reduce_db", "_compact_arena", "_decay_clause_activity"):
         assert not hasattr(_SolverCore, name), name
     assert not hasattr(solver_module, "_luby")
+
+
+def test_extraction_keyword_parameters():
+    # Dominance pruning lives only in the refinement; the exact selector
+    # takes no pruning or slack knob.
+    assert keywords(exact_select) == (
+        "cost",
+        "conflict_budget",
+        "leaf_classes",
+        "viable",
+        "operands",
+        "upper",
+    )
+    assert keywords(greedy_select) == (
+        "cost",
+        "leaf_classes",
+        "viable",
+        "operands",
+    )
+    assert keywords(refine_exact) == ("saturation", "stop_check")
+    assert keywords(prune_dominated) == ("slack", "operands")
