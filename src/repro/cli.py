@@ -113,11 +113,10 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["sat", "stochastic", "race"],
+        choices=["sat", "stochastic"],
         default=defaults.backend,
-        help="compilation engine: the exact SAT ladder, the stochastic "
-        "MCMC sampler, or a race of both (first verified winner cancels "
-        "the loser)",
+        help="compilation engine: the exact SAT ladder or the stochastic "
+        "MCMC sampler",
     )
     parser.add_argument(
         "--extraction",
@@ -592,11 +591,19 @@ def _print_gmas(args, spec: JobSpec, report: CompileReport) -> None:
         if not args.quiet:
             print("; === %s: %s" % (label, result.gma.pretty()))
         if unit["assembly"] is None:
-            print(
-                "; %s: no schedule within %d cycles (floor proved: %d)"
-                % (label, spec.max_cycles, unit["floor"]),
-                file=sys.stderr,
-            )
+            sampler = result.stats.stochastic
+            if sampler is not None and sampler.get("unsupported"):
+                reason = "the stochastic backend cannot take it (%s)" % (
+                    sampler["unsupported"]
+                )
+            elif sampler is not None:
+                reason = "the stochastic sampler found no verified schedule"
+            else:
+                reason = "no schedule within %d cycles (floor proved: %d)" % (
+                    spec.max_cycles,
+                    unit["floor"],
+                )
+            print("; %s: %s" % (label, reason), file=sys.stderr)
             continue
         if args.dimacs:
             _dump_dimacs(args.dimacs, label, report.denali, result)

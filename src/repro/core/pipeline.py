@@ -26,9 +26,9 @@ from repro.stochastic.search import StochasticConfig
 from repro.terms.ops import OperatorRegistry, default_registry
 from repro.terms.term import Term
 
-# Engines compile_gma can dispatch to: the exact SAT ladder, the MCMC
-# sampler, or both racing (first verified winner cancels the loser).
-BACKENDS = ("sat", "stochastic", "race")
+# Engines compile_gma can dispatch to: the exact SAT ladder or the MCMC
+# sampler.  Each compile runs exactly one of them.
+BACKENDS = ("sat", "stochastic")
 
 # How the winning cycle count's schedule is chosen: "greedy" keeps the
 # ladder's canonical lex-least decode; "exact" re-enters the incremental
@@ -53,8 +53,8 @@ class DenaliConfig:
     # Latency assumed for loads annotated as likely misses (section 6's
     # profile-derived annotations; the EV6's L2 hit is ~12 cycles).
     miss_latency: int = 12
-    # Which engine answers the GMA: "sat" (the exact ladder), "stochastic"
-    # (the MCMC sampler alone), or "race" (both, first verified wins).
+    # Which engine answers the GMA: "sat" (the exact ladder) or
+    # "stochastic" (the MCMC sampler).
     backend: str = "sat"
     # Session-level seed: mixed into the stochastic chains and the
     # verifier's trial generator, so a CLI line reproduces a run exactly.
@@ -80,9 +80,8 @@ class CompilationResult:
     elapsed_seconds: float = 0.0
     # Per-stage telemetry of the session that produced this result.
     stats: Optional[StageStats] = None
-    # Which engine ran, and (for races) which one produced the schedule.
+    # Which engine ran (see BACKENDS).
     backend: str = "sat"
-    winner: Optional[str] = None
 
     @property
     def assembly(self) -> str:
@@ -246,8 +245,7 @@ class Denali:
         per-stage statistics are attached to the result as ``result.stats``.
 
         ``config.backend`` selects the engine: the exact SAT ladder
-        (default), the stochastic MCMC sampler, or a race of both where
-        the first verified winner cancels the loser.
+        (default) or the stochastic MCMC sampler.
         """
         cfg = self.config
         if cfg.extraction not in EXTRACTION_MODES:
@@ -261,21 +259,14 @@ class Denali:
             return self._compile_stochastic(
                 gma, input_registers, bind_outputs, label
             )
-        if cfg.backend == "race":
-            return self._compile_race(
-                gma, input_registers, max_cycles, bind_outputs, label
-            )
         if cfg.backend != "sat":
             raise ValueError(
                 "unknown backend %r (expected one of %s)"
                 % (cfg.backend, ", ".join(BACKENDS))
             )
-        start = time.perf_counter()
-        result, session = self._compile_sat(
-            gma, input_registers, max_cycles, bind_outputs, label, start
+        return self._compile_sat(
+            gma, input_registers, max_cycles, bind_outputs, label
         )
-        session.finish(result.elapsed_seconds)
-        return result
 
     # -- the SAT path (the paper's pipeline) ---------------------------------
 
@@ -286,18 +277,11 @@ class Denali:
         max_cycles: Optional[int],
         bind_outputs: bool,
         label: str,
-        start: float,
-        external_stop=None,
-    ) -> Tuple[CompilationResult, CompilationSession]:
-        """Saturate, probe the budget ladder, extract and verify.
-
-        Returns the result *and* its session without sealing the stats —
-        the caller decides when the record is final (race mode appends
-        the stochastic contestant's telemetry first).
-        """
+    ) -> CompilationResult:
+        """Saturate, probe the budget ladder, extract and verify."""
         cfg = self.config
+        start = time.perf_counter()
         session = CompilationSession(self, gma, label=label)
-        session.external_stop = external_stop
 
         # Phase 1: matching (once per GMA — section 3), restored from a
         # cached snapshot when the identical goals/axioms/config were
@@ -347,7 +331,8 @@ class Denali:
             result.verified = session.verify(schedule)
 
         result.elapsed_seconds = time.perf_counter() - start
-        return result, session
+        session.finish(result.elapsed_seconds)
+        return result
 
     def reference_encoding(
         self, result: CompilationResult, cycles: int
@@ -383,21 +368,6 @@ class Denali:
 
     # -- the stochastic path --------------------------------------------------
 
-    def _make_stochastic_probe(
-        self, gma: GMA, input_registers: Dict[str, str]
-    ):
-        from repro.stochastic.backend import StochasticProbe
-
-        return StochasticProbe(
-            gma,
-            self.spec,
-            self.registry,
-            self.axioms.definitions(),
-            input_registers,
-            self.config.stochastic,
-            session_seed=self.config.seed,
-        )
-
     def _compile_stochastic(
         self,
         gma: GMA,
@@ -406,6 +376,8 @@ class Denali:
         label: str,
     ) -> CompilationResult:
         """MCMC only: no E-graph, no CNF — sample, realize, verify."""
+        from repro.stochastic.backend import StochasticProbe
+
         cfg = self.config
         start = time.perf_counter()
         session = CompilationSession(self, gma, label=label)
@@ -413,7 +385,15 @@ class Denali:
         stats.strategy = "stochastic"
         stats.backend = "stochastic"
 
-        probe = self._make_stochastic_probe(gma, input_registers)
+        probe = StochasticProbe(
+            gma,
+            self.spec,
+            self.registry,
+            self.axioms.definitions(),
+            input_registers,
+            cfg.stochastic,
+            session_seed=cfg.seed,
+        )
         outcome = probe()
         record = probe.probe_record()
         stats.probes = [record]
@@ -443,161 +423,9 @@ class Denali:
             goal_classes=[],
             stats=stats,
             backend="stochastic",
-            winner="stochastic" if schedule is not None else None,
         )
-        stats.winner = result.winner
         if schedule is not None and cfg.verify:
             result.verified = session.verify(schedule)
-        result.elapsed_seconds = time.perf_counter() - start
-        session.finish(result.elapsed_seconds)
-        return result
-
-    # -- the race -------------------------------------------------------------
-
-    def _compile_race(
-        self,
-        gma: GMA,
-        input_registers: Dict[str, str],
-        max_cycles: Optional[int],
-        bind_outputs: bool,
-        label: str,
-    ) -> CompilationResult:
-        """Race the SAT ladder against the sampler; first verified wins.
-
-        The losing side is cancelled cooperatively through the shared
-        token (the SAT path via the session's ``external_stop``, the
-        sampler via its per-slice ``stop_check``), and the final result
-        keeps the best verified schedule of the entries that did finish.
-        """
-        import threading
-
-        from repro.core.probes import BackendRace, RaceEntry
-        from repro.stochastic.backend import make_throttle, supports_gma
-
-        cfg = self.config
-        start = time.perf_counter()
-
-        reason = supports_gma(gma)
-        if reason is not None:
-            # Out of the sampler's scope: the SAT path runs unopposed, but
-            # the stats still say why the race degenerated.
-            result, session = self._compile_sat(
-                gma, input_registers, max_cycles, bind_outputs, label, start
-            )
-            result.backend = "race"
-            result.winner = "sat" if result.schedule is not None else None
-            session.stats.backend = "race"
-            session.stats.winner = result.winner
-            session.stats.stochastic = {"unsupported": reason}
-            session.finish(result.elapsed_seconds)
-            return result
-
-        sat_done = threading.Event()
-        sat_box: Dict[str, object] = {}
-
-        def sat_contestant(token) -> RaceEntry:
-            t0 = time.perf_counter()
-            try:
-                result, session = self._compile_sat(
-                    gma,
-                    input_registers,
-                    max_cycles,
-                    bind_outputs,
-                    label,
-                    start,
-                    external_stop=token,
-                )
-                sat_box["result"], sat_box["session"] = result, session
-                entry = RaceEntry(
-                    name="sat",
-                    verified=bool(result.verified)
-                    and result.schedule is not None,
-                    cycles=result.cycles,
-                    payload=result,
-                    time_seconds=time.perf_counter() - t0,
-                    cancelled=token() and result.schedule is None,
-                )
-                if entry.verified:
-                    # Cancel before announcing completion: the sampler
-                    # wakes on ``sat_done``, and must find the token
-                    # already set so it never starts an expensive seed
-                    # verification for a race that is already lost.
-                    token.cancel()
-                return entry
-            finally:
-                sat_done.set()
-
-        probe = self._make_stochastic_probe(gma, input_registers)
-
-        def stochastic_contestant(token) -> RaceEntry:
-            t0 = time.perf_counter()
-            throttle = make_throttle(sat_done, token)
-            outcome = probe(token, throttle)
-            return RaceEntry(
-                name="stochastic",
-                verified=outcome.verified and outcome.schedule is not None,
-                cycles=outcome.cycles,
-                payload=outcome,
-                time_seconds=time.perf_counter() - t0,
-                cancelled=any(c.cancelled for c in outcome.chains),
-            )
-
-        race_winner, entries = BackendRace().run(
-            [
-                ("sat", sat_contestant),
-                ("stochastic", stochastic_contestant),
-            ]
-        )
-
-        result: CompilationResult = sat_box["result"]
-        session: CompilationSession = sat_box["session"]
-        outcome = probe.outcome
-        stats = session.stats
-        stats.backend = "race"
-        result.backend = "race"
-        if outcome is not None:
-            stats.stochastic = outcome.stats_dict()
-            stats.probes = stats.probes + [probe.probe_record()]
-
-        # Keep the best verified schedule among the finished entries; ties
-        # go to the race winner (it reported first), then to the SAT side
-        # (whose result may carry an optimality certificate).
-        def rank(item):
-            name, entry = item
-            return (
-                entry.cycles,
-                0 if name == race_winner else (1 if name == "sat" else 2),
-            )
-
-        verified_entries = [
-            (name, e)
-            for name, e in entries.items()
-            if e.verified and e.cycles is not None
-        ]
-        chosen = min(verified_entries, key=rank) if verified_entries else None
-
-        if chosen is not None and chosen[0] == "stochastic":
-            schedule = outcome.schedule
-            if schedule is not None and bind_outputs:
-                from repro.core import moves
-
-                schedule = moves.bind_outputs(schedule, gma, self.spec)
-            result.schedule = schedule
-            result.cycles = outcome.cycles
-            result.optimal = False
-            result.verified = (
-                session.verify(schedule) if cfg.verify else None
-            )
-            result.winner = "stochastic"
-        elif chosen is not None:
-            result.winner = "sat"
-        else:
-            result.winner = None
-
-        stats.winner = result.winner
-        stats.best_cycles = result.cycles
-        stats.optimal = result.optimal
-        stats.optimal_by = result.search.optimal_by if result.optimal else None
         result.elapsed_seconds = time.perf_counter() - start
         session.finish(result.elapsed_seconds)
         return result

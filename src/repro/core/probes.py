@@ -26,7 +26,6 @@ single probe.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -111,29 +110,6 @@ class SearchOutcome:
         if not self.optimal:
             return None
         return "floor" if self.best_cycles == self.cycle_floor else "unsat"
-
-
-class CancelToken:
-    """Cooperative cancellation handle shared by :class:`BackendRace`
-    contestants.
-
-    A contestant polls :meth:`is_set` (the SAT side through its solver's
-    ``stop_check`` hook) and abandons its run with an unknown answer once
-    another contestant has reported a verified schedule.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        self._event.set()
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
-
-    __call__ = is_set
 
 
 # probe(k) -> (satisfiable, payload, stats).
@@ -245,69 +221,6 @@ class BinaryScheduler(_SequentialScheduler):
             else:  # UNSAT, or unknown (searched past, never a floor)
                 low = mid + 1
         return outcome
-
-
-@dataclass
-class RaceEntry:
-    """One contestant's report to :class:`BackendRace`."""
-
-    name: str
-    verified: bool
-    cycles: Optional[int]
-    payload: object = None
-    time_seconds: float = 0.0
-    cancelled: bool = False
-
-
-class BackendRace:
-    """Race heterogeneous backends; the first verified winner cancels the rest.
-
-    Each contestant is a callable ``fn(token) -> RaceEntry`` that polls the
-    shared :class:`CancelToken` and returns what it found.  The moment a
-    contestant reports a *verified* schedule the token is set, so the
-    losers abandon their runs cooperatively; contestants that merely
-    finish (exhausted, UNSAT, cancelled) never cancel anyone.
-
-    The winner is the first contestant to report a verified result (wall
-    clock); if several verify before noticing the token, the earlier
-    reporter keeps the win — by construction any later verified result
-    was produced under a cancelled race and may be partial.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-
-    def run(
-        self,
-        contestants: List[Tuple[str, Callable[[CancelToken], RaceEntry]]],
-    ) -> Tuple[Optional[str], Dict[str, RaceEntry]]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if not contestants:
-            return None, {}
-        token = CancelToken()
-        lock = threading.Lock()
-        state: Dict[str, Optional[str]] = {"winner": None}
-
-        def worker(name: str, fn) -> Tuple[str, RaceEntry]:
-            entry = fn(token)
-            if entry.verified:
-                with lock:
-                    if state["winner"] is None:
-                        state["winner"] = name
-                        token.cancel()
-            return name, entry
-
-        entries: Dict[str, RaceEntry] = {}
-        workers = self.max_workers or len(contestants)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(worker, name, fn) for name, fn in contestants
-            ]
-            for future in futures:
-                name, entry = future.result()
-                entries[name] = entry
-        return state["winner"], entries
 
 
 _SCHEDULERS = {

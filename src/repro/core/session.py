@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import cache as _cache
 from repro.core.probes import Probe, SearchOutcome, get_scheduler
@@ -42,12 +42,10 @@ class StageStats:
 
     label: str = ""
     strategy: str = ""
-    # Which engine compiled this GMA ("sat" | "stochastic" | "race") and,
-    # for races, which contestant's schedule was kept.
+    # Which engine compiled this GMA ("sat" | "stochastic").
     backend: str = "sat"
-    winner: Optional[str] = None
     # The stochastic campaign's per-chain telemetry (StochasticOutcome
-    # .stats_dict()), present for the stochastic and race backends.
+    # .stats_dict()), present for the stochastic backend.
     stochastic: Optional[dict] = None
     timings: Dict[str, float] = field(default_factory=dict)
     probes: List[Probe] = field(default_factory=list)
@@ -108,7 +106,6 @@ class StageStats:
             "label": self.label,
             "strategy": self.strategy,
             "backend": self.backend,
-            "winner": self.winner,
             "stochastic": self.stochastic,
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
             "probes": [p.to_dict() for p in self.probes],
@@ -252,10 +249,7 @@ def _session_totals(stats: "StageStats") -> dict:
     if stats.optimal_by is not None:
         out["optimal_by"] = {stats.optimal_by: 1}
     if stats.best_cycles is not None:
-        winner = stats.winner or (
-            "stochastic" if stats.backend == "stochastic" else "sat"
-        )
-        out["backend_wins"] = {winner: 1}
+        out["backend_wins"] = {stats.backend: 1}
     sto = stats.stochastic
     if sto is not None:
         out["stochastic"] = merge_totals(
@@ -348,9 +342,6 @@ class CompilationSession:
         self.config = denali.config
         self.gma = gma
         self.stats = StageStats(label=label, strategy=self.config.strategy.value)
-        # The stop_check of every solve — how a losing race contestant is
-        # cancelled from outside the session.
-        self.external_stop: Optional[Callable[[], bool]] = None
         # The encoder and the persistent solver shared by every probe of
         # this session (both created in make_probe).
         self._encoder: Optional[IncrementalEncoder] = None
@@ -456,7 +447,7 @@ class CompilationSession:
             self.stats.add_time("encode", p.encode_seconds)
             self.stats.add_time("feed", t2 - t1)
             p.vars, p.clauses = size["vars"], size["clauses"]
-            res = solver.solve_budget(k, stop_check=self.external_stop)
+            res = solver.solve_budget(k)
             p.satisfiable = res.satisfiable
             p.conflicts = res.stats.conflicts
             p.propagations = res.stats.propagations
@@ -556,7 +547,6 @@ class CompilationSession:
                 input_registers,
                 live_budgets=sorted(self._fed_budgets),
                 saturation=self.stats.saturation,
-                stop_check=self.external_stop,
             )
         self.stats.extraction = record
         return best

@@ -46,7 +46,7 @@ schedule found so far.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.emit import Schedule, extract_schedule
 from repro.egraph.egraph import EGraph
@@ -84,7 +84,6 @@ def refine_exact(
     input_registers: Optional[Dict[str, str]],
     live_budgets,
     saturation=None,
-    stop_check: Optional[Callable[[], bool]] = None,
 ) -> "tuple[Schedule, dict]":
     """Minimise selected-term cost among the K-cycle schedules.
 
@@ -254,19 +253,13 @@ def refine_exact(
     prune_on = pruned > 0
     proved_by: Optional[str] = None
     while bound >= floor and stats["solves"] < MAX_SOLVES:
-        if stop_check is not None and stop_check():
-            break
         assumptions = [s_goal]
         assumptions.extend(negatives)
         assumptions.append(s_prune if prune_on else -s_prune)
         geq = counter.geq(bound + 1)
         if geq is not None:
             assumptions.append(-geq)
-        res = solver.solve(
-            assumptions,
-            conflict_budget=CONFLICT_BUDGET,
-            stop_check=stop_check,
-        )
+        res = solver.solve(assumptions, conflict_budget=CONFLICT_BUDGET)
         stats["solves"] += 1
         if res.satisfiable is None:
             break

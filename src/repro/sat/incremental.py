@@ -163,14 +163,13 @@ class IncrementalSolver:
         self,
         assumptions: Sequence[int] = (),
         conflict_budget: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
     ) -> SatResult:
         """One canonical run under ``assumptions``, retaining everything learned.
 
         A satisfiable answer carries the unique lex-least model of the
-        formula under the assumptions; an exhausted conflict budget,
-        deadline or ``stop_check`` ends the run with
+        formula under the assumptions; an exhausted conflict budget or
+        ``stop_check`` ends the run with
         ``satisfiable=None``.  ``result.stats.learned_kept`` reports how
         many learned clauses from earlier runs were live when this run
         began — the ladder's clause-reuse signal.
@@ -179,7 +178,6 @@ class IncrementalSolver:
             return self._core.run(
                 assumptions,
                 conflict_budget=conflict_budget,
-                deadline_seconds=deadline_seconds,
                 stop_check=stop_check,
             )
 
@@ -188,7 +186,6 @@ class IncrementalSolver:
         cycles: int,
         extra_assumptions: Sequence[int] = (),
         conflict_budget: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
     ) -> SatResult:
         """Probe one registered budget.
@@ -210,6 +207,5 @@ class IncrementalSolver:
             return self.solve(
                 assumptions,
                 conflict_budget=conflict_budget,
-                deadline_seconds=deadline_seconds,
                 stop_check=stop_check,
             )

@@ -85,8 +85,8 @@ class Stats:
 class SatResult:
     """Outcome of a solve call.
 
-    ``satisfiable`` is ``None`` when the run's conflict budget, deadline
-    or stop check ended it before it reached an answer.
+    ``satisfiable`` is ``None`` when the run's conflict budget or stop
+    check ended it before it reached an answer.
     """
 
     satisfiable: Optional[bool]
@@ -184,14 +184,11 @@ class _SolverCore:
         self,
         assumptions: Sequence[int] = (),
         conflict_budget: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
     ) -> SatResult:
         """Decide satisfiability under the given assumption literals.
 
-        Budgets and deadlines apply to this run only.  Deadlines are
-        measured on the monotonic clock, so wall-clock jumps (NTP steps,
-        suspend/resume) can neither fire nor starve them.
+        The conflict budget and ``stop_check`` apply to this run only.
 
         The run decides variables in index order, always trying false
         first.  A CDCL run under that policy returns the
@@ -210,7 +207,7 @@ class _SolverCore:
         self._assumptions_done = []
         self._rover = 1
         try:
-            result = self._run(conflict_budget, deadline_seconds, stop_check, start)
+            result = self._run(conflict_budget, stop_check)
         finally:
             self._backtrack(0)
             self._assumptions = []
@@ -218,25 +215,10 @@ class _SolverCore:
             stats.time_seconds = time.monotonic() - start
         return result
 
-    def _should_stop(
-        self,
-        start: float,
-        deadline_seconds: Optional[float],
-        stop_check: Optional[Callable[[], bool]],
-    ) -> bool:
-        if stop_check is not None and stop_check():
-            return True
-        return (
-            deadline_seconds is not None
-            and time.monotonic() - start >= deadline_seconds
-        )
-
     def _run(
         self,
         conflict_budget: Optional[int],
-        deadline_seconds: Optional[float],
         stop_check: Optional[Callable[[], bool]],
-        start: float,
     ) -> SatResult:
         stats = self._stats
         if self._root_unsat:
@@ -268,8 +250,9 @@ class _SolverCore:
                 ):
                     return SatResult(None, None, stats)
                 if (
-                    stats.conflicts % self._STOP_CHECK_INTERVAL == 0
-                    and self._should_stop(start, deadline_seconds, stop_check)
+                    stop_check is not None
+                    and stats.conflicts % self._STOP_CHECK_INTERVAL == 0
+                    and stop_check()
                 ):
                     return SatResult(None, None, stats)
                 continue
@@ -279,7 +262,7 @@ class _SolverCore:
                 return SatResult(False, None, stats)
             if lit is not None:
                 continue
-            sweep = self._canonical_sweep(start, deadline_seconds, stop_check)
+            sweep = self._canonical_sweep(stop_check)
             if sweep is None:
                 vals = self._vals
                 model = {
@@ -292,10 +275,7 @@ class _SolverCore:
             pending = sweep
 
     def _canonical_sweep(
-        self,
-        start: float,
-        deadline_seconds: Optional[float],
-        stop_check: Optional[Callable[[], bool]],
+        self, stop_check: Optional[Callable[[], bool]]
     ) -> Optional[int]:
         """Fused decide/propagate loop: the solver's only decision maker.
 
@@ -306,9 +286,9 @@ class _SolverCore:
         This loop inlines the rover decision and the unit propagation,
         exiting back to the generic loop on the first conflict (returns
         the clause ref), when every variable is assigned (returns None —
-        the model is complete), or when a stop/deadline fires (returns
-        -1, never a valid ref).  The stop hooks are polled before the
-        first decision and every ``_STOP_CHECK_INTERVAL`` decisions after.
+        the model is complete), or when ``stop_check`` fires (returns
+        -1, never a valid ref).  It is polled before the first decision
+        and every ``_STOP_CHECK_INTERVAL`` decisions after.
         """
         vals = self._vals
         arena = self._arena
@@ -331,8 +311,10 @@ class _SolverCore:
                     v += 1
                 if v > nvars:
                     return None
-                if decisions % interval == 0 and self._should_stop(
-                    start, deadline_seconds, stop_check
+                if (
+                    stop_check is not None
+                    and decisions % interval == 0
+                    and stop_check()
                 ):
                     return -1
                 decisions += 1
@@ -833,24 +815,18 @@ class CdclSolver:
     Parameters:
         conflict_budget: stop with ``satisfiable=None`` after this many
             conflicts (``None`` = unbounded).
-        deadline_seconds: stop with ``satisfiable=None`` once this much
-            monotonic-clock time has elapsed (``None`` = unbounded).
-            Checked at conflicts and decisions, so a run inside a huge
-            conflict-free propagation can overshoot slightly.
         stop_check: zero-argument callable polled periodically at
             conflicts and decisions; returning True abandons the run with
-            ``satisfiable=None``.  This is how a backend race cancels
-            the losing SAT ladder.
+            ``satisfiable=None``.  A deadline is a ``stop_check`` that
+            reads a clock.
     """
 
     def __init__(
         self,
         conflict_budget: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.conflict_budget = conflict_budget
-        self.deadline_seconds = deadline_seconds
         self.stop_check = stop_check
 
     def solve(self, cnf: CNF, assumptions: Sequence[int] = ()) -> SatResult:
@@ -868,6 +844,5 @@ class CdclSolver:
         return core.run(
             assumptions,
             conflict_budget=self.conflict_budget,
-            deadline_seconds=self.deadline_seconds,
             stop_check=self.stop_check,
         )

@@ -97,7 +97,7 @@ class JobSpec:
     verify: bool = True
     load_latency: int = 3
     miss_latency: int = 12
-    backend: str = "sat"  # "sat" | "stochastic" | "race"
+    backend: str = "sat"  # "sat" | "stochastic"
     extraction: str = "greedy"  # "greedy" | "exact" schedule selection
     seed: int = 0  # session seed (stochastic chains + verifier trials)
     mcmc_chains: int = 4
@@ -267,7 +267,6 @@ class CompileReport:
                 "optimal": result.optimal,
                 "verified": result.verified,
                 "backend": result.backend,
-                "winner": result.winner,
                 "summary": result.summary(),
                 "floor": result.search.proved_floor,
                 "optimal_by": result.stats.optimal_by,

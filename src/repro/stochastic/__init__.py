@@ -1,4 +1,4 @@
-"""Stochastic superoptimization: an MCMC backend racing the SAT path.
+"""Stochastic superoptimization: an MCMC backend beside the SAT path.
 
 Denali's exact formulation is goal-directed but pays for it: the
 per-cycle-budget CNF encoding can blow up on goals whose optimal schedule
@@ -19,11 +19,10 @@ This package is that second engine:
   candidates (failures feed their counterexample back into the vectors);
 * :mod:`repro.stochastic.search` — the Metropolis–Hastings loop:
   geometric temperature schedule, seeded restarts, deterministic
-  per-chain seeding, cooperative cancellation;
+  per-chain seeding;
 * :mod:`repro.stochastic.backend` — the pipeline-facing adapter: GMA
-  gating, :class:`StochasticProbe`, and the contestant raced against the
-  SAT ladder by :class:`repro.core.probes.BackendRace` (first verified
-  winner cancels the losers).
+  gating and :class:`StochasticProbe`, the campaign that
+  ``backend="stochastic"`` runs in place of the SAT ladder.
 """
 
 from repro.stochastic.backend import StochasticProbe, supports_gma

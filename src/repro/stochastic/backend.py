@@ -2,17 +2,15 @@
 
 :func:`supports_gma` gates the subsystem to its scope — register-only,
 unguarded GMAs (memory and guard goals stay exclusive to the SAT path);
-:class:`StochasticProbe` wraps a campaign as a race contestant for
-:class:`repro.core.probes.BackendRace` and reports its result in the same
-:class:`~repro.core.probes.Probe` shape the SAT ladder uses, so the
-per-probe stats pipeline needs no special cases.
+:class:`StochasticProbe` runs one campaign for ``backend="stochastic"``
+and reports its result in the same :class:`~repro.core.probes.Probe`
+shape the SAT ladder uses, so the per-probe stats pipeline needs no
+special cases.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.probes import Probe
 from repro.isa.spec import ArchSpec
@@ -42,12 +40,11 @@ def supports_gma(gma: GMA) -> Optional[str]:
 
 
 class StochasticProbe:
-    """One stochastic campaign, callable as a race contestant.
+    """One stochastic campaign.
 
-    Calling the probe runs the campaign (cancellable through ``token``)
-    and returns the :class:`StochasticOutcome`; :meth:`probe_record`
-    renders the result as a :class:`~repro.core.probes.Probe` for the
-    session's stats ladder.
+    Calling the probe runs the campaign and returns the
+    :class:`StochasticOutcome`; :meth:`probe_record` renders the result
+    as a :class:`~repro.core.probes.Probe` for the session's stats ladder.
     """
 
     def __init__(
@@ -69,11 +66,7 @@ class StochasticProbe:
         self.session_seed = session_seed
         self.outcome: Optional[StochasticOutcome] = None
 
-    def __call__(
-        self,
-        token: Optional[Callable[[], bool]] = None,
-        throttle: Optional[Callable[[], None]] = None,
-    ) -> StochasticOutcome:
+    def __call__(self) -> StochasticOutcome:
         reason = supports_gma(self.gma)
         if reason is not None:
             self.outcome = StochasticOutcome(unsupported=reason)
@@ -86,13 +79,15 @@ class StochasticProbe:
             self.input_registers,
             self.config,
             session_seed=self.session_seed,
-            stop_check=token,
-            throttle=throttle,
         )
         return self.outcome
 
     def probe_record(self) -> Probe:
-        """The campaign summarised in the SAT ladder's Probe shape."""
+        """The campaign summarised in the SAT ladder's Probe shape.
+
+        Its solver counters stay zero: no SAT solve ran.  The campaign's
+        proposals are counted in the stochastic totals instead.
+        """
         outcome = self.outcome
         if outcome is None:
             return Probe(cycles=0, satisfiable=None, solver="stochastic")
@@ -100,44 +95,8 @@ class StochasticProbe:
         return Probe(
             cycles=outcome.cycles if found else 0,
             satisfiable=True if found else None,
-            conflicts=outcome.proposals,  # proposals stand in for conflicts
             time_seconds=outcome.time_seconds,
             solve_seconds=outcome.time_seconds,
             solver="stochastic",
         )
 
-
-# The race's grace window: for this long the sampler sleeps while the
-# SAT contestant runs, so a healthy solver keeps the GIL to itself.
-RACE_GRACE_SECONDS = 0.25
-# How often a sleeping sampler wakes to check its cancellation token.
-THROTTLE_POLL_SECONDS = 0.05
-
-
-def make_throttle(
-    sat_done: threading.Event,
-    token: Optional[Callable[[], bool]] = None,
-) -> Callable[[], None]:
-    """A politeness hook for racing under the GIL.
-
-    Two CPU-bound Python threads only split one core, so interleaving the
-    sampler with a healthy solver just slows both down.  Instead, the
-    sampler *waits*: for the first ``RACE_GRACE_SECONDS`` of the race
-    each move slice blocks on ``sat_done`` while the SAT contestant runs.
-    A solver that answers inside the grace window — the common case —
-    never shares the GIL at all, and the sampler wakes the instant it
-    finishes; past the window the sampler runs at full speed, because a
-    solver that slow may be on an all-UNSAT ladder the sampler can beat.
-    """
-    deadline = time.perf_counter() + RACE_GRACE_SECONDS
-
-    def throttle() -> None:
-        while not sat_done.is_set():
-            if token is not None and token():
-                return
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return
-            sat_done.wait(min(THROTTLE_POLL_SECONDS, remaining))
-
-    return throttle

@@ -12,9 +12,7 @@ into the chain's test vectors.
 Determinism: chains run sequentially, each with a seed derived by mixing
 the session seed and the chain index; no wall-clock value influences a
 search decision, so a fixed-seed run reproduces the same best schedule
-and the same statistics (modulo timing fields).  Cooperative
-cancellation (``stop_check``, polled once per move slice) only truncates
-the walk — it is how the backend race cancels the losing backend.
+and the same statistics (modulo timing fields).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.baselines.compiler import CompileError, lower_goals
 from repro.core.emit import Schedule
@@ -49,7 +47,6 @@ RESTART_INTERVAL = 4000  # proposals without improvement
 # The geometric temperature schedule, first proposal to last.
 T_START = 4.0
 T_END = 0.1
-SLICE_MOVES = 16  # cancellation/throttle poll granularity
 
 
 @dataclass
@@ -90,7 +87,6 @@ class ChainStats:
     # (proposal index, cost) at each improvement of the running best cost.
     trajectory: List[List[int]] = field(default_factory=list)
     moves: Dict[str, int] = field(default_factory=dict)
-    cancelled: bool = False
     time_seconds: float = 0.0
 
     @property
@@ -112,7 +108,6 @@ class ChainStats:
             "best_cycles": self.best_cycles,
             "trajectory": [list(p) for p in self.trajectory],
             "moves": dict(self.moves),
-            "cancelled": self.cancelled,
             "time_seconds": round(self.time_seconds, 6),
         }
 
@@ -172,8 +167,6 @@ def _run_chain(
     cfg: StochasticConfig,
     chain_index: int,
     rng_seed: int,
-    stop_check: Optional[Callable[[], bool]],
-    throttle: Optional[Callable[[], None]],
 ) -> _ChainResult:
     rng = random.Random(rng_seed)
     stats = ChainStats(chain=chain_index, seed=rng_seed)
@@ -186,18 +179,6 @@ def _run_chain(
 
     best_schedule: Optional[Schedule] = None
     best_cycles: Optional[int] = None
-
-    # Poll before the chain's expensive warm-up: in a race the SAT side
-    # often answers while a chain is still seed-verifying, and the
-    # throttle keeps that warm-up off the solver's GIL time.  Without
-    # this, every chain pays a full differential check even when the
-    # race is already decided.
-    if throttle is not None:
-        throttle()
-    if stop_check is not None and stop_check():
-        stats.cancelled = True
-        stats.time_seconds = time.perf_counter() - start
-        return _ChainResult(None, None, stats)
 
     # The seed program is correct by construction; realize and verify it
     # up front so the chain always has a fallback answer to beat.
@@ -223,13 +204,6 @@ def _run_chain(
     since_improve = 0
 
     for step in range(cfg.moves):
-        if step % SLICE_MOVES == 0:
-            if stop_check is not None and stop_check():
-                stats.cancelled = True
-                break
-            if throttle is not None:
-                throttle()
-
         stats.proposals += 1
         proposal = space.propose(cur, rng)
         if proposal is None:
@@ -305,14 +279,12 @@ def stochastic_search(
     input_registers: Optional[Dict[str, str]] = None,
     config: Optional[StochasticConfig] = None,
     session_seed: int = 0,
-    stop_check: Optional[Callable[[], bool]] = None,
-    throttle: Optional[Callable[[], None]] = None,
 ) -> StochasticOutcome:
     """Run a multi-chain MCMC campaign for one GMA.
 
-    Chains run sequentially (determinism first; the backend's concurrency
-    lives at the race level).  The winner is the verified schedule with the
-    fewest cycles, ties broken by chain index.
+    Chains run sequentially, so a fixed seed fixes the result.  The
+    winner is the verified schedule with the fewest cycles, ties broken
+    by chain index.
     """
     cfg = config if config is not None else StochasticConfig()
     start = time.perf_counter()
@@ -365,8 +337,6 @@ def stochastic_search(
 
     best: Optional[_ChainResult] = None
     for chain in range(cfg.chains):
-        if stop_check is not None and stop_check():
-            break
         result = _run_chain(
             base_model.fork(),
             space,
@@ -374,8 +344,6 @@ def stochastic_search(
             cfg,
             chain,
             chain_seed(session_seed, chain),
-            stop_check,
-            throttle,
         )
         outcome.chains.append(result.stats)
         if result.schedule is not None and (

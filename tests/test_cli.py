@@ -98,6 +98,18 @@ class TestCli:
         assert "s4addq" in captured.out
         assert "translation error in bad" in captured.err
 
+    def test_stochastic_names_the_gma_it_cannot_take(
+        self, source_file, capsys
+    ):
+        # Memory goals are SAT-only: the sampler never runs, so no
+        # cycle window was searched and no floor was proved.
+        status = main([source_file(MISS), "--backend", "stochastic",
+                       "--max-cycles", "12"])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert "f.tail: the stochastic backend cannot take it (" in err
+        assert "floor proved" not in err
+
     def test_unknown_proc_errors(self, source_file, capsys):
         status = main([source_file(SIMPLE), "--proc", "nope"])
         assert status == 2
@@ -259,6 +271,13 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         status = main(["--no-such-flag"])
         assert status == 2
+
+    def test_race_backend_is_usage_error(self, source_file, capsys):
+        # Each compile runs one engine; the SAT/MCMC race is gone.
+        status = main([source_file(SIMPLE), "--backend", "race"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "invalid choice: 'race'" in err
 
     @pytest.mark.parametrize(
         "window",

@@ -136,7 +136,7 @@ def test_compile_verb_options():
 
 def test_solver_constructor_parameters():
     params = tuple(inspect.signature(CdclSolver.__init__).parameters)
-    assert params == ("self", "conflict_budget", "deadline_seconds", "stop_check")
+    assert params == ("self", "conflict_budget", "stop_check")
 
 
 def test_solver_core_tuning_surface():
@@ -171,5 +171,5 @@ def test_extraction_keyword_parameters():
         "viable",
         "operands",
     )
-    assert keywords(refine_exact) == ("saturation", "stop_check")
+    assert keywords(refine_exact) == ("saturation",)
     assert keywords(prune_dominated) == ("slack", "operands")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -208,7 +209,10 @@ class TestSolverBasics:
 
 
 class TestSolverInterruption:
-    """The deadline / stop_check hooks a backend race cancels through."""
+    """``stop_check``, the solver's one interruption hook.
+
+    A deadline is a ``stop_check`` closure that reads a clock.
+    """
 
     @staticmethod
     def _needs_decisions() -> CNF:
@@ -234,12 +238,19 @@ class TestSolverInterruption:
         assert res.satisfiable is True
         assert calls  # the hook was actually polled
 
+    @staticmethod
+    def _deadline(seconds: float):
+        end = time.monotonic() + seconds
+        return lambda: time.monotonic() >= end
+
     def test_expired_deadline_aborts_with_unknown(self):
-        res = CdclSolver(deadline_seconds=0.0).solve(self._needs_decisions())
+        solver = CdclSolver(stop_check=self._deadline(0.0))
+        res = solver.solve(self._needs_decisions())
         assert res.satisfiable is None
 
     def test_generous_deadline_solves_normally(self):
-        res = CdclSolver(deadline_seconds=60.0).solve(self._needs_decisions())
+        solver = CdclSolver(stop_check=self._deadline(60.0))
+        res = solver.solve(self._needs_decisions())
         assert res.satisfiable is True
 
     def test_level_zero_conflicts_still_reported_unsat(self):

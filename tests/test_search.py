@@ -1,11 +1,8 @@
 """Tests for the cycle-budget search."""
 
-import time
-
 import pytest
 
 from repro.core.probes import (
-    CancelToken,
     Probe,
     SearchStrategy,
     search_min_cycles,
@@ -120,16 +117,6 @@ class TestUnknownProbes:
         assert out.optimal
 
 
-class TestCancelToken:
-    def test_starts_clear_and_latches(self):
-        token = CancelToken()
-        assert not token.is_set()
-        assert not token()
-        token.cancel()
-        assert token.is_set()
-        assert token()  # callable form, as the solver's stop_check
-
-
 class TestLinearSearch:
     def test_finds_minimum(self):
         calls = []
@@ -157,7 +144,7 @@ class TestValidation:
 class TestPublicSurface:
     """The probe module's public names are load-bearing API.
 
-    The session, the backend race, the service and the extraction stage
+    The session, the pipeline, the service and the extraction stage
     all import from ``repro.core.probes``; these assertions pin the
     names and the record schemas so a refactor that renames or drops
     one fails here first, not in a consumer.
@@ -167,19 +154,18 @@ class TestPublicSurface:
         import repro.core as core
         import repro.core.probes as probes
 
-        assert not hasattr(probes, "PortfolioScheduler")
-        assert not hasattr(core, "PortfolioScheduler")
+        for gone in ("PortfolioScheduler", "BackendRace", "RaceEntry",
+                     "CancelToken"):
+            assert not hasattr(probes, gone), gone
+            assert not hasattr(core, gone), gone
 
         for name in (
             "Probe",
             "SearchOutcome",
             "SearchStrategy",
-            "CancelToken",
             "ProbeScheduler",
             "LinearScheduler",
             "BinaryScheduler",
-            "BackendRace",
-            "RaceEntry",
             "get_scheduler",
             "search_min_cycles",
         ):
@@ -213,28 +199,3 @@ class TestPublicSurface:
         assert isinstance(
             get_scheduler(SearchStrategy.LINEAR), LinearScheduler
         )
-
-    def test_backend_race_first_verified_wins_and_cancels(self):
-        from repro.core.probes import BackendRace, RaceEntry
-
-        def fast(token):
-            return RaceEntry(name="fast", verified=True, cycles=3)
-
-        def slow(token):
-            deadline = time.time() + 5.0
-            while not token() and time.time() < deadline:
-                time.sleep(0.001)
-            return RaceEntry(
-                name="slow", verified=False, cycles=None, cancelled=token()
-            )
-
-        winner, entries = BackendRace().run(
-            [("fast", fast), ("slow", slow)]
-        )
-        assert winner == "fast"
-        assert entries["slow"].cancelled
-
-    def test_backend_race_no_contestants(self):
-        from repro.core.probes import BackendRace
-
-        assert BackendRace().run([]) == (None, {})

@@ -100,6 +100,7 @@ class TestJobSpec:
             ("strategy", "portfolio"),
             ("strategy", "BINARY"),
             ("backend", "smt"),
+            ("backend", "race"),
             ("extraction", "best"),
             ("arch", "vax"),
         ],
@@ -110,7 +111,7 @@ class TestJobSpec:
 
     def test_enum_values_and_target_aliases_accepted(self):
         spec = JobSpec.from_dict(
-            {"kind": "compile", "strategy": "linear", "backend": "race",
+            {"kind": "compile", "strategy": "linear", "backend": "stochastic",
              "extraction": "exact", "arch": "riscv"}
         )
         assert spec.arch == "riscv"

@@ -1,22 +1,19 @@
-"""The stochastic (MCMC) backend: mutations, cost model, search, races.
+"""The stochastic (MCMC) backend: mutations, cost model, search.
 
 Three layers are covered: the proposal kernel's structural invariants,
-the cost model's distance/CEGIS behaviour, and the end-to-end backends
-(``stochastic`` alone, and ``race`` against the SAT ladder) including
-the loser-cancellation latency of :class:`BackendRace`.
+the cost model's distance/CEGIS behaviour, and the end-to-end
+``stochastic`` backend.
 """
 
 import random
-import threading
-import time
 
 import pytest
 
 from repro import Denali, DenaliConfig, const, ev6, inp, mk
-from repro.core.probes import BackendRace, CancelToken, RaceEntry
+from repro.core.session import aggregate_stats
 from repro.lang import parse_program, translate_procedure
 from repro.matching import SaturationConfig
-from repro.stochastic.backend import StochasticProbe, supports_gma
+from repro.stochastic.backend import supports_gma
 from repro.stochastic.cost import CostModel
 from repro.stochastic.mutations import Candidate, MutationSpace, gma_literals
 from repro.stochastic.search import (
@@ -235,24 +232,26 @@ class TestPipelineBackends:
         assert res.stats.stochastic is not None
         assert res.stats.stochastic["totals"]["proposals"] > 0
 
-    def test_race_backend_returns_a_verified_winner(self):
+    def test_stochastic_compile_reports_no_sat_conflicts(self):
+        # No SAT solve runs, so the solver counters stay zero; the
+        # campaign's work is counted as proposals.
         den = _denali(
-            backend="race",
-            stochastic=StochasticConfig(chains=1, moves=400),
+            backend="stochastic",
+            stochastic=StochasticConfig(chains=2, moves=300),
         )
         res = den.compile_term(
             mk("add64", mk("mul64", inp("reg6"), const(4)), const(1))
         )
-        assert res.backend == "race"
-        assert res.schedule is not None
-        assert res.verified
-        assert res.winner in ("sat", "stochastic")
-        assert res.stats.stochastic is not None
+        totals = aggregate_stats([res.stats])
+        assert totals["solver"]["conflicts"] == 0
+        assert totals["stochastic"]["proposals"] == 600
+        assert totals["backend_wins"] == {"sat": 0, "stochastic": 1}
+        assert res.stats.to_dict()["cnf"]["total_conflicts"] == 0
 
-    def test_race_solves_beyond_the_sat_ceiling(self):
-        # Three chained multiplies need ~15+ cycles; with max_cycles=2
-        # the ladder is all-UNSAT, but the race still returns the
-        # stochastic contestant's verified schedule.
+    def test_stochastic_solves_beyond_the_sat_ceiling(self):
+        # Three chained multiplies need ~15+ cycles, far above a
+        # max_cycles=2 ladder; the sampler has no ceiling and returns a
+        # verified schedule.
         gma, registry = _gma(MULCHAIN)
         den = Denali(
             ev6(),
@@ -260,14 +259,13 @@ class TestPipelineBackends:
             config=DenaliConfig(
                 min_cycles=1,
                 max_cycles=2,
-                backend="race",
+                backend="stochastic",
                 stochastic=StochasticConfig(chains=1, moves=200),
-                saturation=SaturationConfig(max_rounds=6, max_enodes=1500),
             ),
         )
         res = den.compile_gma(gma)
         assert res.schedule is not None
-        assert res.winner == "stochastic"
+        assert res.backend == "stochastic"
         assert res.verified
         assert res.cycles > 2
 
@@ -276,116 +274,23 @@ class TestPipelineBackends:
         with pytest.raises(ValueError):
             den.compile_term(inp("a"))
 
-    def test_race_falls_back_to_sat_on_unsupported_gma(self):
+    def test_stochastic_reports_an_unsupported_gma(self):
+        # Memory goals are SAT-only: the sampler never runs, and the
+        # result says why instead of returning a schedule.
         src = "(\\procdecl m ((p (\\ref long))) long (:= (res (\\deref p))))"
         gma, registry = _gma(src)
         den = Denali(
             ev6(),
             registry=registry,
-            config=DenaliConfig(
-                min_cycles=1,
-                max_cycles=6,
-                backend="race",
-                saturation=SaturationConfig(max_rounds=8, max_enodes=2000),
-            ),
+            config=DenaliConfig(max_cycles=6, backend="stochastic"),
         )
         res = den.compile_gma(gma)
-        assert res.schedule is not None
-        assert res.winner == "sat"
-        assert res.stats.stochastic.get("unsupported")
-
-
-class TestBackendRace:
-    def test_slow_third_contestant_is_cancelled_promptly(self):
-        """Loser-cancellation latency: a verified winner must not wait
-        for a deliberately slow third contestant's full runtime."""
-
-        def fast(token):
-            time.sleep(0.02)
-            return RaceEntry("fast", verified=True, cycles=3, payload="F")
-
-        def medium(token):
-            for _ in range(200):
-                if token.is_set():
-                    return RaceEntry(
-                        "medium", verified=False, cycles=None, cancelled=True
-                    )
-                time.sleep(0.005)
-            return RaceEntry("medium", verified=True, cycles=5, payload="M")
-
-        slow_full_seconds = 10.0
-
-        def slow(token):
-            deadline = time.time() + slow_full_seconds
-            while time.time() < deadline:
-                if token.is_set():
-                    return RaceEntry(
-                        "slow", verified=False, cycles=None, cancelled=True
-                    )
-                time.sleep(0.005)
-            return RaceEntry(  # pragma: no cover - cancellation failed
-                "slow", verified=True, cycles=9, payload="S"
-            )
-
-        start = time.perf_counter()
-        winner, entries = BackendRace().run(
-            [("fast", fast), ("medium", medium), ("slow", slow)]
-        )
-        elapsed = time.perf_counter() - start
-        assert winner == "fast"
-        assert entries["fast"].verified
-        assert entries["slow"].cancelled
-        assert entries["medium"].cancelled
-        # Cancellation latency, not the slow contestant's runtime.
-        assert elapsed < slow_full_seconds / 4
-
-    def test_unverified_finishers_cancel_nobody(self):
-        def loser(token):
-            return RaceEntry("loser", verified=False, cycles=None)
-
-        def worker(token):
-            time.sleep(0.05)
-            assert not token.is_set()
-            return RaceEntry("worker", verified=True, cycles=2)
-
-        winner, entries = BackendRace().run(
-            [("loser", loser), ("worker", worker)]
-        )
-        assert winner == "worker"
-        assert not entries["loser"].cancelled
-
-    def test_empty_race_returns_nothing(self):
-        winner, entries = BackendRace().run([])
-        assert winner is None and entries == {}
-
-    def test_stochastic_probe_is_cancellable(self):
-        gma, registry = _gma(FIG2)
-        den = _denali()
-        probe = StochasticProbe(
-            gma,
-            ev6(),
-            registry,
-            den.axioms.definitions(),
-            config=StochasticConfig(chains=4, moves=200000),
-            session_seed=1,
-        )
-        token = CancelToken()
-        box = {}
-
-        def run():
-            box["out"] = probe(token)
-
-        thread = threading.Thread(target=run)
-        start = time.perf_counter()
-        thread.start()
-        time.sleep(0.1)
-        token.cancel()
-        thread.join(timeout=30)
-        elapsed = time.perf_counter() - start
-        assert not thread.is_alive()
-        assert elapsed < 15  # far below 4 x 200k moves of honest work
-        out = box["out"]
-        assert any(c.cancelled for c in out.chains) or len(out.chains) < 4
+        assert res.schedule is None
+        assert res.verified is None
+        reason = supports_gma(gma)
+        assert reason is not None
+        assert res.stats.stochastic["unsupported"] == reason
+        assert res.stats.stochastic["chains"] == []
 
 
 class TestCheckerCounterexamples:
