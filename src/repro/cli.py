@@ -298,9 +298,8 @@ def _job_spec(parser: argparse.ArgumentParser, args) -> JobSpec:
     The spec's own validator rejects a bad combination, as a usage error.
     """
     names = {f.name for f in fields(JobSpec)} - {"source"}
-    spec = JobSpec(**{k: v for k, v in vars(args).items() if k in names})
     try:
-        return spec.validate()
+        return JobSpec(**{k: v for k, v in vars(args).items() if k in names})
     except JobError as exc:
         flag = _FLAGS.get(exc.field, "--" + exc.field.replace("_", "-"))
         parser.error("argument %s: %s" % (flag, exc))

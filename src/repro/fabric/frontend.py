@@ -14,14 +14,22 @@ multiprocessing-backed) compilation engine.  It serves the service API
   framed (a malformed or oversized ``Content-Length``) is answered with
   400 or 413 and ``Connection: close``: its unread body must never be
   parsed as the next request.
-* **bounded admission queue** — mutating requests (submissions,
-  replication, joins) pass through an ``asyncio.Queue`` drained by a small,
-  fixed pool of dispatcher tasks that run the blocking engine calls in
-  the default executor.  The queue bound plus an engine-backlog bound
-  make overload a first-class state: requests beyond either bound are
-  **shed** with ``429`` and a ``Retry-After`` estimated from the current
-  backlog and recent job latency, instead of accumulating unbounded
-  memory and latency.
+* **inline admission of owned work** — a submission whose every job
+  this node owns (a one-member ring, a ``forwarded`` request, or
+  fingerprints that all map here) is parsed and admitted on the loop:
+  that is lock-guarded dict work and one store lookup, so a store hit
+  costs one loop turn and no thread hand-off.
+* **bounded admission queue** — the requests that block on another
+  node (joins, which probe the joiner's ``/healthz``; submissions that
+  forward jobs to a peer) and replication writes pass through an
+  ``asyncio.Queue`` drained by a small, fixed pool of dispatcher tasks
+  that run them in the default executor.  Forwarding never runs on the
+  loop: a slow or dead peer would stall every connection of the node.
+  The queue bound plus an engine-backlog bound (checked for every
+  submission) make overload a first-class state: requests beyond
+  either bound are **shed** with ``429`` and a ``Retry-After`` estimated
+  from the current backlog and recent job latency, instead of
+  accumulating unbounded memory and latency.
 * **per-endpoint backpressure metrics** — request/shed counters per
   route plus admission-queue high-water marks, surfaced under the
   ``fabric`` key of ``/v1/metrics``.
@@ -45,6 +53,7 @@ already done, a store hit for one, with that same reply inline under
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import socket
@@ -488,15 +497,27 @@ class AsyncFrontend:
         # themselves while it forks its workers.
         if not node.ready and endpoint != "/v1/fabric/join":
             return 503, {"error": "node still starting"}, None
+        call = functools.partial(handler, data)
         if endpoint == "/v1/submit":
             jobs = data.get("jobs")
             njobs = len(jobs) if isinstance(jobs, list) else 1
             backlog = node.engine.backlog()  # O(1), inline on purpose
             if backlog + njobs > self.max_queue:
                 return self._shed(endpoint, "backlog", backlog)
+            # Parsing and admitting jobs this node owns is lock-guarded
+            # dict work and a store lookup: inline, like result reads.
+            # Only a submission that forwards to a peer hands back a
+            # callable, which blocks on the peer and so leaves the loop.
+            try:
+                outcome = call()
+            except Exception as exc:
+                return 500, {"error": repr(exc)}, None
+            if not callable(outcome):
+                return outcome
+            call = outcome
         future = asyncio.get_running_loop().create_future()
         try:
-            self._queue.put_nowait((handler, data, future))
+            self._queue.put_nowait((call, future))
         except asyncio.QueueFull:
             return self._shed(endpoint, "queue_full", self.max_queue)
         self.metrics.note_depth(self._queue.qsize())
@@ -525,9 +546,9 @@ class AsyncFrontend:
 
     async def _dispatch_loop(self) -> None:
         while True:
-            handler, data, future = await self._queue.get()
+            call, future = await self._queue.get()
             try:
-                outcome = await self._in_executor(handler, data)
+                outcome = await self._in_executor(call)
             except Exception as exc:  # surface, don't kill the dispatcher
                 outcome = (500, {"error": repr(exc)}, None)
             if not future.done():

@@ -36,6 +36,7 @@ it.  Nodes never exchange corpora: compiling one takes ~15 ms.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
 from typing import Any, Dict, List, Optional, Tuple
@@ -213,9 +214,19 @@ class FabricNode:
             return local_id, owner
         return job_id, None
 
-    # -- request handlers (called from the frontend's executor) ------------
+    # -- request handlers --------------------------------------------------
 
     def handle_submit(self, data: Dict[str, Any]):
+        """Parse a submission and admit the jobs this node owns.
+
+        Runs on the front end's loop.  When every job's ring owner is
+        this node (a one-member ring, a ``forwarded`` request, or
+        fingerprints that all map here) it admits them and returns the
+        reply.  When some job must be forwarded to a peer it admits
+        nothing and returns a callable that does the whole submission:
+        forwarding blocks on the peer, so the front end runs that
+        callable in its executor.
+        """
         jobs = data.get("jobs")
         if not isinstance(jobs, list) or not jobs:
             return 400, {"error": "'jobs' must be a non-empty list"}, None
@@ -223,13 +234,23 @@ class FabricNode:
             specs = [JobSpec.from_dict(item) for item in jobs]
         except (JobError, TypeError) as exc:
             return 400, {"error": str(exc)}, None
-        forwarded = bool(data.get("forwarded"))
+        owners = [self.node_id] * len(specs)
+        if not data.get("forwarded") and len(self.registry.ring) > 1:
+            owners = [
+                self.registry.owner_of(job_fingerprint(spec)) or self.node_id
+                for spec in specs
+            ]
+        finish = functools.partial(self._submit, specs, owners)
+        if any(owner != self.node_id for owner in owners):
+            return finish
+        return finish()
+
+    def _submit(self, specs: List[JobSpec], owners: List[str]):
+        """Admit each spec on its owner; the reply, with the ``/result``
+        reply of every job already done (its owner's, when forwarded)."""
         results: Dict[str, str] = {}  # id -> its /result reply text
         try:
-            if forwarded or len(self.registry.ring) == 1:
-                ids = [self._submit_local(spec) for spec in specs]
-            else:
-                ids = self._submit_sharded(specs, results)
+            ids = self._submit_sharded(specs, owners, results)
         except JobError as exc:
             return 400, {"error": str(exc)}, None
         for job_id in ids:
@@ -282,17 +303,16 @@ class FabricNode:
         return self.qualify_job_id(self.engine.submit(spec))
 
     def _submit_sharded(
-        self, specs: List[JobSpec], results: Dict[str, str]
+        self,
+        specs: List[JobSpec],
+        owners: List[str],
+        results: Dict[str, str],
     ) -> List[str]:
-        """Admit each spec on its ring owner; the owners' inline results
-        for forwarded jobs go into ``results``."""
+        """Admit each spec on its owner; the owners' inline results for
+        forwarded jobs go into ``results``."""
         ids: List[Optional[str]] = [None] * len(specs)
         groups: Dict[str, List[Tuple[int, JobSpec]]] = {}
-        for index, spec in enumerate(specs):
-            owner = (
-                self.registry.owner_of(job_fingerprint(spec))
-                or self.node_id
-            )
+        for index, (spec, owner) in enumerate(zip(specs, owners)):
             groups.setdefault(owner, []).append((index, spec))
         for owner, entries in groups.items():
             if owner == self.node_id:

@@ -2,13 +2,17 @@
 
 Used by ``repro batch --url`` (through its ring-aware subclass), by
 fabric nodes for their peer and health requests, and by the service
-tests; no dependencies beyond ``http.client``.  Connections are **kept alive** and reused
-across requests (one pool per thread, so a multi-threaded soak driver
-never shares a socket), with ``TCP_NODELAY`` set so small JSON requests
-don't stall on Nagle/delayed-ACK.  Transient connection resets — the
-server recycling an idle keep-alive socket, a node restarting — are
-retried with jittered exponential backoff before surfacing as
-:class:`ServiceError`.
+tests.  It frames HTTP/1.1 itself over a plain socket: each request is
+one ``sendall``, and a reply is read as a status line, headers and a
+``Content-Length`` body from the socket's buffered reader, under
+``http.client``'s limits (65536 bytes a line, 100 headers); a chunked
+or otherwise unframeable reply is an error.  Connections are **kept
+alive** and reused across requests (one pool per thread, so a
+multi-threaded soak driver never shares a socket), with ``TCP_NODELAY``
+set so small JSON requests don't stall on Nagle/delayed-ACK.
+Transient connection resets — the server recycling an idle keep-alive
+socket, a node restarting — are retried with jittered exponential
+backoff before surfacing as :class:`ServiceError`.
 
 All methods raise :class:`ServiceError` on transport failures or
 non-2xx responses, with two refinements:
@@ -30,7 +34,6 @@ by routing on the ring directly.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
@@ -75,6 +78,119 @@ class ServiceOverloadError(ServiceError):
         self.retry_after = retry_after
 
 
+# http.client's limits on a reply, kept: a node's health client reads
+# the reply of whatever URL a join names.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class _Malformed(Exception):
+    """A reply this client cannot frame (raised as ServiceError)."""
+
+
+class _Connection:
+    """One pooled keep-alive socket and the buffered reader of its replies.
+
+    Speaks the HTTP/1.1 subset a fabric node speaks: a request leaves in
+    one ``sendall``; a reply is a status line, at most 100 headers and a
+    ``Content-Length`` body, or a body read to EOF when it declares no
+    length (the connection is then not reused).  A socket the server
+    closed before a whole reply raises ``ConnectionResetError``, which
+    the caller retries as it does every transport failure; a reply that
+    breaks the framing (a chunked body, a malformed status line, an
+    over-long line, too many headers) raises :class:`_Malformed`.
+    """
+
+    def __init__(self, netloc: str, timeout: float) -> None:
+        split = urllib.parse.urlsplit("//" + netloc)
+        try:
+            address = (split.hostname, split.port or 80)
+        except ValueError:  # a port that is not a number
+            address = (None, 0)
+        if not address[0]:
+            raise ServiceError("bad address %r" % netloc)
+        self.netloc = netloc
+        self.sock = socket.create_connection(address, timeout)
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def exchange(
+        self, method: str, path: str, data: Optional[bytes]
+    ) -> Tuple[int, Dict[str, str], bytes, bool]:
+        """Send one request; ``(status, headers, body, reusable)``."""
+        head = (
+            "%s %s HTTP/1.1\r\nHost: %s\r\nAccept: application/json\r\n"
+            % (method, path, self.netloc)
+        )
+        if data is not None:
+            head += (
+                "Content-Type: application/json\r\nContent-Length: %d\r\n"
+                % len(data)
+            )
+        self.sock.sendall(head.encode("latin-1") + b"\r\n" + (data or b""))
+        return self._read_reply()
+
+    def _line(self) -> bytes:
+        line = self.reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Malformed("a line longer than %d bytes" % _MAX_LINE)
+        return line
+
+    def _read_reply(self) -> Tuple[int, Dict[str, str], bytes, bool]:
+        line = self._line()
+        if not line:  # e.g. a keep-alive socket the server recycled
+            raise ConnectionResetError("server closed the connection")
+        parts = line.split(None, 2)
+        if (
+            len(parts) < 2
+            or not parts[0].startswith(b"HTTP/1.")
+            or not (len(parts[1]) == 3 and parts[1].isdigit())
+        ):
+            raise _Malformed("status line %r" % line[:80])
+        version, status = parts[0], int(parts[1])
+        headers: Dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line()
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                raise ConnectionResetError("reply ended in its headers")
+            name, sep, value = line.decode("latin-1").partition(":")
+            if not sep:
+                raise _Malformed("header line %r" % line[:80])
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _Malformed("more than %d headers" % _MAX_HEADERS)
+        if "transfer-encoding" in headers:
+            raise _Malformed(
+                "Transfer-Encoding %r" % headers["transfer-encoding"]
+            )
+        connection = headers.get("connection", "").lower()
+        reusable = "close" not in connection and (
+            version != b"HTTP/1.0" or "keep-alive" in connection
+        )
+        declared = headers.get("content-length")
+        if declared is None:
+            return status, headers, self.reader.read(), False
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Malformed("Content-Length %r" % declared)
+        length = int(declared)
+        body = self.reader.read(length)
+        if len(body) < length:
+            raise ConnectionResetError(
+                "reply ended %d bytes into a %d-byte body"
+                % (len(body), length)
+            )
+        return status, headers, body, reusable
+
+
 class ServiceClient:
     """Talks JSON to a service node (:class:`~repro.fabric.FabricNode`).
 
@@ -96,31 +212,23 @@ class ServiceClient:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        # Per thread: netloc -> HTTPConnection, and job id -> the inline
+        # Per thread: netloc -> _Connection, and job id -> the inline
         # result its submit reply carried.
         self._pool = threading.local()
 
     # -- transport ---------------------------------------------------------
 
-    def _connections(self) -> Dict[str, http.client.HTTPConnection]:
+    def _connections(self) -> Dict[str, "_Connection"]:
         pool = getattr(self._pool, "conns", None)
         if pool is None:
             pool = self._pool.conns = {}
         return pool
 
-    def _connection(self, netloc: str) -> http.client.HTTPConnection:
+    def _connection(self, netloc: str) -> "_Connection":
         pool = self._connections()
         conn = pool.get(netloc)
         if conn is None:
-            conn = http.client.HTTPConnection(netloc, timeout=self.timeout)
-            conn.connect()
-            try:
-                conn.sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
-            except OSError:
-                pass
-            pool[netloc] = conn
+            conn = pool[netloc] = _Connection(netloc, self.timeout)
         return conn
 
     def _inline_results(self) -> Dict[str, Dict[str, Any]]:
@@ -153,17 +261,18 @@ class ServiceClient:
     def _roundtrip(
         self, netloc: str, method: str, path: str, data: Optional[bytes]
     ) -> Tuple[int, Dict[str, str], bytes]:
-        headers = {"Accept": "application/json"}
-        if data is not None:
-            headers["Content-Type"] = "application/json"
-        conn = self._connection(netloc)
-        conn.request(method, path, body=data, headers=headers)
-        resp = conn.getresponse()
-        raw = resp.read()
-        resp_headers = {k.lower(): v for k, v in resp.getheaders()}
-        if resp.will_close:
+        try:
+            conn = self._connection(netloc)
+            status, headers, raw, keep = conn.exchange(method, path, data)
+        except _Malformed as exc:
             self._drop(netloc)
-        return resp.status, resp_headers, raw
+            raise ServiceError(
+                "malformed reply from %s to %s %s: %s"
+                % (netloc, method, path, exc)
+            ) from None
+        if not keep:
+            self._drop(netloc)
+        return status, headers, raw
 
     def _request(
         self,
@@ -185,7 +294,7 @@ class ServiceClient:
                     netloc, method, path, data
                 )
                 break
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 # Connection reset/refused, stale keep-alive socket, or a
                 # half-written response: drop the pooled connection and
                 # retry with jittered backoff.

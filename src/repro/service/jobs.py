@@ -25,7 +25,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.session import aggregate_stats, merge_totals
@@ -79,6 +79,9 @@ class JobSpec:
     and the fuzz oracles all build one, and :meth:`to_config` is the one
     mapping onto :class:`~repro.core.pipeline.DenaliConfig`.
 
+    A spec validates on construction (:meth:`validate`), so no ill-typed
+    or out-of-range request exists to reach a worker.
+
     ``kind`` is ``"compile"`` for real work; ``"sleep"`` and ``"crash"``
     are diagnostic kinds used by the pool's tests and health checks
     (a sleep occupies a worker for ``seconds``; a crash kills it).
@@ -105,18 +108,21 @@ class JobSpec:
     timeout_seconds: Optional[float] = None
     seconds: float = 0.0  # for kind == "sleep"
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Every field is a scalar: a flat read, not asdict's deep copy.
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
         if not isinstance(data, dict):
             raise JobError("job spec must be an object, got %r" % (data,))
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_FIELD_NAMES)
         if unknown:
             raise JobError("unknown job spec fields: %s" % sorted(unknown))
-        return cls(**data).validate()
+        return cls(**data)
 
     def validate(self) -> "JobSpec":
         """Check every field's type and range; returns ``self``.
@@ -207,11 +213,13 @@ class JobSpec:
         )
 
 
+_FIELD_NAMES = tuple(f.name for f in fields(JobSpec))
+
 # Fields that change what a compilation produces.  ``name`` (display
 # only) and ``timeout_seconds`` (an operational bound) are excluded, so
 # the same goal submitted under different labels coalesces.
 _SEMANTIC_FIELDS = tuple(
-    f.name for f in fields(JobSpec) if f.name not in ("name", "timeout_seconds")
+    name for name in _FIELD_NAMES if name not in ("name", "timeout_seconds")
 )
 
 
@@ -584,18 +592,24 @@ class CompilationEngine:
             if record.started_at is None:
                 record.started_at = time.time()
 
+    def _live_record(self, job_id: str) -> Optional[_JobRecord]:
+        """The job's record while it is not settled (call under the lock)."""
+        record = self._jobs.get(job_id)
+        if record is None or record.done.is_set():
+            return None  # stale answer (e.g. finished during a timeout race)
+        return record
+
     def _on_pool_result(
         self, job_id: str, status: str, payload: Any, worker_id: int
     ) -> None:
+        if status == "ok":
+            self._finish_ok(job_id, payload, worker_id)
+            return
         with self._lock:
-            record = self._jobs.get(job_id)
-            if record is None or record.done.is_set():
-                return  # stale answer (e.g. finished during a timeout race)
-            if record.state == JobState.CANCELLED:
+            record = self._live_record(job_id)
+            if record is None:
                 return
-            if status == "ok":
-                self._finish_ok(record, payload, worker_id)
-            elif status == "error":
+            if status == "error":
                 # The job itself raised (parse error, bad spec): retrying
                 # would fail identically, so fail fast.
                 self._finish_failed(record, str(payload))
@@ -644,28 +658,45 @@ class CompilationEngine:
         return bucket
 
     def _finish_ok(
-        self, record: _JobRecord, payload: Dict[str, Any], worker_id: int
+        self, job_id: str, payload: Dict[str, Any], worker_id: int
     ) -> None:
-        self._set_state(record, JobState.DONE)
-        record.worker = worker_id
-        record.finished_at = time.time()
-        self._latencies.append(record.finished_at - record.submitted_at)
-        compiled = record.spec.kind == "compile"
-        if compiled:  # a CompileReport's wire form
-            stats = payload["stats"]
-            merge_totals(self._totals, stats)
-            merge_totals(
-                self._worker_stages.setdefault(worker_id, {}), stats["timings"]
-            )
-            bucket = self._target_bucket(payload["target"])
-            bucket["done"] += 1
-            bucket["units"] += len(payload["units"])
+        """Settle a job whose attempt succeeded.
+
+        The payload is encoded and stored outside the engine lock: a
+        store write must not hold up the submits and result reads that
+        the front end answers on its event loop.
+        """
+        with self._lock:
+            record = self._live_record(job_id)
+            if record is None:
+                return
+            compiled = record.spec.kind == "compile"
+            fingerprint = record.fingerprint
         if compiled and payload["ok"]:
-            record.result_text = self.store.put(record.fingerprint, payload)
+            text = self.store.put(fingerprint, payload)
         else:
-            record.result_text = json.dumps(payload, sort_keys=True)
-        self._inflight.pop(record.fingerprint, None)
-        self._settle(record)
+            text = json.dumps(payload, sort_keys=True)
+        with self._lock:
+            record = self._live_record(job_id)
+            if record is None:
+                return  # cancelled while the result was being stored
+            self._set_state(record, JobState.DONE)
+            record.worker = worker_id
+            record.finished_at = time.time()
+            self._latencies.append(record.finished_at - record.submitted_at)
+            if compiled:  # a CompileReport's wire form
+                stats = payload["stats"]
+                merge_totals(self._totals, stats)
+                merge_totals(
+                    self._worker_stages.setdefault(worker_id, {}),
+                    stats["timings"],
+                )
+                bucket = self._target_bucket(payload["target"])
+                bucket["done"] += 1
+                bucket["units"] += len(payload["units"])
+            record.result_text = text
+            self._inflight.pop(record.fingerprint, None)
+            self._settle(record)
 
     def _finish_failed(self, record: _JobRecord, error: str) -> None:
         self._set_state(record, JobState.FAILED)

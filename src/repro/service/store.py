@@ -30,6 +30,8 @@ CREATE TABLE IF NOT EXISTS results (
     hits        INTEGER NOT NULL DEFAULT 0
 );
 """
+# ``hits`` is never updated (a hit must not write); the column stays
+# so files written by older versions open unchanged.
 
 
 class StoreStats:
@@ -98,7 +100,8 @@ class ResultStore:
         """The stored payload's JSON text, or None (counted).
 
         The in-memory store answers with the very ``str`` that
-        :meth:`put` wrote, so a caller keeping it holds no copy.
+        :meth:`put` wrote, so a caller keeping it holds no copy.  A hit
+        writes nothing: the front end looks up submits on its event loop.
         """
         with self._lock:
             if self._mem is not None:
@@ -109,13 +112,6 @@ class ResultStore:
                     (fingerprint,),
                 ).fetchone()
                 text = row[0] if row else None
-                if row:
-                    self._db.execute(
-                        "UPDATE results SET hits = hits + 1 "
-                        "WHERE fingerprint = ?",
-                        (fingerprint,),
-                    )
-                    self._db.commit()
             if text is None:
                 self.stats.misses += 1
             else:

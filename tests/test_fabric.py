@@ -204,8 +204,9 @@ class TestSingleNode:
         ghost = "http://127.0.0.1:%d" % port
         client = ServiceClient(node.url)
         try:
-            with pytest.raises(ServiceError, match="HTTP 400"):
-                client._request("/v1/fabric/join", body={"url": ghost})
+            for url in (ghost, "http://127.0.0.1:notaport", "http://:80"):
+                with pytest.raises(ServiceError, match="HTTP 400"):
+                    client._request("/v1/fabric/join", body={"url": url})
             # A live node under a URL other than its own is refused too:
             # its /healthz answers with the id of its own URL.
             alias = node.url + "/alias"
@@ -291,6 +292,186 @@ class TestFraming:
         )
         assert reply.startswith(b"HTTP/1.1 400 "), reply
         assert b"malformed JSON body" in reply
+
+
+# -- client framing ------------------------------------------------------------
+
+
+class CannedServer:
+    """A socket server that answers every request with ``reply``.
+
+    With ``close_after`` it closes each connection after that many
+    replies, without saying so (a recycled keep-alive socket).
+    """
+
+    def __init__(self, reply, close_after=None):
+        self.reply = reply
+        self.close_after = close_after
+        self.accepted = 0
+        self.listener = socket.socket()
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(8)
+        self.url = "http://127.0.0.1:%d" % self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            with conn:
+                reader = conn.makefile("rb")
+                answered = 0
+                while self.close_after is None or answered < self.close_after:
+                    length = 0
+                    line = reader.readline()
+                    if not line:
+                        break
+                    while line not in (b"\r\n", b""):
+                        name, _, value = line.partition(b":")
+                        if name.strip().lower() == b"content-length":
+                            length = int(value)
+                        line = reader.readline()
+                    reader.read(length)
+                    reply = self.reply
+                    if callable(reply):
+                        reply = reply(self)
+                    try:
+                        conn.sendall(reply)
+                    except OSError:  # the client gave up reading
+                        break
+                    answered += 1
+                reader.close()
+
+    def close(self):
+        self.listener.close()
+
+
+def json_reply(payload, extra=b""):
+    body = json.dumps(payload).encode()
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n%s\r\n"
+        % (len(body), extra)
+        + body
+    )
+
+
+class TestClientFraming:
+    """The client frames HTTP/1.1 itself, within http.client's limits."""
+
+    def test_one_sendall_per_request(self, node, monkeypatch):
+        sent = []
+        sendall = socket.socket.sendall
+        me = threading.current_thread()
+
+        def counting_sendall(sock, data, *args):
+            if threading.current_thread() is me:
+                sent.append(data)
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+        client = ServiceClient(node.url)
+        try:
+            assert client.health() is True
+            (job_id,) = client.submit([sleep_spec(31, seconds=0.2)])
+            assert client.result(job_id, timeout=10.0)["state"] == "done"
+        finally:
+            client.close()
+        assert len(sent) == 3
+        assert sent[1].startswith(b"POST /v1/submit HTTP/1.1\r\n")
+        assert sent[1].endswith(b"]}")  # the JSON body rides along
+
+    def test_reply_without_length_is_read_to_eof(self):
+        body = json.dumps({"ok": True, "node": "x"}).encode()
+        server = CannedServer(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"
+            + body,
+            close_after=1,
+        )
+        client = ServiceClient(server.url, retries=0)
+        try:
+            assert client._request("/healthz")["ok"] is True
+            assert client._connections() == {}  # not reused
+        finally:
+            client.close()
+            server.close()
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                "Transfer-Encoding",
+            ),
+            (b"SSH-2.0-OpenSSH_9.6\r\n", "status line"),
+            (b"HTTP/1.1 2000 OK\r\n\r\n", "status line"),
+            (b"HTTP/1.1 200 " + b"x" * 70_000 + b"\r\n\r\n", "longer"),
+            (
+                b"HTTP/1.1 200 OK\r\n" + b"X-A: b\r\n" * 101 + b"\r\n",
+                "more than 100 headers",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n{}",
+                "Content-Length",
+            ),
+        ],
+        ids=["chunked", "garbage", "bad-status", "long-line",
+             "many-headers", "bad-length"],
+    )
+    def test_unframeable_reply_raises(self, reply, error):
+        server = CannedServer(reply)
+        client = ServiceClient(server.url, retries=2)
+        try:
+            with pytest.raises(ServiceError, match="malformed reply.*" + error):
+                client._request("/healthz")
+            assert server.accepted == 1  # raised, not retried
+        finally:
+            client.close()
+            server.close()
+
+    def test_join_naming_a_chunked_server_is_refused(self, node):
+        # The reply would otherwise pass: it names the node id the URL
+        # derives.  The health client refuses the chunked framing.
+        def reply(server):
+            body = json.dumps(
+                {"ok": True, "node": node_id_for_url(server.url)}
+            ).encode()
+            return (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+            )
+
+        server = CannedServer(reply)
+        client = ServiceClient(node.url)
+        try:
+            with pytest.raises(ServiceError, match="HTTP 400"):
+                client._request("/v1/fabric/join", body={"url": server.url})
+            ring = client._request("/v1/fabric/ring")
+            assert [n["url"] for n in ring["nodes"]] == [node.url]
+        finally:
+            client.close()
+            server.close()
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_closed_keep_alive_socket_is_retried(self, retries):
+        server = CannedServer(json_reply({"ok": True}), close_after=1)
+        client = ServiceClient(server.url, retries=retries, backoff=0.001)
+        try:
+            assert client._request("/healthz")["ok"] is True
+            time.sleep(0.05)  # let the server close its end
+            if retries:
+                assert client._request("/healthz")["ok"] is True
+                assert server.accepted == 2
+            else:
+                with pytest.raises(ServiceError, match="cannot reach"):
+                    client._request("/healthz")
+        finally:
+            client.close()
+            server.close()
 
 
 # -- long-poll results ---------------------------------------------------------
@@ -599,6 +780,107 @@ class TestLongPoll:
         assert headers["location"].endswith(
             "/v1/jobs/%s/result?wait=5" % job_id
         )
+
+
+# -- where a submit runs --------------------------------------------------------
+
+
+def executor_calls(node, monkeypatch):
+    """The functions ``node``'s front end hands to its executor."""
+    calls = []
+    frontend = node.frontend
+    in_executor = frontend._in_executor
+
+    async def recording(fn, *args):
+        calls.append(fn)
+        return await in_executor(fn, *args)
+
+    monkeypatch.setattr(frontend, "_in_executor", recording)
+    return calls
+
+
+class TestInlineSubmit:
+    """A submit this node owns entirely runs on the loop; one that must
+    forward to a peer runs in the executor, never on the loop."""
+
+    def test_store_hit_submit_never_leaves_the_loop(self, node, monkeypatch):
+        spec = compile_spec(seed=16)
+        client = FabricClient(node.url)
+        try:
+            client.run_batch([spec])
+            calls = executor_calls(node, monkeypatch)
+            (job_id,) = client.submit([spec])
+            payload = client.result(job_id)
+        finally:
+            client.close()
+        assert payload["from_store"] is True
+        assert calls == []
+
+    def test_forwarding_submit_runs_in_the_executor(
+        self, pair, monkeypatch
+    ):
+        a, b = pair
+        spec = next(
+            sleep_spec(seed)
+            for seed in range(100, 200)
+            if b.registry.owner_of(job_fingerprint(sleep_spec(seed)))
+            == a.node_id
+        )
+        calls = executor_calls(b, monkeypatch)
+        threads = []
+        forward = b._forward
+
+        def recording_forward(*args):
+            threads.append(threading.current_thread().name)
+            return forward(*args)
+
+        monkeypatch.setattr(b, "_forward", recording_forward)
+        client = ServiceClient(b.url)
+        try:
+            (job_id,) = client.submit([spec])
+            assert client.result(job_id, timeout=10.0)["state"] == "done"
+        finally:
+            client.close()
+        assert job_id.endswith("@" + a.node_id)
+        assert len(calls) == 1
+        assert threads and "repro-fabric-loop" not in threads
+
+    def test_forwarded_submit_is_answered_on_the_loop(
+        self, pair, monkeypatch
+    ):
+        a, _ = pair
+        calls = executor_calls(a, monkeypatch)
+        status, reply = http_post(
+            a.url,
+            "/v1/submit",
+            {"jobs": [sleep_spec(seed).to_dict() for seed in range(4)],
+             "forwarded": True},
+        )
+        assert status == 200
+        assert all(i.endswith("@" + a.node_id) for i in reply["ids"])
+        assert calls == []
+
+    def test_inline_handler_error_is_500(self, node, monkeypatch):
+        def broken(data):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(node, "handle_submit", broken)
+        status, reply = http_post(
+            node.url, "/v1/submit", {"jobs": [sleep_spec(1).to_dict()]}
+        )
+        assert status == 500 and "boom" in reply["error"]
+        endpoints = node.frontend.metrics.to_dict(0, 0)["endpoints"]
+        assert endpoints["/v1/submit"]["requests"] == 1
+
+    def test_starting_node_answers_submit_503(self, node):
+        node.ready = False
+        try:
+            status, reply = http_post(
+                node.url, "/v1/submit", {"jobs": [sleep_spec(1).to_dict()]}
+            )
+        finally:
+            node.ready = True
+        assert status == 503 and "starting" in reply["error"]
 
 
 # -- load shedding -------------------------------------------------------------

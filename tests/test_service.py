@@ -12,6 +12,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -75,6 +76,18 @@ class TestJobSpec:
     def test_round_trips_through_dict(self):
         spec = compile_spec(proc="scale", timeout_seconds=5.0)
         assert JobSpec.from_dict(spec.to_dict()) == spec
+
+    def test_constructor_validates(self):
+        # Not only from_dict: a spec built in-process is checked too.
+        with pytest.raises(JobError, match="unknown backend") as info:
+            JobSpec(kind="compile", backend="race")
+        assert info.value.field == "backend"
+
+    def test_to_dict_is_a_flat_copy_of_every_field(self):
+        import dataclasses
+
+        spec = compile_spec(proc="scale", timeout_seconds=5.0)
+        assert spec.to_dict() == dataclasses.asdict(spec)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(JobError):
@@ -290,6 +303,19 @@ class TestResultStore:
             store.close()
         assert touched == []
 
+    def test_sqlite_hit_writes_nothing(self, tmp_path):
+        # Submits look the store up on the front end's event loop: a
+        # hit must not write (nothing reads a per-row hit count).
+        store = ResultStore(str(tmp_path / "s.sqlite"))
+        try:
+            store.put("fp", {"units": ["a"]})
+            changes = store._db.total_changes
+            assert store.get_text("fp") == '{"units": ["a"]}'
+            assert store._db.total_changes == changes
+            assert store.stats.hits == 1
+        finally:
+            store.close()
+
     def test_to_dict_reports_rates(self, tmp_path):
         store = ResultStore(str(tmp_path / "s.sqlite"))
         store.get("missing")
@@ -401,6 +427,67 @@ class TestEngine:
         assert engine.cancel(victim) is True
         assert engine.status(victim)["state"] == JobState.CANCELLED
         engine.result(blocker, timeout=10)
+
+    def test_store_write_does_not_hold_up_a_hit(self, engine):
+        # The collector thread writes a finished result to the store
+        # outside the engine lock, so a hit submitted meanwhile (as the
+        # front end does on its event loop) does not wait for the write.
+        hot = compile_spec(seed=21)
+        engine.result(engine.submit(hot), timeout=60)
+        writing = threading.Event()
+        put = engine.store.put
+
+        def slow_put(fingerprint, payload):
+            writing.set()
+            time.sleep(0.5)
+            return put(fingerprint, payload)
+
+        engine.store.put = slow_put
+        cold = engine.submit(compile_spec(seed=22))
+        assert writing.wait(60)
+        start = time.monotonic()
+        hit = engine.submit(hot)
+        elapsed = time.monotonic() - start
+        assert engine.status(hit)["from_store"] is True
+        assert elapsed < 0.2
+        assert engine.status(cold)["state"] in ("running", "done")
+        assert engine.result(cold, timeout=60)["ok"] is True
+
+    def test_concurrent_submits_and_settles_lose_no_job(self):
+        # Results settle in two locked steps around the store write;
+        # submitters racing them (coalescing onto live jobs, hitting
+        # settled ones) must leave every job done and nothing in flight.
+        engine = CompilationEngine(workers=3, max_retries=0)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ids, errors = [], []
+
+            def submitter():
+                try:
+                    for seed in range(40):
+                        ids.append(
+                            engine.submit(JobSpec(kind="sleep", seed=seed))
+                        )
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=submitter) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [] and len(ids) == 160
+            assert engine.wait(ids, timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+            engine.shutdown(drain=False)
+        assert engine.backlog() == 0
+        assert {engine.status(i)["state"] for i in ids} == {"done"}
+        jobs = engine.metrics()["jobs"]
+        assert jobs["by_state"] == {"done": jobs["submitted"]}
+        assert jobs["submitted"] + jobs["coalesced"] == 160
 
     def test_store_hit_keeps_the_store_text(self, engine):
         spec = compile_spec()
@@ -617,7 +704,8 @@ class TestHttpService:
         with pytest.raises(ServiceError, match="400"):
             service._request(
                 "/v1/submit",
-                {"jobs": [compile_spec(min_cycles=5, max_cycles=3).to_dict()]},
+                {"jobs": [dict(compile_spec().to_dict(), min_cycles=5,
+                                max_cycles=3)]},
             )
         # Rejected at admission: no job was created, none failed.
         assert service.metrics()["jobs"]["submitted"] == 0

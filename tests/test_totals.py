@@ -176,3 +176,26 @@ class TestStageTimings:
         assert sum(p.encode_seconds for p in stats.probes) == pytest.approx(
             stats.timings["encode"]
         )
+
+    def test_encoder_construction_is_timed_as_encode(self, monkeypatch):
+        # Building the encoder runs the floor analysis: encode work, so
+        # a slow constructor shows up under "encode" (and in the first
+        # probe's encode_seconds), not outside every stage.
+        from repro.encode.constraints import IncrementalEncoder
+
+        delay = 0.05
+        init = IncrementalEncoder.__init__
+
+        def slow_init(self, *args, **kwargs):
+            time.sleep(delay)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalEncoder, "__init__", slow_init)
+        ((_, result),) = compile_job(spec()).results
+        stats = result.stats
+        assert stats.probes
+        assert stats.timings["encode"] >= delay
+        assert stats.probes[0].encode_seconds >= delay
+        assert sum(p.encode_seconds for p in stats.probes) == pytest.approx(
+            stats.timings["encode"]
+        )
