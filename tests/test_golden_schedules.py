@@ -7,7 +7,14 @@ verdicts (the ladder's, and exact extraction's where it runs).  An
 encoder or solver change that claims to leave the canonical model alone
 is held to that claim here.
 
-Regenerate the file (only for a change that is meant to move bytes) with
+The file also pins the search that found each schedule: every probe's
+``[cycles, satisfiable, conflicts, propagations, learned,
+learned_reused]`` and, under exact extraction, the refinement's
+``solves``.  A change that claims "same search", not only "same bytes"
+(a solver refactor, say), must leave these counters alone too.
+
+Regenerate the file (only for a change that is meant to move bytes or
+the search) with
 ``PYTHONPATH=src python tests/test_golden_schedules.py --write``.
 """
 
@@ -70,11 +77,23 @@ def _compile(target, extraction, program):
                     label=label.replace(".", "_")
                 ).splitlines(),
                 "optimal_by": result.stats.optimal_by,
+                "probes": [
+                    [
+                        probe.cycles,
+                        probe.satisfiable,
+                        probe.conflicts,
+                        probe.propagations,
+                        probe.learned,
+                        probe.learned_reused,
+                    ]
+                    for probe in result.stats.probes
+                ],
             }
             if extraction == "exact":
                 record["extraction_optimal_by"] = (
                     result.stats.extraction["optimal_by"]
                 )
+                record["extraction_solves"] = result.stats.extraction["solves"]
             out["%s/%s/%s/%s" % (target, extraction, program, label)] = record
     return out
 
