@@ -91,28 +91,30 @@ class IncrementalSolver:
         with self._lock:
             self._core.grow(num_vars)
 
-    def add_clause(self, lits: Sequence[int], trusted: bool = False) -> bool:
+    def add_clause(self, lits: Sequence[int]) -> bool:
         """Add a permanent clause; returns False on root contradiction.
 
         Variables must have been allocated via :meth:`ensure_vars`.  A
         False return latches :attr:`root_unsat`: every later solve is
-        UNSAT regardless of assumptions.  ``trusted`` clauses skip the
-        dedup/tautology normalisation (the encoder already guarantees
-        both for its emitted clauses).
+        UNSAT regardless of assumptions.
         """
         with self._lock:
-            return self._core.add_clause(list(lits), trusted=trusted)
+            return self._core.add_clause(list(lits))
 
     def add_clauses(
         self, clauses: Iterable[Sequence[int]], trusted: bool = False
     ) -> bool:
-        """Add many permanent clauses; False if any contradicts the root."""
+        """Add many permanent clauses; False if any contradicts the root.
+
+        ``trusted`` clauses skip the dedup/tautology normalisation (the
+        encoder already guarantees both for its emitted clauses).
+        """
         with self._lock:
             if trusted:
                 return self._core.add_clauses_trusted(clauses)
             ok = True
             for lits in clauses:
-                if not self._core.add_clause(list(lits), trusted=False):
+                if not self._core.add_clause(list(lits)):
                     ok = False
             return ok
 

@@ -1,16 +1,25 @@
 """A CDCL SAT solver.
 
-Implements the conflict-driven clause-learning loop:
+Implements the conflict-driven clause-learning loop, all of it in one
+search loop (:meth:`_SolverCore._run`):
 
 * unit propagation with two-watched literals,
 * first-UIP conflict analysis with learned-clause minimisation,
+* assumptions, enqueued in order as decisions,
 * canonical decisions: the lowest unassigned variable, false first.
+
+``stop_check`` is polled before the first decision after the run's
+start or a conflict, then every ``_STOP_CHECK_INTERVAL`` decisions, and
+after every ``_STOP_CHECK_INTERVAL``-th conflict.
 
 There are no restarts and no learned-clause database reduction: the
 formulas the probe ladder poses are small enough (a few thousand
-variables) that every learned clause is kept.  The one path that
-deletes learned clauses is :meth:`_SolverCore.purge_learnts`, which
-budget retirement calls.
+variables) that every learned clause is kept.  Clauses enter the
+database in two places: input clauses through
+:meth:`_SolverCore.add_clauses_trusted` (which :meth:`~_SolverCore.add_clause`
+feeds), stored as given, and learned ones through
+:meth:`_SolverCore._learn`.  The one path that deletes learned clauses
+is :meth:`_SolverCore.purge_learnts`, which budget retirement calls.
 
 The solver plays the role CHAFF plays in the paper.  It is deliberately
 independent of the Denali encoder: it consumes any :class:`repro.sat.cnf.CNF`
@@ -46,8 +55,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence
 
 from repro.sat.cnf import CNF
-
-_UNASSIGNED = -1
 
 # Per-literal truth values in the ``_vals`` column.  Literal l maps to
 # slot ``2*l`` when positive, ``1 - 2*l`` when negative, so a literal's
@@ -140,8 +147,6 @@ class _SolverCore:
         # Flat-core telemetry (cumulative over the core's lifetime).
         self.watch_compactions = 0  # watcher entries squeezed out in place
         self._stats = Stats()
-        self._assumptions: List[int] = []
-        self._assumptions_done: List[int] = []
         # Latched when the formula itself (no assumptions) is refuted.
         self._root_unsat = False
         # Decisions take the lowest unassigned variable, false first;
@@ -188,7 +193,12 @@ class _SolverCore:
     ) -> SatResult:
         """Decide satisfiability under the given assumption literals.
 
-        The conflict budget and ``stop_check`` apply to this run only.
+        One pass of the search loop (:meth:`_run`), then a backtrack to
+        the root.  The conflict budget and ``stop_check`` apply to this
+        run only.  ``stop_check`` is polled before the first decision after the
+        run's start and after every conflict, then every
+        ``_STOP_CHECK_INTERVAL`` decisions, and after every
+        ``_STOP_CHECK_INTERVAL``-th conflict.
 
         The run decides variables in index order, always trying false
         first.  A CDCL run under that policy returns the
@@ -203,93 +213,33 @@ class _SolverCore:
         start = time.monotonic()
         stats = Stats(learned_kept=len(self._learnts))
         self._stats = stats
-        self._assumptions = list(assumptions)
-        self._assumptions_done = []
         self._rover = 1
         try:
-            result = self._run(conflict_budget, stop_check)
+            result = self._run(assumptions, conflict_budget, stop_check)
         finally:
             self._backtrack(0)
-            self._assumptions = []
-            del self._assumptions_done[:]
             stats.time_seconds = time.monotonic() - start
         return result
 
     def _run(
         self,
+        assumptions: Sequence[int],
         conflict_budget: Optional[int],
         stop_check: Optional[Callable[[], bool]],
     ) -> SatResult:
+        """The search loop: propagate, then learn, assume or decide.
+
+        Each turn propagates the pending trail to a fixpoint or a
+        conflict.  A conflict is analysed, backtracked over and learned
+        from; at a fixpoint the next assumption is enqueued, or, once
+        every assumption holds, the lowest unassigned variable is
+        decided false.  The loop is the solver's hottest code, so it
+        works on the flat columns through locals, writing ``qhead`` and
+        the rover back around the conflict handlers that read them.
+        """
         stats = self._stats
         if self._root_unsat:
             return SatResult(False, None, stats)
-        if self._propagate() is not None:
-            if self._decision_level() == 0:
-                self._root_unsat = True
-            return SatResult(False, None, stats)
-
-        # A conflict found inside the fused decision sweep is handed to
-        # the generic conflict handler through this slot.
-        pending = None
-        while True:
-            conflict = pending
-            pending = None
-            if conflict is None:
-                conflict = self._propagate()
-            if conflict is not None:
-                stats.conflicts += 1
-                if self._decision_level() == 0:
-                    self._root_unsat = True
-                    return SatResult(False, None, stats)
-                learnt, back_level = self._analyze(conflict)
-                self._backtrack(back_level)
-                self._learn(learnt)
-                if (
-                    conflict_budget is not None
-                    and stats.conflicts >= conflict_budget
-                ):
-                    return SatResult(None, None, stats)
-                if (
-                    stop_check is not None
-                    and stats.conflicts % self._STOP_CHECK_INTERVAL == 0
-                    and stop_check()
-                ):
-                    return SatResult(None, None, stats)
-                continue
-
-            lit = self._next_assumption()
-            if lit is False:  # conflicting assumptions
-                return SatResult(False, None, stats)
-            if lit is not None:
-                continue
-            sweep = self._canonical_sweep(stop_check)
-            if sweep is None:
-                vals = self._vals
-                model = {
-                    v: vals[2 * v] == _L_TRUE
-                    for v in range(1, self._nvars + 1)
-                }
-                return SatResult(True, model, stats)
-            if sweep == -1:
-                return SatResult(None, None, stats)
-            pending = sweep
-
-    def _canonical_sweep(
-        self, stop_check: Optional[Callable[[], bool]]
-    ) -> Optional[int]:
-        """Fused decide/propagate loop: the solver's only decision maker.
-
-        A run decides *every* unassigned variable in index order (false
-        first) and is conflict-free in the common case, so a generic
-        loop's per-decision overhead — assumption lookup and method
-        calls — would dominate its runtime.
-        This loop inlines the rover decision and the unit propagation,
-        exiting back to the generic loop on the first conflict (returns
-        the clause ref), when every variable is assigned (returns None —
-        the model is complete), or when ``stop_check`` fires (returns
-        -1, never a valid ref).  It is polled before the first decision
-        and every ``_STOP_CHECK_INTERVAL`` decisions after.
-        """
         vals = self._vals
         arena = self._arena
         watches = self._watches
@@ -297,39 +247,22 @@ class _SolverCore:
         trail_lim = self._trail_lim
         level = self._level
         reason = self._reason
-        stats = self._stats
         nvars = self._nvars
         interval = self._STOP_CHECK_INTERVAL
         decisions = 0
         props = 0
         compacted = 0
+        assumed = 0  # assumptions enqueued or found true, in order
+        since = 0  # decisions since the run began or the last conflict
         qhead = self._qhead
         v = self._rover
         try:
             while True:
-                while v <= nvars and vals[2 * v] != _L_UNDEF:
-                    v += 1
-                if v > nvars:
-                    return None
-                if (
-                    stop_check is not None
-                    and decisions % interval == 0
-                    and stop_check()
-                ):
-                    return -1
-                decisions += 1
-                trail_lim.append(len(trail))
+                # Unit propagation with two watched literals: the slots
+                # ref+1 and ref+2, the false one moved to ref+2; watcher
+                # lists are compacted in place as watches move.
                 dl = len(trail_lim)
-                p = 2 * v
-                vals[p] = _L_FALSE
-                vals[p + 1] = _L_TRUE
-                level[v] = dl
-                reason[v] = _NO_REASON
-                trail.append(-v)
-                # Unit propagation, inlined — a transcript of
-                # ``_propagate`` (the reference implementation; keep the
-                # two in lockstep).  The call-per-decision overhead is
-                # what this loop exists to remove.
+                conflict = _NO_REASON
                 while qhead < len(trail):
                     lit = trail[qhead]
                     qhead += 1
@@ -354,6 +287,7 @@ class _SolverCore:
                             watchers[j] = ref
                             j += 1
                             continue
+                        # Look for a new watch among the other literals.
                         end = ref + arena[ref]
                         k = ref + 3
                         found = False
@@ -373,13 +307,14 @@ class _SolverCore:
                         watchers[j] = ref
                         j += 1
                         if v0 == 0:
+                            # Conflict: keep the remaining watchers.
                             while i < n:
                                 watchers[j] = watchers[i]
                                 j += 1
                                 i += 1
-                            del watchers[j:]
-                            compacted += n - j
-                            return ref
+                            conflict = ref
+                            break
+                        # Unit: enqueue l0 with reason ref.
                         u = l0 if l0 > 0 else -l0
                         p = 2 * u
                         if l0 > 0:
@@ -393,6 +328,74 @@ class _SolverCore:
                         trail.append(l0)
                     del watchers[j:]
                     compacted += n - j
+                    if conflict != _NO_REASON:
+                        break
+
+                if conflict != _NO_REASON:
+                    # The run's opening propagation is not search: its
+                    # refutation, the only one before the first counted
+                    # conflict, goes uncounted.
+                    if dl or stats.conflicts:
+                        stats.conflicts += 1
+                    if not dl:
+                        self._root_unsat = True
+                        return SatResult(False, None, stats)
+                    self._qhead = qhead
+                    self._rover = v
+                    learnt, back_level = self._analyze(conflict)
+                    self._backtrack(back_level)
+                    self._learn(learnt)
+                    qhead = self._qhead
+                    v = self._rover
+                    assumed = min(assumed, back_level)
+                    since = 0
+                    if (
+                        conflict_budget is not None
+                        and stats.conflicts >= conflict_budget
+                    ):
+                        return SatResult(None, None, stats)
+                    if (
+                        stop_check is not None
+                        and stats.conflicts % interval == 0
+                        and stop_check()
+                    ):
+                        return SatResult(None, None, stats)
+                    continue
+
+                if assumed < len(assumptions):
+                    lit = assumptions[assumed]
+                    assumed += 1
+                    val = vals[2 * lit if lit > 0 else 1 - 2 * lit]
+                    if val == _L_FALSE:  # conflicting assumptions
+                        return SatResult(False, None, stats)
+                    if val == _L_UNDEF:
+                        decisions += 1
+                        trail_lim.append(len(trail))
+                        self._enqueue(lit, _NO_REASON)
+                    continue
+
+                while v <= nvars and vals[2 * v] != _L_UNDEF:
+                    v += 1
+                if v > nvars:
+                    model = {
+                        u: vals[2 * u] == _L_TRUE for u in range(1, nvars + 1)
+                    }
+                    return SatResult(True, model, stats)
+                if (
+                    stop_check is not None
+                    and since % interval == 0
+                    and stop_check()
+                ):
+                    return SatResult(None, None, stats)
+                since += 1
+                decisions += 1
+                trail_lim.append(len(trail))
+                p = 2 * v
+                vals[p] = _L_FALSE
+                vals[p + 1] = _L_TRUE
+                level[v] = len(trail_lim)
+                reason[v] = _NO_REASON
+                trail.append(-v)
         finally:
             self._rover = v
             self._qhead = qhead
@@ -400,75 +403,36 @@ class _SolverCore:
             stats.propagations += props
             self.watch_compactions += compacted
 
-    def _value(self, lit: int) -> int:
-        """1 true, 0 false, -1 unassigned — of a literal."""
-        val = self._vals[2 * lit if lit > 0 else 1 - 2 * lit]
-        return _UNASSIGNED if val == _L_UNDEF else val
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _alloc(self, lits: Sequence[int]) -> int:
-        """Append a clause to the arena; returns its ref."""
-        arena = self._arena
-        ref = len(arena)
-        arena.append(len(lits))
-        arena.extend(lits)
-        return ref
-
     # -- clause management ---------------------------------------------------
 
-    def add_clause(self, lits: List[int], trusted: bool = False) -> bool:
-        """Attach a clause; returns False on immediate root contradiction.
+    def add_clause(self, lits: List[int]) -> bool:
+        """Attach one clause; returns False on a root contradiction.
 
-        Must be called at the root level: literals already false there are
-        simplified away permanently, which is only sound for level-0
-        assignments.  A False return latches :attr:`root_unsat`.
-
-        ``trusted`` skips literal dedup and the tautology check — for
-        callers (the CNF builder, ``sanitize_clauses``) that already
-        guarantee both, it removes the dominant per-clause cost of
-        feeding a large formula.
+        Duplicate literals merge, a tautology is dropped, and the rest,
+        sorted by variable, attaches as :meth:`add_clauses_trusted`
+        attaches a clause.  Must be called at the root level.  A False
+        return latches :attr:`root_unsat`.
         """
-        if not trusted:
-            unique = set(lits)
-            if any(-l in unique for l in unique):
-                return True  # tautology
-            lits = sorted(unique, key=abs)
-        if any(self._value(l) == 1 for l in lits):
-            return True  # already satisfied at the root level
-        lits = [l for l in lits if self._value(l) != 0]
-        if not lits:
-            self._root_unsat = True
-            return False
-        if len(lits) == 1:
-            val = self._value(lits[0])
-            if val == 0:
-                self._root_unsat = True
-                return False
-            if val == _UNASSIGNED:
-                self._enqueue(lits[0], _NO_REASON)
-            return True
-        ref = self._alloc(lits)
-        self._clauses.append(ref)
-        l0, l1 = lits[0], lits[1]
-        self._watches[2 * l0 if l0 > 0 else 1 - 2 * l0].append(ref)
-        self._watches[2 * l1 if l1 > 0 else 1 - 2 * l1].append(ref)
-        return True
+        unique = set(lits)
+        if any(-l in unique for l in unique):
+            return True  # tautology
+        return self.add_clauses_trusted((sorted(unique, key=abs),))
 
     def add_clauses_trusted(self, clauses: Iterable[List[int]]) -> bool:
-        """Bulk clause feed for pre-sanitised permanent clauses.
+        """Attach permanent clauses free of duplicate literals and tautologies.
 
-        Feeding the encoder's master formula is the incremental path's
-        hot loop.  Rather than rebuilding each clause with root-false
-        literals filtered out (a full scan per clause), clauses attach
-        verbatim and only the *watches* are chosen among non-false
-        literals — the two-watched-literal invariant is all that
-        soundness at the root level needs, and finding two watchable
-        literals stops the scan after (usually) two slots.  Root-satisfied
-        clauses with two watchable literals stay in the database inertly;
-        a clause with one watchable literal is unit under the root
-        assignment, with none it refutes the formula.
+        The core's one attach path for input clauses.  Feeding the
+        encoder's master formula is the incremental path's hot loop.
+        Rather than rebuilding each clause with root-false literals
+        filtered out (a full scan per clause), a clause is stored whole
+        and only its *watches* are chosen among non-false literals — the
+        two-watched-literal invariant is all that soundness at the root
+        level needs, and finding two watchable literals stops the scan
+        after (usually) two slots.  Root-false literals stay in the
+        arena, never watched; root-satisfied clauses with two watchable
+        literals stay in the database inertly; a clause with one
+        watchable literal is unit under the root assignment, with none
+        it refutes the formula.
         """
         vals = self._vals
         watches = self._watches
@@ -526,11 +490,20 @@ class _SolverCore:
         return ok
 
     def _learn(self, lits: List[int]) -> None:
+        """Store a clause :meth:`_analyze` derived; enqueue its first literal.
+
+        The core's one learn site, called right after the backtrack: a
+        unit is asserted at the root, a longer clause is watched on its
+        asserting literal and one of the backtrack level.
+        """
         self._stats.learned += 1
         if len(lits) == 1:
             self._enqueue(lits[0], _NO_REASON)
             return
-        ref = self._alloc(lits)
+        arena = self._arena
+        ref = len(arena)
+        arena.append(len(lits))
+        arena.extend(lits)
         self._learnts.append(ref)
         l0, l1 = lits[0], lits[1]
         self._watches[2 * l0 if l0 > 0 else 1 - 2 * l0].append(ref)
@@ -593,7 +566,7 @@ class _SolverCore:
         self._trail.append(lit)
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
         trail = self._trail
@@ -613,103 +586,6 @@ class _SolverCore:
         del trail[limit:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(trail))
-        del self._assumptions_done[level:]
-
-    # -- propagation ----------------------------------------------------------
-
-    def _propagate(self) -> Optional[int]:
-        """Unit propagation; returns a conflicting clause ref or None.
-
-        This is the solver's hottest loop, so it works directly on the
-        flat columns: literal values are single byte loads, watched
-        literals are the two arena slots after the clause header, and
-        watcher lists are compacted in place as watches move.
-        """
-        vals = self._vals
-        arena = self._arena
-        watches = self._watches
-        trail = self._trail
-        reason = self._reason
-        level = self._level
-        stats = self._stats
-        qhead = self._qhead
-        dl = len(self._trail_lim)
-        compacted = 0
-        props = 0
-        while qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            props += 1
-            false_lit = -lit
-            watchers = watches[
-                2 * false_lit if false_lit > 0 else 1 - 2 * false_lit
-            ]
-            i = 0
-            j = 0
-            n = len(watchers)
-            while i < n:
-                ref = watchers[i]
-                i += 1
-                # Normalise: the watched literals are the slots ref+1 and
-                # ref+2, with the false literal moved to ref+2.
-                l0 = arena[ref + 1]
-                if l0 == false_lit:
-                    l0 = arena[ref + 2]
-                    arena[ref + 1] = l0
-                    arena[ref + 2] = false_lit
-                v0 = vals[2 * l0 if l0 > 0 else 1 - 2 * l0]
-                if v0 == 1:
-                    watchers[j] = ref
-                    j += 1
-                    continue
-                # Look for a new watch among the remaining literals.
-                end = ref + arena[ref]
-                k = ref + 3
-                found = False
-                while k <= end:
-                    lk = arena[k]
-                    if vals[2 * lk if lk > 0 else 1 - 2 * lk] != 0:
-                        arena[ref + 2] = lk
-                        arena[k] = false_lit
-                        watches[2 * lk if lk > 0 else 1 - 2 * lk].append(ref)
-                        found = True
-                        break
-                    k += 1
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watchers[j] = ref
-                j += 1
-                if v0 == 0:
-                    # Conflict: keep remaining watchers, report.
-                    while i < n:
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    del watchers[j:]
-                    compacted += n - j
-                    self._qhead = qhead
-                    stats.propagations += props
-                    self.watch_compactions += compacted
-                    return ref
-                # Inline enqueue of the unit literal l0 with reason ref.
-                v = l0 if l0 > 0 else -l0
-                p = 2 * v
-                if l0 > 0:
-                    vals[p] = 1
-                    vals[p + 1] = 0
-                else:
-                    vals[p] = 0
-                    vals[p + 1] = 1
-                level[v] = dl
-                reason[v] = ref
-                trail.append(l0)
-            del watchers[j:]
-            compacted += n - j
-        self._qhead = qhead
-        stats.propagations += props
-        self.watch_compactions += compacted
-        return None
 
     # -- conflict analysis ---------------------------------------------------
 
@@ -725,7 +601,7 @@ class _SolverCore:
         lit = None
         ref = conflict
         idx = len(trail) - 1
-        level = self._decision_level()
+        level = len(self._trail_lim)
 
         while True:
             for qi in range(ref + 1, ref + 1 + arena[ref]):
@@ -785,24 +661,6 @@ class _SolverCore:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, back
-
-    def _next_assumption(self):
-        """Enqueue the next pending assumption; False on conflict, None if done."""
-        while len(self._assumptions_done) < len(self._assumptions):
-            lit = self._assumptions[len(self._assumptions_done)]
-            val = self._value(lit)
-            if val == 1:
-                self._assumptions_done.append(lit)
-                continue
-            if val == 0:
-                return False
-            self._trail_lim.append(len(self._trail))
-            self._assumptions_done.append(lit)
-            self._stats.decisions += 1
-            self._enqueue(lit, _NO_REASON)
-            return lit
-        return None
-
 
 class CdclSolver:
     """Conflict-driven clause learning solver (one-shot facade).

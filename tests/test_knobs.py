@@ -22,6 +22,7 @@ from repro.extraction import (
 )
 from repro.matching import SaturationConfig
 from repro.sat import CdclSolver
+from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import _SolverCore
 from repro.service import JobSpec
 from repro.stochastic import StochasticConfig
@@ -152,6 +153,17 @@ def test_solver_core_tuning_surface():
     for name in ("_reduce_db", "_compact_arena", "_decay_clause_activity"):
         assert not hasattr(_SolverCore, name), name
     assert not hasattr(solver_module, "_luby")
+
+
+def test_solver_core_has_one_loop_and_one_attach_path():
+    # Propagation, assumptions and decisions all live in ``_run``; input
+    # clauses attach one way, with no ``trusted`` switch on the
+    # single-clause entry points.
+    for name in ("_propagate", "_canonical_sweep", "_next_assumption"):
+        assert not hasattr(_SolverCore, name), name
+    for cls in (_SolverCore, IncrementalSolver):
+        params = tuple(inspect.signature(cls.add_clause).parameters)
+        assert params == ("self", "lits"), cls
 
 
 def test_extraction_keyword_parameters():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat import CNF, CdclSolver, from_dimacs, to_dimacs
+from repro.sat.incremental import IncrementalSolver
 
 
 def brute_force_sat(cnf: CNF):
@@ -310,6 +311,66 @@ class TestSolverDifferential:
             cnf.implies(a, b)
         cnf.add(-vs[-1])
         assert CdclSolver().solve(cnf).satisfiable is False
+
+
+def pigeonhole(pigeons: int, holes: int) -> CNF:
+    """Every pigeon in a hole, no two pigeons in one: UNSAT if more pigeons."""
+    cnf = CNF()
+    x = {(p, h): cnf.new_var() for p in range(pigeons) for h in range(holes)}
+    for p in range(pigeons):
+        cnf.add_clause([x[(p, h)] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                cnf.add(-x[(p1, h)], -x[(p2, h)])
+    return cnf
+
+
+def counting_stop_check(polls):
+    def stop():
+        polls.append(1)
+        return False
+
+    return stop
+
+
+def counters(res):
+    s = res.stats
+    return (res.satisfiable, s.conflicts, s.decisions, s.propagations, s.learned)
+
+
+class TestSearchCounters:
+    """The search itself, step for step, not only its verdict.
+
+    A change to the solver's loop that claims to leave the search alone
+    must leave these counts (and the stop-check poll points) alone too.
+    """
+
+    def test_pigeonhole_8_into_7(self):
+        polls = []
+        res = CdclSolver(stop_check=counting_stop_check(polls)).solve(
+            pigeonhole(8, 7)
+        )
+        assert counters(res) == (False, 322, 672, 6775, 321)
+        assert len(polls) == 269
+
+    def test_selector_gated_pigeonhole(self):
+        cnf = pigeonhole(8, 7)
+        s = cnf.num_vars + 1
+        solver = IncrementalSolver()
+        solver.ensure_vars(s)
+        for clause in cnf.clauses:
+            solver.add_clause([-s] + list(clause))
+        polls = []
+        res = solver.solve([s], stop_check=counting_stop_check(polls))
+        # One more decision (the assumption) and two more propagations
+        # (s, then the learned unit -s) than the ungated run.
+        assert counters(res) == (False, 322, 673, 6777, 322)
+        assert len(polls) == 269
+        res = solver.solve([-s])
+        assert res.satisfiable is True
+        assert (res.stats.conflicts, res.stats.decisions) == (0, 56)
+        assert res.stats.learned_kept == 321
 
 
 class TestDimacs:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.unionfind import UnionFind
-from repro.sat.solver import _NO_REASON, _SolverCore
+from repro.sat.solver import _L_UNDEF, _NO_REASON, _SolverCore
 from repro.terms.ops import Sort
 
 
@@ -156,11 +156,11 @@ class TestTrailDifferential:
                 core._backtrack(level)
                 del frames[level + 1:]
             assigned = ref_assigned()
-            assert core._decision_level() == len(frames) - 1
+            assert len(core._trail_lim) == len(frames) - 1
             for v in range(1, num_vars + 1):
                 want = assigned.get(v)
-                got = core._value(v)
-                assert got == (-1 if want is None else int(want))
+                got = core._vals[2 * v]
+                assert got == (_L_UNDEF if want is None else int(want))
 
 
 # -- watch lists ---------------------------------------------------------------
