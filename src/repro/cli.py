@@ -43,7 +43,7 @@ from repro.axioms import (
     riscv_axioms,
 )
 from repro.core.probes import SearchStrategy
-from repro.isa import available_targets, get_target, target_names
+from repro.isa import available_targets, canonical_target, target_names
 from repro.lang import parse_program
 from repro.service.jobs import CompileReport, JobError, JobSpec, compile_job
 
@@ -51,18 +51,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
-
-
-def _canonical_target(name: str) -> str:
-    """A target alias's canonical name (``alpha`` -> ``ev6``).
-
-    Unknown names pass through unchanged, so the ``choices`` check
-    rejects them with the list of valid names.
-    """
-    try:
-        return get_target(name).name
-    except KeyError:
-        return name
 
 
 def _worker_count(text: str) -> int:
@@ -86,7 +74,7 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--target",
         dest="arch",
-        type=_canonical_target,
+        type=canonical_target,
         choices=sorted(target_names()),
         default=defaults.arch,
         help="target ISA, resolved through the repro.isa.targets registry "

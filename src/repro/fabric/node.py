@@ -169,6 +169,8 @@ class FabricNode:
             self._loop.call_soon_threadsafe(self._loop.stop)
             if self._loop_thread is not None:
                 self._loop_thread.join(timeout=2.0)
+            if not self._loop.is_running():
+                self._loop.close()
         if self.engine is not None:
             self.engine.shutdown(drain=drain)
         self._shutdown_event.set()

@@ -16,6 +16,7 @@ from repro.isa.registers import RegisterConventions, RegisterFile
 from repro.isa.targets import (
     Target,
     available_targets,
+    canonical_target,
     get_target,
     register_target,
     resolve_spec,
@@ -32,6 +33,7 @@ __all__ = [
     "RegisterFile",
     "Target",
     "available_targets",
+    "canonical_target",
     "get_target",
     "register_target",
     "resolve_spec",

@@ -73,6 +73,18 @@ def get_target(name: str) -> Target:
         )
 
 
+def canonical_target(name: str) -> str:
+    """A target alias's canonical name (``alpha`` -> ``ev6``).
+
+    Unknown names pass through unchanged, so the caller's own check
+    rejects them (the CLI's ``choices`` with the list of valid names).
+    """
+    try:
+        return get_target(name).name
+    except KeyError:
+        return name
+
+
 def target_names() -> Tuple[str, ...]:
     """Canonical names, registration order (ev6 first: the default)."""
     return tuple(_REGISTRY)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.session import aggregate_stats, merge_totals
+from repro.isa.targets import canonical_target
 from repro.service.pool import WorkerPool
 from repro.service.store import ResultStore
 
@@ -429,16 +430,6 @@ class _JobRecord:
         }
 
 
-def _canonical_target(arch: str) -> str:
-    """The canonical target name of a job's ``arch`` (identity fallback)."""
-    from repro.isa.targets import get_target
-
-    try:
-        return get_target(arch).name
-    except KeyError:
-        return arch
-
-
 # A settled job's record (status, result text) outlives it by this many
 # later settlements; then it is evicted, oldest first, and its id
 # answers "unknown job".  Live records are never evicted.
@@ -545,7 +536,7 @@ class CompilationEngine:
                     record.finished_at = time.time()
                     self._settle(record)
                     self._target_bucket(
-                        _canonical_target(spec.arch)
+                        canonical_target(spec.arch)
                     )["cache_hits"] += 1
                     return record.id
             self._inflight[fingerprint] = record.id
@@ -703,7 +694,7 @@ class CompilationEngine:
         record.error = error
         if record.spec.kind == "compile":
             self._target_bucket(
-                _canonical_target(record.spec.arch)
+                canonical_target(record.spec.arch)
             )["failed"] += 1
         record.finished_at = time.time()
         self._inflight.pop(record.fingerprint, None)

@@ -63,10 +63,19 @@ def brute_force_min_cycles(term: Term, spec) -> int:
     return int(best[0])
 
 
+def _serial_cycles(term: Term, spec) -> int:
+    """Cycles of the serial schedule: each op waits for the one before.
+
+    Every DAG meets this on a single-issue machine, so it is a ladder
+    ceiling under which the optimum always lies.
+    """
+    return sum(spec.latency(t.op) for t in _machine_nodes(term, spec))
+
+
 def _pipeline_min_cycles(term: Term, spec) -> int:
     config = DenaliConfig(
         min_cycles=1,
-        max_cycles=20,
+        max_cycles=_serial_cycles(term, spec),
         strategy=SearchStrategy.BINARY,
         verify=False,
         saturation=SaturationConfig(max_rounds=1, max_enodes=500,
@@ -136,3 +145,12 @@ class TestEncoderAgainstBruteForce:
         # shared(0), two mids (1,2), combiner at 3: 4 cycles.
         assert brute_force_min_cycles(term, spec) == 4
         assert _pipeline_min_cycles(term, spec) == 4
+
+    def test_known_case_serial_multiplies(self):
+        # Three dependent 7-cycle multiplies: nothing overlaps, so the
+        # optimum is the serial schedule, 21 cycles.
+        spec = simple_risc()
+        a = inp("a")
+        term = mk("mul64", a, mk("mul64", a, mk("mul64", a, a)))
+        assert brute_force_min_cycles(term, spec) == 21
+        assert _pipeline_min_cycles(term, spec) == 21

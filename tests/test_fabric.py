@@ -95,6 +95,11 @@ def wait_until(predicate, timeout=5.0, interval=0.02):
 
 
 class TestSingleNode:
+    def test_stop_closes_the_event_loop(self):
+        node = boot()
+        node.stop(drain=False)
+        assert node._loop.is_closed()
+
     def test_submit_result_qualified_id(self, node):
         client = FabricClient(node.url)
         try:
