@@ -262,7 +262,7 @@ class _SolverCore:
                 # ref+1 and ref+2, the false one moved to ref+2; watcher
                 # lists are compacted in place as watches move.
                 dl = len(trail_lim)
-                conflict = _NO_REASON
+                conflict = None
                 while qhead < len(trail):
                     lit = trail[qhead]
                     qhead += 1
@@ -328,10 +328,10 @@ class _SolverCore:
                         trail.append(l0)
                     del watchers[j:]
                     compacted += n - j
-                    if conflict != _NO_REASON:
+                    if conflict is not None:
                         break
 
-                if conflict != _NO_REASON:
+                if conflict is not None:
                     # The run's opening propagation is not search: its
                     # refutation, the only one before the first counted
                     # conflict, goes uncounted.
