@@ -99,7 +99,7 @@ class IncrementalSolver:
         UNSAT regardless of assumptions.
         """
         with self._lock:
-            return self._core.add_clause(list(lits))
+            return self._core.add_clause(lits)
 
     def add_clauses(
         self, clauses: Iterable[Sequence[int]], trusted: bool = False
@@ -114,7 +114,7 @@ class IncrementalSolver:
                 return self._core.add_clauses_trusted(clauses)
             ok = True
             for lits in clauses:
-                if not self._core.add_clause(list(lits)):
+                if not self._core.add_clause(lits):
                     ok = False
             return ok
 

@@ -15,9 +15,9 @@ after every ``_STOP_CHECK_INTERVAL``-th conflict.
 There are no restarts and no learned-clause database reduction: the
 formulas the probe ladder poses are small enough (a few thousand
 variables) that every learned clause is kept.  Clauses enter the
-database in two places: input clauses through
-:meth:`_SolverCore.add_clauses_trusted` (which :meth:`~_SolverCore.add_clause`
-feeds), stored as given, and learned ones through
+database in two places: input clauses, stored whole, through
+:meth:`_SolverCore.add_clauses_trusted` (which
+:meth:`~_SolverCore.add_clause` feeds), and learned ones through
 :meth:`_SolverCore._learn`.  The one path that deletes learned clauses
 is :meth:`_SolverCore.purge_learnts`, which budget retirement calls.
 
@@ -195,8 +195,8 @@ class _SolverCore:
 
         One pass of the search loop (:meth:`_run`), then a backtrack to
         the root.  The conflict budget and ``stop_check`` apply to this
-        run only.  ``stop_check`` is polled before the first decision after the
-        run's start and after every conflict, then every
+        run only.  ``stop_check`` is polled before the first decision
+        after the run's start and after every conflict, then every
         ``_STOP_CHECK_INTERVAL`` decisions, and after every
         ``_STOP_CHECK_INTERVAL``-th conflict.
 
@@ -405,7 +405,7 @@ class _SolverCore:
 
     # -- clause management ---------------------------------------------------
 
-    def add_clause(self, lits: List[int]) -> bool:
+    def add_clause(self, lits: Sequence[int]) -> bool:
         """Attach one clause; returns False on a root contradiction.
 
         Duplicate literals merge, a tautology is dropped, and the rest,
@@ -697,7 +697,7 @@ class CdclSolver:
         core = _SolverCore()
         core.grow(cnf.num_vars)
         for lits in cnf.clauses:
-            if not core.add_clause(list(lits)):
+            if not core.add_clause(lits):
                 break  # root contradiction is latched; run() reports it
         return core.run(
             assumptions,
